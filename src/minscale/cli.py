@@ -46,7 +46,7 @@ from .gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from .oracle import finite_diff, min_scale_bisection
 from .scale import ConvexSetV, is_colliding, min_scale_vrep, vrep_scale_lp
 from .sdlp import solve
-from .trajopt import MotionLimits, Scenario, eval_trajectory, plan
+from .trajopt import MotionLimits, Scenario, _scale_at, eval_trajectory, plan
 
 
 # ---------------------------------------------------------------- scene I/O
@@ -455,18 +455,7 @@ def cmd_plan(args):
 
 def _body_outline(scenario, tau, traj):
     p, v, _, _ = eval_trajectory(traj, tau)
-    pose = Pose2(math.atan2(v[1], v[0]), p)
-    return body_to_world(scenario.body.points, pose), pose
-
-
-def _sample_beta(scenario, pose, tau):
-    worst = math.inf
-    for obstacle in scenario.static_obstacles:
-        worst = min(worst, min_scale_vrep(scenario.body, obstacle.points, pose).beta)
-    for obstacle, velocity in scenario.moving_obstacles:
-        points = obstacle.points + tau * velocity
-        worst = min(worst, min_scale_vrep(scenario.body, points, pose).beta)
-    return worst
+    return body_to_world(scenario.body.points, Pose2(math.atan2(v[1], v[0]), p))
 
 
 def _polygon_path(points, to_px):
@@ -497,9 +486,8 @@ def _render_svg(path, traj, scenario):
                       for obs, vel in scenario.moving_obstacles]
         taus = np.linspace(window[0], window[1], samples_per_panel)
         bodies = []
-        for tau in taus:
-            outline, pose = _body_outline(scenario, float(tau), traj)
-            beta = _sample_beta(scenario, pose, float(tau))
+        for tau, beta in zip(taus, _scale_at(traj, scenario, taus)):
+            outline = _body_outline(scenario, float(tau), traj)
             bodies.append((outline, beta >= scenario.beta_min))
             extent_points.append(outline)
         panels.append((mid, obstacles, bodies))

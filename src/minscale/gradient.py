@@ -298,6 +298,19 @@ def grad_scale_se2(system, pose):
     return ScaleGradient2(_read_only(dt), dtheta)
 
 
+def _grad_scale_se2_batch(alpha, contact, cos, sin):
+    """grad_scale_se2 for N planar kernel results at once.
+
+    In both 2D splits the LP's sensitivity gives d beta / d translation =
+    -R alpha and d beta / d heading = alpha . (dR^T/dtheta R) x = cross(alpha,
+    x), where x is the contact point in the body frame (not relative to the
+    seed).  Returns (d_beta_d_t (N, 2), d_beta_d_theta (N,)).
+    """
+    ax, ay = alpha[:, 0], alpha[:, 1]
+    d_t = -np.stack([cos * ax - sin * ay, sin * ax + cos * ay], axis=1)
+    return d_t, ax * contact[:, 1] - ay * contact[:, 0]
+
+
 def grad_scale_time(grad, t_rate, rot_rate):
     """Chain rule: d beta / d time from pose rates.
 

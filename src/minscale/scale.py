@@ -6,7 +6,9 @@ beta >= 0.  The minimum collision scale is the dilation at which the body
 first touches the obstacle: beta > 1 means the placed body is separated
 from the obstacle, beta < 1 means it collides, and beta = 0 means the seed
 itself lies inside the obstacle.  Both representations reduce to a single
-LP in n+1 variables, solved by the incremental solver in `sdlp`.
+LP in n+1 variables, solved by the incremental solver in `sdlp`.  For a 2D
+V-rep body, a private kernel evaluates the same scale in closed form for
+many poses at once; the planner uses it, and the LP is its reference.
 
 Constraint rows are laid out body-first, then obstacle, then (V-rep only)
 an explicit -beta <= 0 row, so active-set indices map mechanically back to
@@ -14,12 +16,17 @@ input points and halfspaces; the gradient module relies on that layout.
 """
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateBodyError, InvalidArgumentError, NumericalError
 from .geometry import centroid, world_to_body
 from .sdlp import LowDimLP, LpStatus, SolverParams, active_set, solve
+
+# candidates of the planar kernel this close to the minimum count as a tie
+_TIE_EPS = SolverParams().act_eps
 
 
 def _read_only(a):
@@ -253,6 +260,116 @@ def min_scale_vrep(body, obstacle_world, pose, params=None):
         active_obstacle_points_world=_read_only(pts_w[list(res.active_obstacle)]),
         tight_obstacle_points_world=_read_only(pts_w[list(res.tight_obstacle)]),
     )
+
+
+class _PlanarGauge:
+    """Exact batched V-rep scale of one 2D body, for many poses at once.
+
+    In the plane the V-rep LP is the dual of minimizing the body's gauge
+    about its seed, max_j rows_j . (x - seed), over x in the obstacle hull,
+    where rows_j are the hull facet normals divided by their offsets about
+    the seed; beta is 0 when the seed lies in the hull.  The gauge is convex
+    and piecewise linear, so the minimum sits at an obstacle vertex (LP
+    split (2, 1)) or where a hull edge crosses a ray from the seed through
+    a body vertex (split (1, 2)).  min_scale_vrep stays the general path
+    and the reference.
+    """
+
+    def __init__(self, body):
+        try:
+            hull = ConvexHull(body.points)
+        except (QhullError, ValueError):
+            raise DegenerateBodyError(
+                "no finite scale: the body hull is flat") from None
+        normals = hull.equations[:, :2]
+        offsets = -hull.equations[:, 2] - normals @ body.seed
+        radius = float(np.linalg.norm(body.points - body.seed, axis=1).max())
+        if offsets.min() <= 1e-12 * radius:
+            raise DegenerateBodyError(
+                "no finite scale: the seed is not strictly inside the body hull")
+        self.seed = body.seed
+        self.radius = radius
+        self.rows = normals / offsets[:, None]
+        self.rays = body.points[hull.vertices] - body.seed
+
+
+@dataclass(frozen=True)
+class _PlanarHull:
+    """An obstacle's hull for the planar kernel.
+
+    ``points`` are the hull vertices in counter-clockwise order and
+    ``starts``/``ends`` index its edges; ``normals``/``offsets`` are the
+    outward facets (n . x <= b inside).  A flat hull (one point, or all
+    points collinear) keeps every point, pairs them all as edges and has no
+    facets.
+    """
+
+    points: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    normals: np.ndarray = None
+    offsets: np.ndarray = None
+
+    @classmethod
+    def of(cls, points):
+        try:
+            hull = ConvexHull(points)
+        except (QhullError, ValueError):
+            pairs = np.array(list(combinations(range(len(points)), 2)),
+                             dtype=int).reshape(-1, 2)
+            return cls(points, pairs[:, 0], pairs[:, 1])
+        k = len(hull.vertices)
+        return cls(points[hull.vertices], np.arange(k), np.roll(np.arange(k), -1),
+                   hull.equations[:, :2], -hull.equations[:, 2])
+
+
+def _planar_scale(gauge, hull, cos, sin, origin):
+    """Scale of the body at N poses against one obstacle hull.
+
+    The pose of sample i is the heading with (cos[i], sin[i]) at
+    ``origin[i]``, given in the obstacle's own frame.  Returns ``beta``
+    (N,), the LP certificate ``alpha`` (N, 2) and the ``contact`` point
+    (N, 2), both in the body frame, and ``degenerate`` (N,): beta is 0, or
+    a second candidate lies within ``SolverParams().act_eps * max(1, beta)``
+    of the minimum.  Where beta is 0, alpha and contact mean nothing.
+    """
+    seed, rows, rays = gauge.seed, gauge.rows, gauge.rays
+    rel = hull.points[None, :, :] - origin[:, None, :]
+    # obstacle points in the body frame, relative to the seed
+    yx = cos[:, None] * rel[..., 0] + sin[:, None] * rel[..., 1] - seed[0]
+    yy = cos[:, None] * rel[..., 1] - sin[:, None] * rel[..., 0] - seed[1]
+    n, k = yx.shape
+    level = yx[..., None] * rows[:, 0] + yy[..., None] * rows[:, 1]
+    facet = level.argmax(axis=2)
+    vertex = np.take_along_axis(level, facet[..., None], axis=2)[..., 0]
+    ax, ay = yx[:, hull.starts], yy[:, hull.starts]
+    ex, ey = yx[:, hull.ends] - ax, yy[:, hull.ends] - ay
+    num = ax * ey - ay * ex  # cross(a, e): >= 0 on every edge iff the seed is inside
+    dx, dy = rays[:, 0, None], rays[:, 1, None]
+    den = dx * ey[:, None, :] - dy * ex[:, None, :]  # cross(d, e), (N, rays, edges)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = num[:, None, :] / den
+        u = (ax[:, None, :] * dy - ay[:, None, :] * dx) / den
+    t = np.where((den != 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0), t, np.inf)
+    cand = np.concatenate([vertex, t.reshape(n, -1)], axis=1)
+    best = cand.argmin(axis=1)
+    idx = np.arange(n)
+    beta = cand[idx, best]
+    if hull.normals is not None:
+        beta[np.all(num >= 0.0, axis=1)] = 0.0
+    second = np.partition(cand, 1, axis=1)[:, 1] if cand.shape[1] > 1 else np.inf
+    degenerate = (beta <= 0.0) | (second - beta <= _TIE_EPS * np.maximum(1.0, beta))
+
+    near = np.minimum(best, k - 1)
+    alpha = rows[facet[idx, near]]
+    contact = np.stack([yx[idx, near], yy[idx, near]], axis=1) + seed
+    on_edge = best >= k
+    if on_edge.any():
+        m = idx[on_edge]
+        r, e = np.divmod(best[on_edge] - k, ex.shape[1])
+        alpha[on_edge] = np.stack([ey[m, e], -ex[m, e]], axis=1) / den[m, r, e][:, None]
+        contact[on_edge] = seed + beta[on_edge, None] * rays[r]
+    return beta, alpha, contact, degenerate
 
 
 def hrep_scale_lp(body, obstacle):

@@ -7,8 +7,10 @@ squared jerk, cubic hinge penalties on the collision scale sampled along the
 motion (moving obstacles are advanced to each sample time), and hinge
 penalties on speed and acceleration limits.  Minimization is limited-memory
 BFGS with a weak Wolfe bisection line search, which tolerates the occasional
-nonsmooth scale sample.  All evaluation is sequential with a fixed reduction
-order, so repeated runs are bit-identical.
+nonsmooth scale sample.  Every sample of a cost evaluation or an audit pass
+is computed in one batch of array operations by the exact planar scale
+kernel in `scale`, with a fixed reduction order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ from functools import lru_cache
 
 import numpy as np
 
-import scipy.spatial
-
-from .errors import DegenerateActiveSetError, InvalidArgumentError, NumericalError
-from .geometry import Pose2, body_to_world, rotation2_partial
-from .gradient import assemble_active_system, grad_scale_se2, grad_scale_time
-from .scale import ConvexSetV, min_scale_vrep
+from .errors import InvalidArgumentError
+from .geometry import Pose2
+from .gradient import (_grad_scale_se2_batch, assemble_active_system, grad_scale_se2,
+                       grad_scale_time)
+from .scale import ConvexSetV, _PlanarGauge, _PlanarHull, _planar_scale, min_scale_vrep
 
 
 def _read_only(a):
@@ -55,6 +56,10 @@ def _coeff_map(duration):
     w[3:] = np.linalg.solve(h, r)
     w.setflags(write=False)
     return w
+
+
+def _coeff_maps(durations):
+    return np.stack([_coeff_map(float(t)) for t in durations])
 
 
 def _eval_segment(coeffs, t):
@@ -117,15 +122,9 @@ class PiecewiseTrajectory:
             raise InvalidArgumentError("need exactly one duration per segment")
         if not np.all(np.isfinite(durations)) or np.any(durations <= 0):
             raise InvalidArgumentError("durations must be positive and finite")
-        coeffs = np.zeros((k, 2, 6))
-        for seg in range(k):
-            w = _coeff_map(float(durations[seg]))
-            for axis in range(2):
-                s6 = np.array([
-                    states[seg, axis], states[seg, 2 + axis], states[seg, 4 + axis],
-                    states[seg + 1, axis], states[seg + 1, 2 + axis], states[seg + 1, 4 + axis],
-                ])
-                coeffs[seg, axis] = w @ s6
+        # rows (p0, v0, a0, p1, v1, a1) of each segment, one column per axis
+        ends = np.concatenate([states[:-1], states[1:]], axis=1).reshape(k, 6, 2)
+        coeffs = np.einsum("kij,kja->kai", _coeff_maps(durations), ends)
         knots = np.concatenate([[0.0], np.cumsum(durations)])
         return cls(states, durations, coeffs, knots)
 
@@ -271,7 +270,13 @@ class CostConfig:
 
 @dataclass(frozen=True)
 class OptimizationReport:
-    """Outcome summary, populated on every run including failed ones."""
+    """Outcome summary, populated on every run including failed ones.
+
+    ``degenerate_samples`` counts the (audit sample, obstacle) pairs whose
+    scale is degenerate: beta is 0, or a second candidate of the planar
+    kernel lies within ``SolverParams().act_eps * max(1, beta)`` of the
+    minimum, so the scale has a kink there.
+    """
 
     iterations: int
     final_cost: float
@@ -284,179 +289,193 @@ class OptimizationReport:
     success: bool = False
 
 
-def _polygon_edges(points):
-    """Outward unit edge normals and offsets (n x <= b inside), or None if flat."""
-    try:
-        hull = scipy.spatial.ConvexHull(points)
-    except (scipy.spatial.QhullError, ValueError):
-        return None
-    normals = hull.equations[:, :2]
-    offsets = -hull.equations[:, 2]
-    return normals, offsets
+def _obstacle_pairs(scenario):
+    """Every obstacle with its velocity, static ones first at zero velocity."""
+    still = np.zeros(2)
+    return [(obs, still) for obs in scenario.static_obstacles] + list(scenario.moving_obstacles)
 
 
 def _obstacle_table(scenario):
-    """Flatten obstacles to (points, velocity-or-None, center, radius, edges) rows."""
-    table = []
-    for obs in scenario.static_obstacles:
-        center = obs.points.mean(axis=0)
-        radius = float(np.linalg.norm(obs.points - center, axis=1).max())
-        table.append((obs.points, None, center, radius, _polygon_edges(obs.points)))
-    for obs, vel in scenario.moving_obstacles:
-        center = obs.points.mean(axis=0)
-        radius = float(np.linalg.norm(obs.points - center, axis=1).max())
-        table.append((obs.points, vel, center, radius, _polygon_edges(obs.points)))
-    return table
+    """The body's planar gauge and each obstacle's (hull, velocity).
+
+    Built once per plan.  Without obstacles the table is empty and the body
+    goes unchecked, since nothing will measure its scale.
+    """
+    pairs = _obstacle_pairs(scenario)
+    if not pairs:
+        return None, ()
+    return (_PlanarGauge(scenario.body),
+            tuple((_PlanarHull.of(obs.points), vel) for obs, vel in pairs))
 
 
 def _jerk_energy(coeffs, t):
-    """Integral of squared jerk over one segment plus its coefficient gradient."""
-    t2 = t * t
-    t3 = t2 * t
-    t4 = t3 * t
-    t5 = t4 * t
-    energy = 0.0
-    grad = np.zeros((2, 6))
-    for axis in range(2):
-        c3, c4, c5 = coeffs[axis, 3], coeffs[axis, 4], coeffs[axis, 5]
-        energy += (36 * c3 * c3 * t + 144 * c3 * c4 * t2
-                   + (192 * c4 * c4 + 240 * c3 * c5) * t3
-                   + 720 * c4 * c5 * t4 + 720 * c5 * c5 * t5)
-        grad[axis, 3] = 72 * c3 * t + 144 * c4 * t2 + 240 * c5 * t3
-        grad[axis, 4] = 144 * c3 * t2 + 384 * c4 * t3 + 720 * c5 * t4
-        grad[axis, 5] = 240 * c3 * t3 + 720 * c4 * t4 + 1440 * c5 * t5
-    return energy, grad
+    """Integral of squared jerk over each segment plus its coefficient gradient."""
+    t, t2, t3, t4, t5 = (t[:, None] ** e for e in range(1, 6))
+    c3, c4, c5 = coeffs[:, :, 3], coeffs[:, :, 4], coeffs[:, :, 5]
+    energy = (36 * c3 * c3 * t + 144 * c3 * c4 * t2 + (192 * c4 * c4 + 240 * c3 * c5) * t3
+              + 720 * c4 * c5 * t4 + 720 * c5 * c5 * t5)
+    grad = np.zeros_like(coeffs)
+    grad[:, :, 3] = 72 * c3 * t + 144 * c4 * t2 + 240 * c5 * t3
+    grad[:, :, 4] = 144 * c3 * t2 + 384 * c4 * t3 + 720 * c5 * t4
+    grad[:, :, 5] = 240 * c3 * t3 + 720 * c4 * t4 + 1440 * c5 * t5
+    return float(energy.sum()), grad
+
+
+def _nodes(traj, samples, extra_times=None):
+    """Sample nodes of every segment: (segment, local time, quadrature weight).
+
+    A uniform grid of ``samples`` steps per segment under trapezoid weights,
+    then each segment's ``extra_times`` at full interior weight.
+    """
+    k = traj.segment_count
+    step = traj.durations / samples
+    weights = np.ones(samples + 1)
+    weights[[0, -1]] = 0.5
+    seg = np.repeat(np.arange(k), samples + 1)
+    t_loc = (np.arange(samples + 1) * step[:, None]).ravel()
+    w_quad = (weights * step[:, None]).ravel()
+    if extra_times is not None:
+        counts = [len(extra) for extra in extra_times]
+        seg = np.concatenate([seg, np.repeat(np.arange(k), counts)])
+        t_loc = np.concatenate([t_loc, *extra_times])
+        w_quad = np.concatenate([w_quad, np.repeat(step, counts)])
+    return seg, t_loc, w_quad
+
+
+def _spline(traj, seg, t_loc):
+    """Position, velocity and acceleration at the nodes, with the rows of powers
+    of local time that map each segment's coefficients to them."""
+    tpow = t_loc[:, None] ** np.arange(6)
+    dpow = np.zeros_like(tpow)
+    ddpow = np.zeros_like(tpow)
+    dpow[:, 1:] = np.arange(1, 6) * tpow[:, :5]
+    ddpow[:, 2:] = np.array([2.0, 6.0, 12.0, 20.0]) * tpow[:, :4]
+    coeffs = traj.coeffs[seg]
+    p, v, a = (np.einsum("nak,nk->na", coeffs, pw) for pw in (tpow, dpow, ddpow))
+    return p, v, a, (tpow, dpow, ddpow)
+
+
+def _scales(table, tau, p, v):
+    """Scale of every obstacle at every node, posed along the velocity.
+
+    Yields ``(hull, origin, cos, sin, beta, alpha, contact, degenerate)`` per
+    obstacle: ``origin`` is the body position in the obstacle's time-zero
+    frame, ``cos``/``sin`` are those of the heading, and the rest is
+    :func:`_planar_scale`'s result.
+    """
+    gauge, rows = table
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    cos, sin = np.cos(theta), np.sin(theta)
+    for hull, vel in rows:
+        origin = p - tau[:, None] * vel
+        yield (hull, origin, cos, sin) + _planar_scale(gauge, hull, cos, sin, origin)
+
+
+def _min_scales(table, tau, p, v):
+    """Smallest scale over the obstacles at each node, and the degenerate pair count."""
+    here = np.full(len(tau), np.inf)
+    degenerate = 0
+    for *_, beta, _, _, deg in _scales(table, tau, p, v):
+        here = np.minimum(here, beta)
+        degenerate += int(deg.sum())
+    return here, degenerate
+
+
+def _scale_at(traj, scenario, taus):
+    """Smallest scale over the obstacles at each absolute time in ``taus``."""
+    taus = np.asarray(taus, dtype=float)
+    seg = np.clip(np.searchsorted(traj.knots, taus, side="right") - 1,
+                  0, traj.segment_count - 1)
+    p, v, _, _ = _spline(traj, seg, taus - traj.knots[seg])
+    return _min_scales(_obstacle_table(scenario), taus, p, v)[0]
 
 
 def _cost_terms(traj, scenario, config, with_smoothness, with_safety, with_limits,
-                extra_times=None):
+                extra_times=None, table=None):
     """Sampled objective and its gradient w.r.t. every junction state.
 
-    Returns ``(cost, grad, degenerate)`` where ``grad`` has one row per
-    junction (endpoint rows included; callers freeze what they fix) and
-    ``degenerate`` counts active-hinge samples whose scale solution was
-    degenerate or whose gradient had to be dropped.  ``extra_times`` may hold
-    one array of local times per segment; each adds a penalty node at full
-    interior weight on top of the uniform grid, which lets a caller pin down
-    moments the grid is too coarse to see without refining every segment.
+    Returns ``(cost, grad)`` where ``grad`` has one row per junction
+    (endpoint rows included; callers freeze what they fix).  ``extra_times``
+    may hold one array of local times per segment; each adds a penalty node
+    at full interior weight on top of the uniform grid, which lets a caller
+    pin down moments the grid is too coarse to see without refining every
+    segment.  ``table`` is the scenario's :func:`_obstacle_table`, built
+    here when not given.
     """
     k = traj.segment_count
-    grad = np.zeros((k + 1, 6))
+    g_coeff = np.zeros((k, 2, 6))
     cost = 0.0
-    degenerate = 0
-    body = scenario.body
-    threshold = scenario.beta_min
-    table = _obstacle_table(scenario) if with_safety else []
-    r_body = float(np.linalg.norm(body.points - body.seed, axis=1).max())
-    prune_at = threshold + 0.5
-    v2_max = scenario.bounds.v_max ** 2
-    a2_max = scenario.bounds.a_max ** 2
-    samples = config.samples_per_segment
+    if with_smoothness and config.smoothness_weight > 0.0:
+        energy, g_energy = _jerk_energy(traj.coeffs, traj.durations)
+        cost += config.smoothness_weight * energy
+        g_coeff += config.smoothness_weight * g_energy
+
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
-    need_safety = with_safety and bool(table) and w_safety > 0.0
+    need_safety = with_safety and w_safety > 0.0 and scenario.obstacle_count > 0
     need_limits = with_limits and w_limits > 0.0
+    if need_safety or need_limits:
+        seg, t_loc, w_quad = _nodes(traj, config.samples_per_segment, extra_times)
+        p, v, a, powers = _spline(traj, seg, t_loc)
+        # cost derivatives w.r.t. position, velocity and acceleration per node
+        d_pva = np.zeros((3,) + p.shape)
 
-    for seg in range(k):
-        t_seg = float(traj.durations[seg])
-        coeffs = traj.coeffs[seg]
-        g_coeff = np.zeros((2, 6))
+        if need_limits:
+            limits = scenario.bounds
+            for which, x, limit in ((1, v, limits.v_max), (2, a, limits.a_max)):
+                over = np.maximum((x * x).sum(axis=1) - limit * limit, 0.0)
+                cost += w_limits * float((w_quad * over ** 3).sum())
+                d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
 
-        if with_smoothness and config.smoothness_weight > 0.0:
-            energy, g_energy = _jerk_energy(coeffs, t_seg)
-            cost += config.smoothness_weight * energy
-            g_coeff += config.smoothness_weight * g_energy
+        if need_safety:
+            table = _obstacle_table(scenario) if table is None else table
+            threshold = scenario.beta_min
+            tau = traj.knots[seg] + t_loc
+            d_theta_d_v = np.stack([-v[:, 1], v[:, 0]], axis=1) / (
+                (v * v).sum(axis=1) + config.heading_eps ** 2)[:, None]
+            gauge = table[0]
+            for hull, origin, cos, sin, beta, alpha, contact, _ in _scales(table, tau, p, v):
+                hinge = threshold - beta
+                swallowed = (beta <= 0.0) & (hull.normals is not None)
+                touched = (hinge > 0.0) & ~swallowed
+                cost += w_safety * float((w_quad[touched] * hinge[touched] ** 3).sum())
+                # beta = 0 has no polygon interior to measure penetration against
+                slope = touched & (beta > 0.0)
+                d_pen = -3.0 * w_safety * w_quad[slope] * hinge[slope] ** 2
+                d_t, d_theta = _grad_scale_se2_batch(alpha[slope], contact[slope],
+                                                     cos[slope], sin[slope])
+                d_pva[0, slope] += d_pen[:, None] * d_t
+                d_pva[1, slope] += (d_pen * d_theta)[:, None] * d_theta_d_v[slope]
+                if not swallowed.any():
+                    continue
+                # Swallowed seed: the scale is flat at zero, which gives the
+                # optimizer nothing to follow, so continue it below zero by
+                # the seed's penetration depth (in units of the body
+                # circumradius).  The cost stays continuous across the
+                # boundary and now slopes toward the nearest exit.
+                c, s = cos[swallowed], sin[swallowed]
+                spun = np.stack([c * gauge.seed[0] - s * gauge.seed[1],
+                                 s * gauge.seed[0] + c * gauge.seed[1]], axis=1)
+                depth = hull.offsets - (origin[swallowed] + spun) @ hull.normals.T
+                edge = depth.argmin(axis=1)
+                deep = threshold + depth[np.arange(len(edge)), edge] / gauge.radius
+                d_deep = -3.0 * w_safety * w_quad[swallowed] * deep * deep / gauge.radius
+                cost += w_safety * float((w_quad[swallowed] * deep ** 3).sum())
+                d_seed = d_deep[:, None] * hull.normals[edge]
+                d_pva[0, swallowed] += d_seed
+                # d(R seed)/d theta is R seed turned a quarter
+                d_spin = spun[:, 0] * d_seed[:, 1] - spun[:, 1] * d_seed[:, 0]
+                d_pva[1, swallowed] += d_spin[:, None] * d_theta_d_v[swallowed]
 
-        if need_safety or need_limits:
-            step = t_seg / samples
-            nodes = [(i * step, step * (0.5 if i in (0, samples) else 1.0))
-                     for i in range(samples + 1)]
-            if extra_times is not None:
-                nodes += [(float(t), step) for t in extra_times[seg]]
-            for t_loc, w_quad in nodes:
-                tpow = np.array([1.0, t_loc, t_loc ** 2, t_loc ** 3, t_loc ** 4, t_loc ** 5])
-                dpow = np.array([0.0, 1.0, 2 * t_loc, 3 * t_loc ** 2, 4 * t_loc ** 3,
-                                 5 * t_loc ** 4])
-                ddpow = np.array([0.0, 0.0, 2.0, 6 * t_loc, 12 * t_loc ** 2, 20 * t_loc ** 3])
-                p = coeffs @ tpow
-                v = coeffs @ dpow
-                a = coeffs @ ddpow
+        g_node = sum(d[:, :, None] * pw[:, None, :] for d, pw in zip(d_pva, powers))
+        np.add.at(g_coeff, seg, g_node)
 
-                if need_limits:
-                    over_v = float(v @ v) - v2_max
-                    if over_v > 0.0:
-                        cost += w_limits * w_quad * over_v ** 3
-                        g_coeff += (w_limits * w_quad * 6.0 * over_v * over_v) * np.outer(v, dpow)
-                    over_a = float(a @ a) - a2_max
-                    if over_a > 0.0:
-                        cost += w_limits * w_quad * over_a ** 3
-                        g_coeff += (w_limits * w_quad * 6.0 * over_a * over_a) * np.outer(a, ddpow)
-
-                if need_safety:
-                    tau_abs = float(traj.knots[seg]) + t_loc
-                    theta, d_theta_d_v = heading_from_velocity(v, config.heading_eps)
-                    pose = Pose2(theta, p)
-                    seed_world = body_to_world(body.seed, pose)
-                    for points, vel, center, radius, edges in table:
-                        shift = None if vel is None else tau_abs * vel
-                        if shift is not None:
-                            center = center + shift
-                        if r_body > 1e-12:
-                            # cheap lower bound on the scale: the body hull sits
-                            # inside a ball of radius r_body about its seed
-                            bound = (np.linalg.norm(seed_world - center) - radius) / r_body
-                            if bound > prune_at:
-                                continue
-                        shifted = points if shift is None else points + shift
-                        result = min_scale_vrep(body, shifted, pose)
-                        if result.beta <= 0.0 and r_body > 1e-12 and edges is not None:
-                            # Swallowed seed: the scale is flat at zero, which gives
-                            # the optimizer nothing to follow, so continue it below
-                            # zero by the seed's penetration depth (in units of the
-                            # body circumradius).  The cost stays continuous across
-                            # the boundary and now slopes toward the nearest exit.
-                            normals, offsets = edges
-                            s_rel = seed_world if shift is None else seed_world - shift
-                            depth = offsets - normals @ s_rel
-                            edge = int(np.argmin(depth))
-                            hinge = threshold + float(depth[edge]) / r_body
-                            cost += w_safety * w_quad * hinge ** 3
-                            d_sw = (-3.0 * w_safety * w_quad * hinge * hinge
-                                    / r_body) * normals[edge]
-                            spin_seed = rotation2_partial(theta) @ body.seed
-                            g_coeff += (np.outer(d_sw, tpow)
-                                        + float(d_sw @ spin_seed) * np.outer(d_theta_d_v, dpow))
-                            continue
-                        hinge = threshold - result.beta
-                        if hinge <= 0.0:
-                            continue
-                        cost += w_safety * w_quad * hinge ** 3
-                        if result.beta <= 0.0:
-                            # no polygon interior to measure penetration against
-                            continue
-                        d_pen = -3.0 * w_safety * w_quad * hinge * hinge
-                        try:
-                            system = assemble_active_system(body, result, pose,
-                                                            allow_subgradient=True)
-                            g2 = grad_scale_se2(system, pose)
-                        except (DegenerateActiveSetError, NumericalError):
-                            degenerate += 1
-                            continue
-                        if result.degenerate:
-                            degenerate += 1
-                        g_coeff += d_pen * (np.outer(g2.d_beta_d_t, tpow)
-                                            + g2.d_beta_d_theta * np.outer(d_theta_d_v, dpow))
-
-        w = _coeff_map(t_seg)
-        for axis in range(2):
-            g6 = w.T @ g_coeff[axis]
-            grad[seg, axis] += g6[0]
-            grad[seg, 2 + axis] += g6[1]
-            grad[seg, 4 + axis] += g6[2]
-            grad[seg + 1, axis] += g6[3]
-            grad[seg + 1, 2 + axis] += g6[4]
-            grad[seg + 1, 4 + axis] += g6[5]
-    return cost, grad, degenerate
+    # chain each segment's coefficient gradient to its two junction states
+    g_ends = np.einsum("kij,kai->kja", _coeff_maps(traj.durations), g_coeff).reshape(k, 12)
+    grad = np.zeros((k + 1, 6))
+    grad[:-1] += g_ends[:, :6]
+    grad[1:] += g_ends[:, 6:]
+    return cost, grad
 
 
 def _check_cost_args(traj, scenario, config):
@@ -478,7 +497,7 @@ def safety_penalty(traj, scenario, config=None):
     keeps a descent direction instead of going flat.
     """
     config = _check_cost_args(traj, scenario, config)
-    cost, grad, _ = _cost_terms(traj, scenario, config, False, True, False)
+    cost, grad = _cost_terms(traj, scenario, config, False, True, False)
     return cost, grad
 
 
@@ -489,7 +508,7 @@ def total_cost(traj, scenario, config=None):
     that hold the endpoints fixed simply ignore (or slice off) those rows.
     """
     config = _check_cost_args(traj, scenario, config)
-    cost, grad, _ = _cost_terms(traj, scenario, config, True, True, True)
+    cost, grad = _cost_terms(traj, scenario, config, True, True, True)
     return cost, grad
 
 
@@ -503,19 +522,17 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
-    table = _obstacle_table(scenario)
-    if not 0 <= int(obstacle_index) < len(table):
+    pairs = _obstacle_pairs(scenario)
+    if not 0 <= int(obstacle_index) < len(pairs):
         raise InvalidArgumentError(f"obstacle index {obstacle_index} out of range")
-    points, vel = table[int(obstacle_index)][:2]
+    obs, vel = pairs[int(obstacle_index)]
     p, v, a, _ = eval_trajectory(traj, tau)
     theta, d_theta_d_v = heading_from_velocity(v, heading_eps)
     pose = Pose2(theta, p)
-    shifted = points if vel is None else points + float(tau) * vel
-    result = min_scale_vrep(scenario.body, shifted, pose)
+    result = min_scale_vrep(scenario.body, obs.points + float(tau) * vel, pose)
     system = assemble_active_system(scenario.body, result, pose, allow_subgradient=True)
     g2 = grad_scale_se2(system, pose)
-    v_obstacle = np.zeros(2) if vel is None else vel
-    return grad_scale_time(g2, v - v_obstacle, float(d_theta_d_v @ a))
+    return grad_scale_time(g2, v - vel, float(d_theta_d_v @ a))
 
 
 def _lbfgs_direction(g, s_list, y_list, rho_list):
@@ -679,7 +696,7 @@ def _line_states(start, goal, total_time, segments):
 
 
 def _audit_samples(traj, scenario, config):
-    """Per-segment audit resolution for _trajectory_stats.
+    """Per-segment audit resolution for _audit_trajectory.
 
     Dense enough that the worst-case relative motion between consecutive
     samples stays a small fraction of the body's thinnest half-extent, so
@@ -698,58 +715,31 @@ def _audit_samples(traj, scenario, config):
     return int(np.clip(needed, config.samples_per_segment, 4096))
 
 
-def _trajectory_stats(traj, scenario, config, samples=None):
-    """Exact sampled extremes: (min scale, max speed, max accel, degenerate count)."""
-    samples = config.samples_per_segment if samples is None else int(samples)
-    return _audit_trajectory(traj, scenario, samples)[:4]
-
-
-def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
+def _audit_trajectory(traj, scenario, samples, dip_threshold=None, table=None):
     """Sampled extremes plus, on request, the deepest time of every scale dip.
 
     Returns ``(min_beta, max_speed, max_accel, degenerate, dips)``.  When
     ``dip_threshold`` is given, ``dips`` holds one list per segment with the
     local time of the deepest sample of each maximal run of consecutive
-    samples whose scale sits below the threshold.
+    samples whose scale sits below the threshold.  ``table`` is the
+    scenario's :func:`_obstacle_table`, built here when not given.
     """
-    table = _obstacle_table(scenario)
-    min_beta = math.inf
-    max_speed = 0.0
-    max_accel = 0.0
-    degenerate = 0
+    seg, t_loc, _ = _nodes(traj, samples)
+    p, v, a, _ = _spline(traj, seg, t_loc)
+    max_speed = float(np.sqrt((v * v).sum(axis=1)).max())
+    max_accel = float(np.sqrt((a * a).sum(axis=1)).max())
     dips = [[] for _ in range(traj.segment_count)]
-    for seg in range(traj.segment_count):
-        t_seg = float(traj.durations[seg])
-        coeffs = traj.coeffs[seg]
-        step = t_seg / samples
-        dip_t, dip_beta = None, math.inf
-        for i in range(samples + 1):
-            t_loc = i * step
-            p, v, a, _ = _eval_segment(coeffs, t_loc)
-            max_speed = max(max_speed, float(np.linalg.norm(v)))
-            max_accel = max(max_accel, float(np.linalg.norm(a)))
-            if not table:
-                continue
-            tau_abs = float(traj.knots[seg]) + t_loc
-            pose = Pose2(math.atan2(v[1], v[0]), p)
-            here = math.inf
-            for points, vel, *_ in table:
-                shifted = points if vel is None else points + tau_abs * vel
-                result = min_scale_vrep(scenario.body, shifted, pose)
-                degenerate += int(result.degenerate)
-                here = min(here, result.beta)
-            min_beta = min(min_beta, here)
-            if dip_threshold is None:
-                continue
-            if here < dip_threshold:
-                if here < dip_beta:
-                    dip_t, dip_beta = t_loc, here
-            elif dip_t is not None:
-                dips[seg].append(dip_t)
-                dip_t, dip_beta = None, math.inf
-        if dip_t is not None:
-            dips[seg].append(dip_t)
-    return min_beta, max_speed, max_accel, degenerate, dips
+    if not scenario.obstacle_count:
+        return math.inf, max_speed, max_accel, 0, dips
+    table = _obstacle_table(scenario) if table is None else table
+    here, degenerate = _min_scales(table, traj.knots[seg] + t_loc, p, v)
+    if dip_threshold is not None:
+        grid = (x.reshape(traj.segment_count, samples + 1) for x in (here, t_loc))
+        for (row, t_row), dips_k in zip(zip(*grid), dips):
+            below = np.concatenate([[False], row < dip_threshold, [False]])
+            for lo, hi in np.flatnonzero(below[1:] != below[:-1]).reshape(-1, 2):
+                dips_k.append(float(t_row[lo + row[lo:hi].argmin()]))
+    return float(here.min()), max_speed, max_accel, degenerate, dips
 
 
 def plan(scenario, start, goal, segments=5, config=None, total_time=None, callback=None):
@@ -798,7 +788,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                             scenario.bounds.a_max * (1.0 - config.limit_margin)),
     )
 
-    obstacles = bool(scenario.static_obstacles or scenario.moving_obstacles)
+    obstacles = scenario.obstacle_count > 0
+    table = _obstacle_table(scenario)
     states = init_states
     iterations = 0
     extras = [np.empty(0) for _ in range(segments)]
@@ -810,14 +801,15 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     while True:
         if segments == 1:
             traj = PiecewiseTrajectory.from_states(states, durations)
-            cost, _, _ = _cost_terms(traj, optimize_scenario, config, True, True, True)
+            cost, _ = _cost_terms(traj, optimize_scenario, config, True, True, True,
+                                  table=table)
             status, final_cost = "converged", float(cost)
         else:
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
                 candidate = PiecewiseTrajectory.from_states(xs, durations)
-                cost, grad, _ = _cost_terms(candidate, optimize_scenario, config,
-                                            True, True, True, extra_times=extras)
+                cost, grad = _cost_terms(candidate, optimize_scenario, config,
+                                         True, True, True, extra_times=extras, table=table)
                 return cost, grad[1:-1].ravel()
 
             x_best, inner = lbfgs_minimize(objective, states[1:-1].ravel(),
@@ -834,12 +826,13 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         target = scenario.beta_min + 0.4 * config.safety_margin
         min_beta, max_speed, max_accel, degenerate, dips = _audit_trajectory(
             traj, scenario, audit,
-            dip_threshold=scenario.beta_min + 0.5 * config.safety_margin)
+            dip_threshold=scenario.beta_min + 0.5 * config.safety_margin, table=table)
         rounds += 1
         if (min_beta >= target - 1e-6 or not obstacles
                 or segments == 1 or status != "converged" or rounds >= 6):
             break
-        if _trajectory_stats(traj, scenario, config)[0] < scenario.beta_min - 1e-6:
+        if (_audit_trajectory(traj, scenario, config.samples_per_segment, table=table)[0]
+                < scenario.beta_min - 1e-6):
             break  # the cost grid itself is blocked; more nodes will not help
         guard = 0.5 * float(traj.durations.min()) / audit
         added = 0

@@ -9,12 +9,16 @@ comparison never straddles a nonsmooth point of beta.
 import itertools
 
 import numpy as np
+import scipy.spatial
 
-from minscale.geometry import Pose2, Pose3, Quaternion, body_to_world
+from minscale.errors import DegenerateActiveSetError, NumericalError
+from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world,
+                               rotation2_partial)
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
 from minscale.sdlp import SolverParams
+from minscale.trajopt import _coeff_map, heading_from_velocity
 
 FD_H = 1e-6
 PARAMS = SolverParams()
@@ -264,3 +268,103 @@ def grad_norm_err(pairs):
         err = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-3)
         worst = max(worst, float(err.max()))
     return worst
+
+
+# ------------------------------------------- per-sample reference objective
+
+def reference_cost(traj, scenario, config, extra_times=None):
+    """The trajectory objective and its junction gradient, one sample at a time.
+
+    The planner's objective evaluated the slow way: a scale LP
+    (``min_scale_vrep``) per sample and obstacle, differentiated through
+    ``assemble_active_system`` and ``grad_scale_se2``, with every term
+    accumulated in a Python loop.  The batched ``total_cost`` must agree.
+    """
+    body = scenario.body
+    threshold = scenario.beta_min
+    r_body = float(np.linalg.norm(body.points - body.seed, axis=1).max())
+    obstacles = [(obs.points, np.zeros(2)) for obs in scenario.static_obstacles]
+    obstacles += [(obs.points, np.asarray(vel, dtype=float))
+                  for obs, vel in scenario.moving_obstacles]
+    facets = []
+    for points, _ in obstacles:
+        try:
+            hull = scipy.spatial.ConvexHull(points)
+            facets.append((hull.equations[:, :2], -hull.equations[:, 2]))
+        except (scipy.spatial.QhullError, ValueError):
+            facets.append(None)
+    w_safety = config.safety_weight
+    w_limits = config.feasibility_weight
+    samples = config.samples_per_segment
+    k = traj.segment_count
+    grad = np.zeros((k + 1, 6))
+    cost = 0.0
+    for seg in range(k):
+        t_seg = float(traj.durations[seg])
+        coeffs = traj.coeffs[seg]
+        g_coeff = np.zeros((2, 6))
+        tp = [t_seg ** e for e in range(6)]
+        for axis in range(2):
+            c3, c4, c5 = coeffs[axis, 3], coeffs[axis, 4], coeffs[axis, 5]
+            cost += config.smoothness_weight * (
+                36 * c3 * c3 * tp[1] + 144 * c3 * c4 * tp[2]
+                + (192 * c4 * c4 + 240 * c3 * c5) * tp[3]
+                + 720 * c4 * c5 * tp[4] + 720 * c5 * c5 * tp[5])
+            g_coeff[axis, 3:] += config.smoothness_weight * np.array([
+                72 * c3 * tp[1] + 144 * c4 * tp[2] + 240 * c5 * tp[3],
+                144 * c3 * tp[2] + 384 * c4 * tp[3] + 720 * c5 * tp[4],
+                240 * c3 * tp[3] + 720 * c4 * tp[4] + 1440 * c5 * tp[5]])
+        step = t_seg / samples
+        nodes = [(i * step, step * (0.5 if i in (0, samples) else 1.0))
+                 for i in range(samples + 1)]
+        if extra_times is not None:
+            nodes += [(float(t), step) for t in extra_times[seg]]
+        for t_loc, w_quad in nodes:
+            tpow = np.array([t_loc ** e for e in range(6)])
+            dpow = np.array([e * t_loc ** (e - 1) if e else 0.0 for e in range(6)])
+            ddpow = np.array([e * (e - 1) * t_loc ** (e - 2) if e > 1 else 0.0
+                              for e in range(6)])
+            p, v, a = coeffs @ tpow, coeffs @ dpow, coeffs @ ddpow
+            for x, pw, limit in ((v, dpow, scenario.bounds.v_max),
+                                 (a, ddpow, scenario.bounds.a_max)):
+                over = float(x @ x) - limit * limit
+                if over > 0.0:
+                    cost += w_limits * w_quad * over ** 3
+                    g_coeff += (w_limits * w_quad * 6.0 * over * over) * np.outer(x, pw)
+            tau = float(traj.knots[seg]) + t_loc
+            theta, d_theta_d_v = heading_from_velocity(v, config.heading_eps)
+            pose = Pose2(theta, p)
+            for (points, vel), edges in zip(obstacles, facets):
+                result = min_scale_vrep(body, points + tau * vel, pose)
+                if result.beta <= 0.0 and edges is not None:
+                    normals, offsets = edges
+                    seed_rel = body_to_world(body.seed, pose) - tau * vel
+                    depth = offsets - normals @ seed_rel
+                    edge = int(np.argmin(depth))
+                    hinge = threshold + float(depth[edge]) / r_body
+                    cost += w_safety * w_quad * hinge ** 3
+                    d_sw = (-3.0 * w_safety * w_quad * hinge * hinge / r_body) * normals[edge]
+                    spin_seed = rotation2_partial(theta) @ body.seed
+                    g_coeff += (np.outer(d_sw, tpow)
+                                + float(d_sw @ spin_seed) * np.outer(d_theta_d_v, dpow))
+                    continue
+                hinge = threshold - result.beta
+                if hinge <= 0.0:
+                    continue
+                cost += w_safety * w_quad * hinge ** 3
+                if result.beta <= 0.0:
+                    continue
+                try:
+                    system = assemble_active_system(body, result, pose,
+                                                    allow_subgradient=True)
+                    g2 = grad_scale_se2(system, pose)
+                except (DegenerateActiveSetError, NumericalError):
+                    continue
+                g_coeff += (-3.0 * w_safety * w_quad * hinge * hinge) * (
+                    np.outer(g2.d_beta_d_t, tpow)
+                    + g2.d_beta_d_theta * np.outer(d_theta_d_v, dpow))
+        g6 = g_coeff @ _coeff_map(t_seg)
+        for axis in range(2):
+            grad[seg, axis::2] += g6[axis, :3]
+            grad[seg + 1, axis::2] += g6[axis, 3:]
+    return cost, grad

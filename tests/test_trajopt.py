@@ -9,9 +9,11 @@ from minscale.errors import InvalidArgumentError
 from minscale.geometry import Pose2
 from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
-                              Scenario, eval_trajectory, heading_from_velocity,
-                              lbfgs_minimize, plan, safety_penalty,
-                              scale_time_rate, total_cost)
+                              Scenario, _cost_terms, eval_trajectory,
+                              heading_from_velocity, lbfgs_minimize, plan,
+                              safety_penalty, scale_time_rate, total_cost)
+
+from support import reference_cost
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 BOX = ConvexSetV(np.array([[3.0, -1.0], [5.0, -1.0], [5.0, 1.0], [3.0, 1.0]]))
@@ -26,6 +28,11 @@ STATES = np.array([
     [9.0, 0.0, 0.0, 0.0, 0.0, 0.0],
 ])
 DURATIONS = np.array([2.0, 2.0, 2.0])
+PENETRATING = np.array([
+    [0.0, 0.0, 1.8, 0.0, 0.0, 0.0],
+    [4.5, 0.0, 1.8, 0.0, 0.0, 0.0],
+    [9.0, 0.0, 1.8, 0.0, 0.0, 0.0],
+])
 
 
 def blocking_scenario():
@@ -176,11 +183,7 @@ def test_total_cost_gradient_through_a_penetrating_trajectory():
     # straight through the blocking box: some samples put the seed inside
     # the obstacle, exercising the negative-scale continuation
     scene = blocking_scenario()
-    states = np.array([
-        [0.0, 0.0, 1.8, 0.0, 0.0, 0.0],
-        [4.5, 0.0, 1.8, 0.0, 0.0, 0.0],
-        [9.0, 0.0, 1.8, 0.0, 0.0, 0.0],
-    ])
+    states = PENETRATING
     durations = np.array([2.5, 2.5])
     config = CostConfig(samples_per_segment=8)
     traj = PiecewiseTrajectory.from_states(states, durations)
@@ -200,6 +203,31 @@ def test_total_cost_gradient_through_a_penetrating_trajectory():
             numeric[r, c] = (fp - fm) / (2.0 * h)
     rel = np.abs(numeric - grad) / np.maximum(1e-7, np.abs(numeric))
     assert rel.max() < 1e-3
+
+
+@pytest.mark.parametrize("case", ["scene", "blocking", "penetrating", "pinned"])
+def test_batched_cost_matches_the_per_sample_reference(case):
+    # the batched objective sums in another order than the per-sample loop,
+    # so agreement is to a relative 1e-12, fixed before comparing
+    rng = np.random.default_rng(3)
+    config = CostConfig(samples_per_segment=12)
+    scene, states, durations = SCENE, STATES, DURATIONS
+    if case == "blocking":
+        scene = blocking_scenario()
+        states = STATES * np.array([1.0, 0.2, 1.0, 0.2, 1.0, 0.2])
+    elif case == "penetrating":
+        scene, states, durations = blocking_scenario(), PENETRATING, np.array([2.5, 2.5])
+    extras = None
+    for trial in range(8):
+        jitter = states.copy()
+        jitter[1:-1] += 0.3 * rng.normal(size=jitter[1:-1].shape)
+        traj = PiecewiseTrajectory.from_states(jitter, durations)
+        if case == "pinned":
+            extras = [np.sort(rng.uniform(0.0, d, size=trial % 3)) for d in durations]
+        cost, grad = _cost_terms(traj, scene, config, True, True, True, extra_times=extras)
+        ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
+        assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 def test_smoothness_only_gradient_is_tight():
