@@ -217,11 +217,6 @@ def scene_text(scene):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def save_scene(scene, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(scene_text(scene))
-
-
 # ------------------------------------------------------------ pose parsing
 
 def _parse_floats(text, flag, lengths):
@@ -296,14 +291,13 @@ def _grad_columns(dim):
             "d_beta_d_qw", "d_beta_d_qx", "d_beta_d_qy", "d_beta_d_qz"]
 
 
-def _grad_vector(body, points, pose):
-    result = min_scale_vrep(body, points, pose)
+def _grad_vector(body, result, pose):
     system = assemble_active_system(body, result, pose, allow_subgradient=True)
     if isinstance(pose, Pose2):
         g = grad_scale_se2(system, pose)
-        return result, np.concatenate([g.d_beta_d_t, [g.d_beta_d_theta]])
+        return np.concatenate([g.d_beta_d_t, [g.d_beta_d_theta]])
     g = grad_scale_se3(system, pose)
-    return result, np.concatenate([g.d_beta_d_t, g.d_beta_d_q])
+    return np.concatenate([g.d_beta_d_t, g.d_beta_d_q])
 
 
 def _fd_vector(body, points, pose):
@@ -333,12 +327,12 @@ def cmd_grad(args):
     writer.writerow(header)
     for index, (obstacle, _velocity) in enumerate(scene.obstacles):
         t0 = time.perf_counter_ns()
+        result = min_scale_vrep(scene.body, obstacle.points, pose)
         try:
-            result, grad = _grad_vector(scene.body, obstacle.points, pose)
+            grad = _grad_vector(scene.body, result, pose)
         except DegenerateActiveSetError:
             elapsed = time.perf_counter_ns() - t0
-            beta = min_scale_vrep(scene.body, obstacle.points, pose).beta
-            row = [index, _format(beta), 1] + ["nan"] * len(columns)
+            row = [index, _format(result.beta), 1] + ["nan"] * len(columns)
             if args.fd_check:
                 row += ["nan"] * (len(columns) + 1)
             row.append(elapsed)

@@ -30,10 +30,8 @@ import numpy as np
 
 from .errors import (DegenerateActiveSetError, InvalidArgumentError,
                      InvalidStateError, NumericalError, SubgradientOnlyError)
-from .geometry import (Pose2, Pose3, body_to_world, rotation2,
-                       rotation2_partial, rotation_from_quaternion,
-                       rotation_partials)
-from .scale import ConvexSetV, ScaleResult
+from .geometry import Pose2, Pose3, rotation2, rotation_from_quaternion, rotation_partials
+from .scale import ConvexSetV, ScaleResult, _read_only
 
 _COND_LIMIT = 1e10
 
@@ -41,26 +39,18 @@ _COND_LIMIT = 1e10
 _SPIN2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
-def _read_only(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ActiveConstraintSystem:
     """The active rows of a solved scale LP, in block form.
 
     body_points / obstacle_points_body hold the active points in the body
-    frame; obstacle_points_world the matching world coordinates.  The
-    blocks a, b, c, d, e, f are the A..F of the (n+1)-square system
-    [[A, B], [C, D]] (alpha, beta) = (E, F); shapes (n,n), (n,1), (1,n),
-    (1,1), (n,1), (1,1).
+    frame.  The blocks a, b, c, d, e, f are the A..F of the (n+1)-square
+    system [[A, B], [C, D]] (alpha, beta) = (E, F); shapes (n,n), (n,1),
+    (1,n), (1,1), (n,1), (1,1).
     """
 
     body_points: np.ndarray
     obstacle_points_body: np.ndarray
-    obstacle_points_world: np.ndarray
     seed: np.ndarray
     a: np.ndarray
     b: np.ndarray
@@ -122,14 +112,10 @@ def _blocks(split, body_pts, obs_pts, seed):
     return a, b, c, d, e, f
 
 
-def _system_from_rows(body, result, pose, body_idx, obs_idx, obs_map_b, obs_map_w):
+def _system_from_rows(body, result, body_idx, obs_idx, obs_map):
     """Assemble and verify one candidate row selection, or raise."""
     body_pts = np.asarray(body.points)[list(body_idx)]
-    obs_pts = np.array([obs_map_b[j] for j in obs_idx])
-    if obs_map_w is not None and all(j in obs_map_w for j in obs_idx):
-        obs_world = np.array([obs_map_w[j] for j in obs_idx])
-    else:
-        obs_world = body_to_world(obs_pts, pose)
+    obs_pts = np.array([obs_map[j] for j in obs_idx])
     a, b, c, d, e, f = _blocks((len(body_idx), len(obs_idx)), body_pts, obs_pts,
                                np.asarray(body.seed))
     if np.linalg.cond(a) > _COND_LIMIT:
@@ -146,7 +132,6 @@ def _system_from_rows(body, result, pose, body_idx, obs_idx, obs_map_b, obs_map_
     return ActiveConstraintSystem(
         body_points=_read_only(body_pts),
         obstacle_points_body=_read_only(obs_pts),
-        obstacle_points_world=_read_only(obs_world),
         seed=_read_only(body.seed),
         a=_read_only(a), b=_read_only(b), c=_read_only(c),
         d=_read_only(d), e=_read_only(e), f=_read_only(f),
@@ -167,9 +152,9 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
         raise InvalidArgumentError("body must be a ConvexSetV")
     if not isinstance(result, ScaleResult):
         raise InvalidArgumentError("result must be a ScaleResult")
-    if result.active_body_points is None or result.active_obstacle_points_body is None:
+    if result.active_obstacle_points_body is None:
         raise InvalidArgumentError(
-            "result carries no active-point cache; gradients need a V-rep result")
+            "result carries no obstacle coordinates; gradients need a V-rep result")
     n = body.dim
     if isinstance(pose, Pose3):
         if n != 3:
@@ -183,22 +168,9 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
         raise SubgradientOnlyError(
             "scale result is degenerate; the gradient is only a subgradient "
             "(pass allow_subgradient=True to differentiate the solver basis)")
-    # obstacle coordinates can only come from the result's caches
-    obs_map_b = {}
-    obs_map_w = {}
-    for idx, row in zip(result.active_obstacle, result.active_obstacle_points_body):
-        obs_map_b[idx] = row
-    if result.tight_obstacle_points_body is not None:
-        for idx, row in zip(result.tight_obstacle, result.tight_obstacle_points_body):
-            obs_map_b[idx] = row
-    if result.active_obstacle_points_world is not None:
-        for idx, row in zip(result.active_obstacle, result.active_obstacle_points_world):
-            obs_map_w[idx] = row
-    if result.tight_obstacle_points_world is not None:
-        for idx, row in zip(result.tight_obstacle, result.tight_obstacle_points_world):
-            obs_map_w[idx] = row
-    if not obs_map_w:
-        obs_map_w = None
+    # obstacle coordinates can only come from the result
+    obs_map = dict(zip(result.active_obstacle, result.active_obstacle_points_body))
+    obs_map.update(zip(result.tight_obstacle, result.tight_obstacle_points_body))
     k1 = len(result.active_body)
     k2 = len(result.active_obstacle)
     if not result.degenerate:
@@ -206,10 +178,10 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
             raise DegenerateActiveSetError(
                 f"active split {k1}+{k2} cannot be differentiated (need n+1 = "
                 f"{n + 1} rows with both sides represented)")
-        return _system_from_rows(body, result, pose, result.active_body,
-                                 result.active_obstacle, obs_map_b, obs_map_w)
+        return _system_from_rows(body, result, result.active_body,
+                                 result.active_obstacle, obs_map)
     pool_b = sorted(set(result.tight_body) | set(result.active_body))
-    pool_o = sorted(obs_map_b)
+    pool_o = sorted(obs_map)
     splits = [(n, 1), (2, 2), (1, n)] if n == 3 else [(n, 1), (1, n)]
     candidates = []
     for kb, ko in splits:
@@ -223,7 +195,7 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
     candidates.sort()
     for _, cb, co in candidates:
         try:
-            return _system_from_rows(body, result, pose, cb, co, obs_map_b, obs_map_w)
+            return _system_from_rows(body, result, cb, co, obs_map)
         except (DegenerateActiveSetError, NumericalError, np.linalg.LinAlgError):
             continue
     raise DegenerateActiveSetError(

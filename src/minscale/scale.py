@@ -15,7 +15,7 @@ an explicit -beta <= 0 row, so active-set indices map mechanically back to
 input points and halfspaces; the gradient module relies on that layout.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -140,12 +140,10 @@ class ScaleResult:
     degenerate: True when the tight set or the basis does not consist of
         exactly n+1 body/obstacle rows.  Gradients taken there are only
         subgradients.
-    active_body_points, active_obstacle_points_body,
-    active_obstacle_points_world: cached coordinates of the active rows
-        for gradient assembly.  tight_obstacle_points_body /
-    tight_obstacle_points_world cache the full tight obstacle rows, which
-        subgradient selection draws on.  World coordinates are present
-        only when the query involved a pose; H-rep results cache nothing.
+    active_obstacle_points_body / tight_obstacle_points_body: body-frame
+        coordinates of the active and of the tight obstacle rows, which
+        gradient assembly and subgradient selection read.  V-rep results
+        only; H-rep results leave them None.
     """
 
     beta: float
@@ -155,19 +153,19 @@ class ScaleResult:
     degenerate: bool
     tight_body: tuple = ()
     tight_obstacle: tuple = ()
-    active_body_points: np.ndarray = None
     active_obstacle_points_body: np.ndarray = None
-    active_obstacle_points_world: np.ndarray = None
     tight_obstacle_points_body: np.ndarray = None
-    tight_obstacle_points_world: np.ndarray = None
+
+
+def _points_of(obstacle):
+    return np.asarray(getattr(obstacle, "points", obstacle), dtype=float)
 
 
 def _obstacle_points(obstacle, n):
-    pts = obstacle.points if hasattr(obstacle, "points") else obstacle
-    pts = np.asarray(pts, dtype=float)
+    pts = _points_of(obstacle)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidArgumentError("obstacle must be a nonempty (k, n) point array")
-    if n is not None and pts.shape[1] != n:
+    if pts.shape[1] != n:
         raise InvalidArgumentError(
             f"obstacle dimension {pts.shape[1]} does not match body dimension {n}")
     if not np.all(np.isfinite(pts)):
@@ -209,8 +207,7 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     """Minimum scale of a V-rep body against obstacle points in the body frame."""
     if params is None:
         params = SolverParams()
-    n = body.dim if isinstance(body, ConvexSetV) else None
-    pts = _obstacle_points(obstacle_points, n)
+    pts = _points_of(obstacle_points)
     lp = vrep_scale_lp(body, pts)
     sol = solve(lp, params)
     if sol.status == LpStatus.UNBOUNDED:
@@ -236,11 +233,8 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
         degenerate=degenerate,
         tight_body=tuple(i for i in tight if i < kb),
         tight_obstacle=tight_obstacle,
-        active_body_points=_read_only(body.points[list(active_body)]),
         active_obstacle_points_body=_read_only(pts[list(active_obstacle)]),
-        active_obstacle_points_world=None,
         tight_obstacle_points_body=_read_only(pts[list(tight_obstacle)]),
-        tight_obstacle_points_world=None,
     )
 
 
@@ -248,18 +242,10 @@ def min_scale_vrep(body, obstacle_world, pose, params=None):
     """Minimum scale against world-frame obstacle points under a body pose.
 
     Obstacle points are pulled into the body frame (the exact inverse
-    transform), the body-frame LP is solved there, and the world
-    coordinates of the active obstacle points are kept on the result for
-    gradient assembly.
+    transform) and the body-frame LP is solved there.
     """
-    pts_w = _obstacle_points(obstacle_world, None)
-    pts_b = world_to_body(pts_w, pose)
-    res = min_scale_vrep_bodyframe(body, pts_b, params)
-    return replace(
-        res,
-        active_obstacle_points_world=_read_only(pts_w[list(res.active_obstacle)]),
-        tight_obstacle_points_world=_read_only(pts_w[list(res.tight_obstacle)]),
-    )
+    pts = world_to_body(_points_of(obstacle_world), pose)
+    return min_scale_vrep_bodyframe(body, pts, params)
 
 
 class _PlanarGauge:

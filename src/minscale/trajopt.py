@@ -26,13 +26,8 @@ from .errors import InvalidArgumentError
 from .geometry import Pose2
 from .gradient import (_grad_scale_se2_batch, assemble_active_system, grad_scale_se2,
                        grad_scale_time)
-from .scale import ConvexSetV, _PlanarGauge, _PlanarHull, _planar_scale, min_scale_vrep
-
-
-def _read_only(a):
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
+from .scale import (ConvexSetV, _PlanarGauge, _PlanarHull, _planar_scale, _read_only,
+                    min_scale_vrep)
 
 
 @lru_cache(maxsize=128)
@@ -390,8 +385,7 @@ def _scale_at(traj, scenario, taus):
     return _min_scales(_obstacle_table(scenario), taus, p, v)[0]
 
 
-def _cost_terms(traj, scenario, config, with_smoothness, with_safety, with_limits,
-                extra_times=None, table=None):
+def _cost_terms(traj, scenario, config, extra_times=None, table=None):
     """Sampled objective and its gradient w.r.t. every junction state.
 
     Returns ``(cost, grad)`` where ``grad`` has one row per junction
@@ -405,15 +399,15 @@ def _cost_terms(traj, scenario, config, with_smoothness, with_safety, with_limit
     k = traj.segment_count
     g_coeff = np.zeros((k, 2, 6))
     cost = 0.0
-    if with_smoothness and config.smoothness_weight > 0.0:
+    if config.smoothness_weight > 0.0:
         energy, g_energy = _jerk_energy(traj.coeffs, traj.durations)
         cost += config.smoothness_weight * energy
         g_coeff += config.smoothness_weight * g_energy
 
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
-    need_safety = with_safety and w_safety > 0.0 and scenario.obstacle_count > 0
-    need_limits = with_limits and w_limits > 0.0
+    need_safety = w_safety > 0.0 and scenario.obstacle_count > 0
+    need_limits = w_limits > 0.0
     if need_safety or need_limits:
         seg, t_loc, w_quad = _nodes(traj, config.samples_per_segment, extra_times)
         p, v, a, powers = _spline(traj, seg, t_loc)
@@ -497,8 +491,8 @@ def safety_penalty(traj, scenario, config=None):
     keeps a descent direction instead of going flat.
     """
     config = _check_cost_args(traj, scenario, config)
-    cost, grad = _cost_terms(traj, scenario, config, False, True, False)
-    return cost, grad
+    safety_only = replace(config, smoothness_weight=0.0, feasibility_weight=0.0)
+    return _cost_terms(traj, scenario, safety_only)
 
 
 def total_cost(traj, scenario, config=None):
@@ -508,8 +502,7 @@ def total_cost(traj, scenario, config=None):
     that hold the endpoints fixed simply ignore (or slice off) those rows.
     """
     config = _check_cost_args(traj, scenario, config)
-    cost, grad = _cost_terms(traj, scenario, config, True, True, True)
-    return cost, grad
+    return _cost_terms(traj, scenario, config)
 
 
 def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
@@ -801,15 +794,14 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     while True:
         if segments == 1:
             traj = PiecewiseTrajectory.from_states(states, durations)
-            cost, _ = _cost_terms(traj, optimize_scenario, config, True, True, True,
-                                  table=table)
+            cost, _ = _cost_terms(traj, optimize_scenario, config, table=table)
             status, final_cost = "converged", float(cost)
         else:
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
                 candidate = PiecewiseTrajectory.from_states(xs, durations)
                 cost, grad = _cost_terms(candidate, optimize_scenario, config,
-                                         True, True, True, extra_times=extras, table=table)
+                                         extra_times=extras, table=table)
                 return cost, grad[1:-1].ravel()
 
             x_best, inner = lbfgs_minimize(objective, states[1:-1].ravel(),

@@ -9,7 +9,7 @@ from minscale.geometry import (Pose2, Pose3, Quaternion, rotation2,
                                rotation_from_quaternion)
 from minscale.gradient import (assemble_active_system, grad_scale_se2,
                                grad_scale_se3, grad_scale_time)
-from minscale.scale import ConvexSetV, min_scale_vrep
+from minscale.scale import ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep
 from minscale.sdlp import SolverParams
 
 from support import (CASES_SE2, CASES_SE3, box_corners, collect_se2, collect_se3,
@@ -162,6 +162,12 @@ def test_assemble_validates_inputs():
         assemble_active_system("not a body", result, pose)
     with pytest.raises(InvalidArgumentError):
         assemble_active_system(SQUARE, result, Pose3.identity())
+    # an H-rep result carries no obstacle points to differentiate
+    axes = np.vstack([np.eye(2), -np.eye(2)])
+    hrep = min_scale_hrep(ConvexSetH(axes, np.zeros(2)),
+                          ConvexSetH(2.0 * axes, np.array([4.0, 0.0])))
+    with pytest.raises(InvalidArgumentError):
+        assemble_active_system(SQUARE, hrep, pose)
     system = assemble_active_system(SQUARE, result, pose)
     with pytest.raises(InvalidArgumentError):
         grad_scale_se3(system, Pose3.identity())

@@ -67,7 +67,6 @@ def test_identity_pose_matches_bodyframe():
     plain = min_scale_vrep_bodyframe(SQUARE, obstacle)
     assert posed.beta == plain.beta
     assert posed.active_body == plain.active_body
-    assert posed.active_obstacle_points_world is not None
 
 
 def test_translated_pose_shrinks_the_gap():
@@ -255,10 +254,8 @@ def test_parallel_faces_flag_degenerate():
 
 def test_result_caches_active_coordinates():
     result = min_scale_vrep(SQUARE, np.array([[3.0, 0.0]]), Pose2.identity())
-    assert result.active_body_points.shape == (2, 2)
     assert result.active_obstacle_points_body.shape == (1, 2)
-    assert np.allclose(result.active_obstacle_points_world, [[3.0, 0.0]])
-    assert not result.active_body_points.flags.writeable
+    assert not result.active_obstacle_points_body.flags.writeable
 
 
 def test_flat_body_raises_degenerate_body_error():

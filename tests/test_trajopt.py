@@ -224,7 +224,7 @@ def test_batched_cost_matches_the_per_sample_reference(case):
         traj = PiecewiseTrajectory.from_states(jitter, durations)
         if case == "pinned":
             extras = [np.sort(rng.uniform(0.0, d, size=trial % 3)) for d in durations]
-        cost, grad = _cost_terms(traj, scene, config, True, True, True, extra_times=extras)
+        cost, grad = _cost_terms(traj, scene, config, extra_times=extras)
         ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
         assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
