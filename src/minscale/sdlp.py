@@ -22,6 +22,7 @@ Feasibility and activity tests are relative: constraint i is satisfied
 when a_i.z <= b_i + feas_eps * max(1, |b_i|).
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,6 +45,16 @@ class SolverParams:
     feas_eps: float = 1e-10
     act_eps: float = 1e-8
     big_m: float = 1e9
+
+    def __post_init__(self):
+        if not (math.isfinite(self.big_m) and self.big_m > 0.0):
+            raise InvalidArgumentError("big_m must be positive and finite")
+        for name in ("feas_eps", "act_eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InvalidArgumentError(f"{name} must be >= 0 and finite")
+        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+            raise InvalidArgumentError("rng_seed must be a non-negative integer")
 
 
 class LpStatus(Enum):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -57,41 +57,25 @@ def _coeff_maps(durations):
     return np.stack([_coeff_map(float(t)) for t in durations])
 
 
-def _eval_segment(coeffs, t):
-    """Horner pass over one segment that carries the first three derivatives."""
-    p = np.zeros(2)
-    v = np.zeros(2)
-    a2 = np.zeros(2)
-    j6 = np.zeros(2)
-    for idx in range(5, -1, -1):
-        j6 = j6 * t + a2
-        a2 = a2 * t + v
-        v = v * t + p
-        p = p * t + coeffs[:, idx]
-    return p, v, 2.0 * a2, 6.0 * j6
-
-
 @dataclass(frozen=True)
 class PiecewiseTrajectory:
     """Quintic spline with fixed segment durations.
 
     ``states`` holds one row ``[px, py, vx, vy, ax, ay]`` per junction,
     endpoints included; ``coeffs[k, axis]`` are the ascending-power
-    coefficients of segment ``k`` in segment-local time.  Build instances
-    with :meth:`from_states`, which makes position, velocity and
-    acceleration continuity hold by construction.
+    coefficients of segment ``k`` in segment-local time.  Both ``coeffs``
+    and ``knots`` are derived from ``(states, durations)``, so position,
+    velocity and acceleration continuity hold by construction.
     """
 
     states: np.ndarray
     durations: np.ndarray
-    coeffs: np.ndarray
-    knots: np.ndarray
+    coeffs: np.ndarray = field(init=False)
+    knots: np.ndarray = field(init=False)
 
     def __post_init__(self):
         states = _read_only(self.states)
         durations = _read_only(self.durations)
-        coeffs = _read_only(self.coeffs)
-        knots = _read_only(self.knots)
         if states.ndim != 2 or states.shape[1] != 6 or states.shape[0] < 2:
             raise InvalidArgumentError("states must be (k+1, 6) with k >= 1 segments")
         if not np.all(np.isfinite(states)):
@@ -99,8 +83,12 @@ class PiecewiseTrajectory:
         k = states.shape[0] - 1
         if durations.shape != (k,) or not np.all(np.isfinite(durations)) or np.any(durations <= 0):
             raise InvalidArgumentError("durations must be positive and finite, one per segment")
-        if coeffs.shape != (k, 2, 6) or knots.shape != (k + 1,):
-            raise InvalidArgumentError("coefficient/knot arrays do not match the states")
+        # rows (p0, v0, a0, p1, v1, a1) of each segment, one column per axis
+        ends = np.concatenate([states[:-1], states[1:]], axis=1).reshape(k, 6, 2)
+        coeffs = np.einsum("kij,kja->kai", _coeff_maps(durations), ends)
+        knots = np.concatenate([[0.0], np.cumsum(durations)])
+        coeffs.setflags(write=False)
+        knots.setflags(write=False)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "coeffs", coeffs)
@@ -108,20 +96,7 @@ class PiecewiseTrajectory:
 
     @classmethod
     def from_states(cls, states, durations):
-        states = np.asarray(states, dtype=float)
-        durations = np.asarray(durations, dtype=float)
-        if states.ndim != 2 or states.shape[1] != 6 or states.shape[0] < 2:
-            raise InvalidArgumentError("states must be (k+1, 6) with k >= 1 segments")
-        k = states.shape[0] - 1
-        if durations.shape != (k,):
-            raise InvalidArgumentError("need exactly one duration per segment")
-        if not np.all(np.isfinite(durations)) or np.any(durations <= 0):
-            raise InvalidArgumentError("durations must be positive and finite")
-        # rows (p0, v0, a0, p1, v1, a1) of each segment, one column per axis
-        ends = np.concatenate([states[:-1], states[1:]], axis=1).reshape(k, 6, 2)
-        coeffs = np.einsum("kij,kja->kai", _coeff_maps(durations), ends)
-        knots = np.concatenate([[0.0], np.cumsum(durations)])
-        return cls(states, durations, coeffs, knots)
+        return cls(states, durations)
 
     @property
     def segment_count(self):
@@ -132,9 +107,27 @@ class PiecewiseTrajectory:
         return float(self.knots[-1])
 
 
-def _segment_index(traj, tau):
-    idx = int(np.searchsorted(traj.knots, tau, side="right") - 1)
-    return min(max(idx, 0), traj.segment_count - 1)
+def _locate(traj, taus):
+    """Segment index and segment-local time of each absolute time in ``taus``."""
+    seg = np.clip(np.searchsorted(traj.knots, taus, side="right") - 1,
+                  0, traj.segment_count - 1)
+    return seg, taus - traj.knots[seg]
+
+
+def _spline(traj, seg, t_loc, order=2):
+    """Position and its first ``order`` derivatives at the nodes, followed by
+    the rows of local-time powers that map each segment's coefficients to them.
+
+    Row ``d`` holds ``e! / (e - d)! * t^(e - d)`` for power ``e``.
+    """
+    tpow = t_loc[:, None] ** np.arange(6)
+    rows = [tpow]
+    for d in range(1, order + 1):
+        row = np.zeros_like(tpow)
+        row[:, d:] = [math.perm(e, d) for e in range(d, 6)] * tpow[:, :6 - d]
+        rows.append(row)
+    coeffs = traj.coeffs[seg]
+    return (*(np.einsum("nak,nk->na", coeffs, row) for row in rows), rows)
 
 
 def eval_trajectory(traj, tau):
@@ -145,8 +138,8 @@ def eval_trajectory(traj, tau):
     if not np.isfinite(t) or t < 0.0 or t > traj.total_duration:
         raise InvalidArgumentError(
             f"tau {tau!r} outside the trajectory span [0, {traj.total_duration}]")
-    seg = _segment_index(traj, t)
-    return _eval_segment(traj.coeffs[seg], t - float(traj.knots[seg]))
+    *values, _ = _spline(traj, *_locate(traj, np.array([t])), order=3)
+    return tuple(x[0] for x in values)
 
 
 def heading_from_velocity(velocity, eps=1e-3):
@@ -156,8 +149,8 @@ def heading_from_velocity(velocity, eps=1e-3):
     Jacobian ``(-vy, vx) / (|v|^2 + eps^2)``, which stays bounded by
     ``1 / (2 eps)`` through velocity reversals.
     """
-    if eps <= 0.0:
-        raise InvalidArgumentError("heading regularization eps must be positive")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise InvalidArgumentError("heading regularization eps must be positive and finite")
     v = np.asarray(velocity, dtype=float).reshape(-1)
     if v.shape != (2,) or not np.all(np.isfinite(v)):
         raise InvalidArgumentError("velocity must be a finite 2-vector")
@@ -337,19 +330,6 @@ def _nodes(traj, samples, extra_times=None):
     return seg, t_loc, w_quad
 
 
-def _spline(traj, seg, t_loc):
-    """Position, velocity and acceleration at the nodes, with the rows of powers
-    of local time that map each segment's coefficients to them."""
-    tpow = t_loc[:, None] ** np.arange(6)
-    dpow = np.zeros_like(tpow)
-    ddpow = np.zeros_like(tpow)
-    dpow[:, 1:] = np.arange(1, 6) * tpow[:, :5]
-    ddpow[:, 2:] = np.array([2.0, 6.0, 12.0, 20.0]) * tpow[:, :4]
-    coeffs = traj.coeffs[seg]
-    p, v, a = (np.einsum("nak,nk->na", coeffs, pw) for pw in (tpow, dpow, ddpow))
-    return p, v, a, (tpow, dpow, ddpow)
-
-
 def _scales(table, tau, p, v):
     """Scale of every obstacle at every node, posed along the velocity.
 
@@ -379,9 +359,7 @@ def _min_scales(table, tau, p, v):
 def _scale_at(traj, scenario, taus):
     """Smallest scale over the obstacles at each absolute time in ``taus``."""
     taus = np.asarray(taus, dtype=float)
-    seg = np.clip(np.searchsorted(traj.knots, taus, side="right") - 1,
-                  0, traj.segment_count - 1)
-    p, v, _, _ = _spline(traj, seg, taus - traj.knots[seg])
+    p, v, _, _ = _spline(traj, *_locate(traj, taus))
     return _min_scales(_obstacle_table(scenario), taus, p, v)[0]
 
 
@@ -671,18 +649,10 @@ def _full_state(state):
 
 def _line_states(start, goal, total_time, segments):
     """Junction states of the single quintic joining the boundary states."""
-    w = _coeff_map(float(total_time))
-    coeffs = np.zeros((2, 6))
-    for axis in range(2):
-        s6 = np.array([start[axis], start[2 + axis], start[4 + axis],
-                       goal[axis], goal[2 + axis], goal[4 + axis]])
-        coeffs[axis] = w @ s6
-    states = np.zeros((segments + 1, 6))
-    for i in range(segments + 1):
-        p, v, a, _ = _eval_segment(coeffs, total_time * i / segments)
-        states[i, 0:2] = p
-        states[i, 2:4] = v
-        states[i, 4:6] = a
+    line = PiecewiseTrajectory(np.stack([start, goal]), [total_time])
+    times = total_time * np.arange(segments + 1) / segments
+    p, v, a, _ = _spline(line, np.zeros(segments + 1, dtype=int), times)
+    states = np.concatenate([p, v, a], axis=1)
     states[0] = start
     states[-1] = goal
     return states
@@ -722,8 +692,6 @@ def _audit_trajectory(traj, scenario, samples, dip_threshold=None, table=None):
     max_speed = float(np.sqrt((v * v).sum(axis=1)).max())
     max_accel = float(np.sqrt((a * a).sum(axis=1)).max())
     dips = [[] for _ in range(traj.segment_count)]
-    if not scenario.obstacle_count:
-        return math.inf, max_speed, max_accel, 0, dips
     table = _obstacle_table(scenario) if table is None else table
     here, degenerate = _min_scales(table, traj.knots[seg] + t_loc, p, v)
     if dip_threshold is not None:
@@ -781,7 +749,6 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                             scenario.bounds.a_max * (1.0 - config.limit_margin)),
     )
 
-    obstacles = scenario.obstacle_count > 0
     table = _obstacle_table(scenario)
     states = init_states
     iterations = 0
@@ -793,13 +760,13 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     # handful of targeted nodes is far cheaper than refining every segment
     while True:
         if segments == 1:
-            traj = PiecewiseTrajectory.from_states(states, durations)
+            traj = PiecewiseTrajectory(states, durations)
             cost, _ = _cost_terms(traj, optimize_scenario, config, table=table)
             status, final_cost = "converged", float(cost)
         else:
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
-                candidate = PiecewiseTrajectory.from_states(xs, durations)
+                candidate = PiecewiseTrajectory(xs, durations)
                 cost, grad = _cost_terms(candidate, optimize_scenario, config,
                                          extra_times=extras, table=table)
                 return cost, grad[1:-1].ravel()
@@ -808,7 +775,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                                            callback=callback if rounds == 0 else None)
             states = np.vstack([s0[None, :], x_best.reshape(segments - 1, 6),
                                 s1[None, :]])
-            traj = PiecewiseTrajectory.from_states(states, durations)
+            traj = PiecewiseTrajectory(states, durations)
             iterations += inner.iterations
             status, final_cost = inner.status, inner.final_cost
 
@@ -820,8 +787,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             traj, scenario, audit,
             dip_threshold=scenario.beta_min + 0.5 * config.safety_margin, table=table)
         rounds += 1
-        if (min_beta >= target - 1e-6 or not obstacles
-                or segments == 1 or status != "converged" or rounds >= 6):
+        if (min_beta >= target - 1e-6 or segments == 1 or status != "converged" or rounds >= 6):
             break
         if (_audit_trajectory(traj, scenario, config.samples_per_segment, table=table)[0]
                 < scenario.beta_min - 1e-6):

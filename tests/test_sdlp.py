@@ -97,6 +97,18 @@ def test_constructor_validation():
         solve("not an lp")
 
 
+def test_solver_params_validation():
+    # out-of-range values make the LP lie: big_m=0 solves max x+y s.t. x, y <= 1 to 0
+    for bad in ({"big_m": 0.0}, {"big_m": -1.0}, {"big_m": np.nan}, {"big_m": np.inf},
+                {"feas_eps": np.nan}, {"feas_eps": -1e-10}, {"act_eps": np.inf},
+                {"rng_seed": -1}, {"rng_seed": 1.5}):
+        with pytest.raises(InvalidArgumentError):
+            SolverParams(**bad)
+    box = lp(2, [1.0, 1.0], [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)])
+    for ok in (SolverParams(), SolverParams(rng_seed=np.int64(3), feas_eps=0.0, act_eps=0.0)):
+        assert abs(solve(box, ok).value - 2.0) < 1e-12
+
+
 def test_active_set_requires_an_optimal_solution():
     problem = lp(2, [1.0, 0.0], [([1.0, 0.0], 0.0), ([-1.0, 0.0], -1.0)])
     sol = solve(problem)

@@ -62,6 +62,12 @@ def test_junction_states_are_reproduced_and_c2_continuous():
         right = eval_trajectory(traj, tau + 1e-12)
         for a, b in zip(left[:3], right[:3]):
             assert np.allclose(a, b, atol=1e-8)
+    # jerk is the time derivative of acceleration inside every segment
+    h = 1e-5
+    for tau in (0.4, 1.7, 2.5, 3.1):
+        _, _, _, jerk = eval_trajectory(traj, tau)
+        numeric = (eval_trajectory(traj, tau + h)[2] - eval_trajectory(traj, tau - h)[2]) / (2 * h)
+        assert np.allclose(jerk, numeric, rtol=1e-6, atol=1e-6)
 
 
 def test_eval_trivial_trajectories():
@@ -94,6 +100,12 @@ def test_construction_validation():
         PiecewiseTrajectory.from_states(STATES[:1], np.zeros(0))
     with pytest.raises(InvalidArgumentError):
         PiecewiseTrajectory.from_states(STATES[:, :4], DURATIONS)
+    nan_states = STATES.copy()
+    nan_states[1, 3] = np.nan
+    with pytest.raises(InvalidArgumentError):
+        PiecewiseTrajectory(nan_states, DURATIONS)
+    with pytest.raises(InvalidArgumentError):
+        PiecewiseTrajectory(STATES, DURATIONS[:2])
 
 
 def test_heading_model():
@@ -112,6 +124,9 @@ def test_heading_model():
                       - heading_from_velocity(vm)[0]) / (2.0 * h)
     _, analytic = heading_from_velocity(v0)
     assert np.allclose(numeric, analytic, atol=1e-5)
+    for eps in (math.nan, 0.0):
+        with pytest.raises(InvalidArgumentError):
+            heading_from_velocity(v0, eps)
 
 
 # -------------------------------------------------------------------- costs
