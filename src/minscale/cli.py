@@ -46,7 +46,7 @@ from .gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from .oracle import finite_diff, min_scale_bisection
 from .scale import ConvexSetV, is_colliding, min_scale_vrep, vrep_scale_lp
 from .sdlp import solve
-from .trajopt import MotionLimits, Scenario, _scale_at, eval_trajectory, plan
+from .trajopt import MotionLimits, Scenario, _locate, _scale_at, _spline, plan
 
 
 # ---------------------------------------------------------------- scene I/O
@@ -447,9 +447,10 @@ def cmd_plan(args):
 
 # ------------------------------------------------------------ SVG rendering
 
-def _body_outline(scenario, tau, traj):
-    p, v, _, _ = eval_trajectory(traj, tau)
-    return body_to_world(scenario.body.points, Pose2(math.atan2(v[1], v[0]), p))
+def _body_outlines(scenario, traj, taus):
+    p, v, _, _ = _spline(traj, *_locate(traj, taus))
+    return [body_to_world(scenario.body.points, Pose2(math.atan2(vy, vx), pk))
+            for pk, (vx, vy) in zip(p, v)]
 
 
 def _polygon_path(points, to_px):
@@ -468,8 +469,7 @@ def _render_svg(path, traj, scenario):
     windows = ([(k * total / 3.0, (k + 1) * total / 3.0) for k in range(3)]
                if moving else [(0.0, total)])
     samples_per_panel = 10 if moving else 24
-    curve = [eval_trajectory(traj, float(t))[0]
-             for t in np.linspace(0.0, total, 160)]
+    curve = _spline(traj, *_locate(traj, np.linspace(0.0, total, 160)))[0]
 
     panels = []
     extent_points = list(curve)
@@ -480,8 +480,8 @@ def _render_svg(path, traj, scenario):
                       for obs, vel in scenario.moving_obstacles]
         taus = np.linspace(window[0], window[1], samples_per_panel)
         bodies = []
-        for tau, beta in zip(taus, _scale_at(traj, scenario, taus)):
-            outline = _body_outline(scenario, float(tau), traj)
+        for outline, beta in zip(_body_outlines(scenario, traj, taus),
+                                 _scale_at(traj, scenario, taus)):
             bodies.append((outline, beta >= scenario.beta_min))
             extent_points.append(outline)
         panels.append((mid, obstacles, bodies))

@@ -1,26 +1,25 @@
 """Analytic pose gradients of the minimum collision scale.
 
-At a nondegenerate optimum the scale LP has exactly n+1 active rows.
-Splitting one row off, they form the square system
+At a nondegenerate optimum the scale LP has exactly n+1 active rows: body
+rows (p_b - s, 0) . (alpha, beta) = 1 and obstacle rows
+(s - p_o, 1) . (alpha, beta) = 0, with every point in the body frame.
+Stacked, they form one square system M (alpha, beta) = r whatever the
+split between body and obstacle rows.  Implicit differentiation gives
+d beta = -w^T (dM) (alpha, beta), where M^T w = e_beta.  Only the obstacle
+rows move with the pose, and their weights w_o sum to 1, so
 
-    [[A, B], [C, D]] (alpha, beta) = (E, F)
+    x = sum_o w_o p_o
 
-which makes beta an explicit function of the active body points, the
-active obstacle points, and the pose.  Differentiating that function
-gives closed-form gradients with respect to translation and the raw
-rotation parameters (quaternion components in 3D, heading in 2D).  The
-quaternion gradient differentiates the algebraic rotation form without
+is the body-frame point where the beta-scaled body touches the obstacle
+(not relative to the seed), and
+
+    d beta / d t   = -R alpha
+    d beta / d q_i = -x . ((dR/dq_i)^T R) alpha     (3D, raw quaternion)
+    d beta / d th  = cross(alpha, x)                (2D heading)
+
+The quaternion gradient differentiates the algebraic rotation form without
 normalization, matching the frame transforms in `geometry`; projection
 onto the unit sphere is the caller's business.
-
-The case split is on the (body, obstacle) counts of the LP basis:
-
-* (n, 1): A holds the body rows; beta = C A^-1 E and only C moves with
-  the pose.
-* (2, 2): 3D only; A holds two body rows plus the obstacle difference
-  row, which moves with the rotation.
-* (1, n): A holds the obstacle rows; beta satisfies -C A^-1 B beta = 1,
-  and A moves with both translation and rotation.
 """
 
 from dataclasses import dataclass
@@ -28,36 +27,28 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import (DegenerateActiveSetError, InvalidArgumentError,
-                     InvalidStateError, NumericalError, SubgradientOnlyError)
-from .geometry import Pose2, Pose3, rotation2, rotation_from_quaternion, rotation_partials
+from .errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
+                     SubgradientOnlyError)
+from .geometry import Pose2, Pose3, rotation_from_quaternion, rotation_partials
 from .scale import ConvexSetV, ScaleResult, _read_only
 
 _COND_LIMIT = 1e10
 
-# (dR^T/dtheta) R is the same skew matrix at every heading
-_SPIN2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
 
 @dataclass(frozen=True)
 class ActiveConstraintSystem:
-    """The active rows of a solved scale LP, in block form.
+    """The n+1 selected rows of a solved scale LP, reduced to what moves beta.
 
-    body_points / obstacle_points_body hold the active points in the body
-    frame.  The blocks a, b, c, d, e, f are the A..F of the (n+1)-square
-    system [[A, B], [C, D]] (alpha, beta) = (E, F); shapes (n,n), (n,1),
-    (1,n), (1,1), (n,1), (1,1).
+    body_points / obstacle_points_body hold the selected points in the body
+    frame.  alpha is the separating functional the rows reproduce; contact
+    is the body-frame point where the beta-scaled body touches the obstacle.
     """
 
     body_points: np.ndarray
     obstacle_points_body: np.ndarray
     seed: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
+    alpha: np.ndarray
+    contact: np.ndarray
 
     @property
     def dim(self):
@@ -84,62 +75,39 @@ class ScaleGradient2:
     d_beta_d_theta: float
 
 
-def _blocks(split, body_pts, obs_pts, seed):
-    k1, k2 = split
-    n = seed.shape[0]
-    if k2 == 1:
-        a = body_pts - seed
-        b = np.zeros((n, 1))
-        c = (obs_pts[0] - seed)[None, :]
-        d = np.array([[-1.0]])
-        e = np.ones((n, 1))
-        f = np.array([[0.0]])
-    elif k1 == 1:
-        a = obs_pts - seed
-        b = -np.ones((n, 1))
-        c = (body_pts[0] - seed)[None, :]
-        d = np.array([[0.0]])
-        e = np.zeros((n, 1))
-        f = np.array([[1.0]])
-    else:  # (2, 2), 3D only
-        delta = obs_pts[0] - obs_pts[1]
-        a = np.vstack([body_pts - seed, delta[None, :]])
-        b = np.zeros((n, 1))
-        c = (obs_pts[0] - seed)[None, :]
-        d = np.array([[-1.0]])
-        e = np.array([[1.0], [1.0], [0.0]])
-        f = np.array([[0.0]])
-    return a, b, c, d, e, f
-
-
 def _system_from_rows(body, result, body_idx, obs_idx, obs_map):
     """Assemble and verify one candidate row selection, or raise."""
+    seed = np.asarray(body.seed)
     body_pts = np.asarray(body.points)[list(body_idx)]
     obs_pts = np.array([obs_map[j] for j in obs_idx])
-    a, b, c, d, e, f = _blocks((len(body_idx), len(obs_idx)), body_pts, obs_pts,
-                               np.asarray(body.seed))
-    if np.linalg.cond(a) > _COND_LIMIT:
+    kb, n = body_pts.shape
+    rows = np.zeros((n + 1, n + 1))
+    rows[:kb, :n] = body_pts - seed
+    rows[kb:, :n] = seed - obs_pts
+    rows[kb:, n] = 1.0
+    if np.linalg.cond(rows) > _COND_LIMIT:
         raise DegenerateActiveSetError(
-            "active-set matrix A is numerically singular (geometric degeneracy)")
-    full = np.block([[a, b], [c, d]])
-    rhs = np.concatenate([e.ravel(), f.ravel()])
-    z = np.linalg.solve(full, rhs)
+            "active-set matrix is numerically singular (geometric degeneracy)")
+    rhs = np.zeros(n + 1)
+    rhs[:kb] = 1.0
+    z = np.linalg.solve(rows, rhs)
     ref = np.concatenate([result.certificate, [result.beta]])
     if np.max(np.abs(z - ref)) > 1e-8 * max(1.0, float(np.abs(ref).max())):
         raise NumericalError(
             "active system does not reproduce the LP solution "
             f"(residual {np.max(np.abs(z - ref)):.3e})")
+    weights = np.linalg.solve(rows.T, np.eye(n + 1)[n])
     return ActiveConstraintSystem(
         body_points=_read_only(body_pts),
         obstacle_points_body=_read_only(obs_pts),
-        seed=_read_only(body.seed),
-        a=_read_only(a), b=_read_only(b), c=_read_only(c),
-        d=_read_only(d), e=_read_only(e), f=_read_only(f),
+        seed=_read_only(seed),
+        alpha=_read_only(z[:n]),
+        contact=_read_only(weights[kb:] @ obs_pts),
     )
 
 
 def assemble_active_system(body, result, pose, allow_subgradient=False):
-    """Build the active-constraint block system of a V-rep scale result.
+    """Build the active-constraint system of a V-rep scale result.
 
     Degenerate results raise SubgradientOnlyError unless allow_subgradient
     is set.  With it, the solver basis is completed from the tight rows
@@ -182,7 +150,7 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
                                  result.active_obstacle, obs_map)
     pool_b = sorted(set(result.tight_body) | set(result.active_body))
     pool_o = sorted(obs_map)
-    splits = [(n, 1), (2, 2), (1, n)] if n == 3 else [(n, 1), (1, n)]
+    splits = [(kb, n + 1 - kb) for kb in range(n, 0, -1)]
     candidates = []
     for kb, ko in splits:
         if len(pool_b) < kb or len(pool_o) < ko:
@@ -202,49 +170,13 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
         "no differentiable n+1 selection found among the tight constraints")
 
 
-def _case3_beta(system):
-    """beta and A^-1 B for the (1, n) case, checking -C A^-1 B beta = 1."""
-    a_inv_b = np.linalg.solve(system.a, system.b).ravel()
-    gval = -float(system.c.ravel() @ a_inv_b)
-    if gval <= 0.0:
-        raise NumericalError(f"active system has -C A^-1 B = {gval:.3e} <= 0")
-    beta = 1.0 / gval
-    return beta, a_inv_b
-
-
 def grad_scale_se3(system, pose):
     """Closed-form gradient of beta for a 3D body under a Pose3."""
     if system.dim != 3 or not isinstance(pose, Pose3):
         raise InvalidArgumentError("grad_scale_se3 needs a 3D system and a Pose3")
-    rot = rotation_from_quaternion(pose.rotation)
-    parts = rotation_partials(pose.rotation)
-    spins = [parts[i].T @ rot for i in range(4)]  # (dR^T/dq_i) R
-    split = system.split
-    cvec = system.c.ravel()
-    dq = np.empty(4)
-    if split == (3, 1):
-        alpha = np.linalg.solve(system.a, system.e).ravel()
-        dt = -rot @ alpha
-        p = system.obstacle_points_body[0]
-        for i in range(4):
-            dq[i] = -p @ spins[i] @ alpha
-    elif split == (2, 2):
-        alpha = np.linalg.solve(system.a, system.e).ravel()
-        dt = -rot @ alpha
-        p = system.obstacle_points_body[0]
-        delta = system.obstacle_points_body[0] - system.obstacle_points_body[1]
-        for i in range(4):
-            rhs = np.array([0.0, 0.0, alpha @ spins[i] @ delta])
-            dq[i] = -p @ spins[i] @ alpha - cvec @ np.linalg.solve(system.a, rhs)
-    elif split == (1, 3):
-        beta, a_inv_b = _case3_beta(system)
-        dt = beta * (rot @ a_inv_b)
-        pts = system.obstacle_points_body
-        for i in range(4):
-            da = -pts @ spins[i]
-            dq[i] = -beta * beta * (cvec @ np.linalg.solve(system.a, da @ a_inv_b))
-    else:
-        raise InvalidStateError(f"unexpected 3D active split {split}")
+    dt = -rotation_from_quaternion(pose.rotation) @ system.alpha
+    # -x . (dR_i^T R) alpha = (dR_i x) . (-R alpha)
+    dq = np.einsum("ikj,j,k->i", rotation_partials(pose.rotation), system.contact, dt)
     return ScaleGradient3(_read_only(dt), _read_only(dq))
 
 
@@ -252,31 +184,17 @@ def grad_scale_se2(system, pose):
     """Closed-form gradient of beta for a 2D body under a Pose2."""
     if system.dim != 2 or not isinstance(pose, Pose2):
         raise InvalidArgumentError("grad_scale_se2 needs a 2D system and a Pose2")
-    rot = rotation2(pose.heading)
-    split = system.split
-    cvec = system.c.ravel()
-    if split == (2, 1):
-        alpha = np.linalg.solve(system.a, system.e).ravel()
-        dt = -rot @ alpha
-        p = system.obstacle_points_body[0]
-        dtheta = -float(p @ _SPIN2 @ alpha)
-    elif split == (1, 2):
-        beta, a_inv_b = _case3_beta(system)
-        dt = beta * (rot @ a_inv_b)
-        da = -system.obstacle_points_body @ _SPIN2
-        dtheta = -beta * beta * float(cvec @ np.linalg.solve(system.a, da @ a_inv_b))
-    else:
-        raise InvalidStateError(f"unexpected 2D active split {split}")
-    return ScaleGradient2(_read_only(dt), dtheta)
+    dt, dtheta = _grad_scale_se2_batch(system.alpha[None], system.contact[None],
+                                       np.cos([pose.heading]), np.sin([pose.heading]))
+    return ScaleGradient2(_read_only(dt[0]), float(dtheta[0]))
 
 
 def _grad_scale_se2_batch(alpha, contact, cos, sin):
-    """grad_scale_se2 for N planar kernel results at once.
+    """grad_scale_se2 for N samples at once.
 
-    In both 2D splits the LP's sensitivity gives d beta / d translation =
-    -R alpha and d beta / d heading = alpha . (dR^T/dtheta R) x = cross(alpha,
-    x), where x is the contact point in the body frame (not relative to the
-    seed).  Returns (d_beta_d_t (N, 2), d_beta_d_theta (N,)).
+    d beta / d translation = -R alpha and d beta / d heading =
+    cross(alpha, x), where x is the contact point in the body frame (not
+    relative to the seed).  Returns (d_beta_d_t (N, 2), d_beta_d_theta (N,)).
     """
     ax, ay = alpha[:, 0], alpha[:, 1]
     d_t = -np.stack([cos * ax - sin * ay, sin * ax + cos * ay], axis=1)
@@ -290,19 +208,19 @@ def grad_scale_time(grad, t_rate, rot_rate):
     ScaleGradient2 it is the scalar heading rate.
     """
     if isinstance(grad, ScaleGradient3):
+        d_rot, shapes = grad.d_beta_d_q, ((3,), (4,))
+    elif isinstance(grad, ScaleGradient2):
+        d_rot, shapes = grad.d_beta_d_theta, ((2,), ())
+    else:
+        raise InvalidArgumentError("grad must be a ScaleGradient3 or ScaleGradient2")
+    try:
         t_rate = np.asarray(t_rate, dtype=float)
         rot_rate = np.asarray(rot_rate, dtype=float)
-        if t_rate.shape != (3,) or rot_rate.shape != (4,):
-            raise InvalidArgumentError("Pose3 rates must be t_rate (3,), rot_rate (4,)")
-        if not (np.all(np.isfinite(t_rate)) and np.all(np.isfinite(rot_rate))):
-            raise InvalidArgumentError("pose rates contain non-finite values")
-        return float(grad.d_beta_d_t @ t_rate + grad.d_beta_d_q @ rot_rate)
-    if isinstance(grad, ScaleGradient2):
-        t_rate = np.asarray(t_rate, dtype=float)
-        if t_rate.shape != (2,):
-            raise InvalidArgumentError("Pose2 rates must be t_rate (2,), rot_rate scalar")
-        rate = float(rot_rate)
-        if not (np.all(np.isfinite(t_rate)) and np.isfinite(rate)):
-            raise InvalidArgumentError("pose rates contain non-finite values")
-        return float(grad.d_beta_d_t @ t_rate + grad.d_beta_d_theta * rate)
-    raise InvalidArgumentError("grad must be a ScaleGradient3 or ScaleGradient2")
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError("pose rates must be numeric") from exc
+    if (t_rate.shape, rot_rate.shape) != shapes:
+        raise InvalidArgumentError(
+            f"pose rates must have shapes {shapes}, got {(t_rate.shape, rot_rate.shape)}")
+    if not (np.all(np.isfinite(t_rate)) and np.all(np.isfinite(rot_rate))):
+        raise InvalidArgumentError("pose rates contain non-finite values")
+    return float(grad.d_beta_d_t @ t_rate + np.dot(d_rot, rot_rate))

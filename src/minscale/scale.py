@@ -423,4 +423,6 @@ def is_colliding(result, threshold=1.0):
     threshold 1 is exact touching; larger values add a safety margin
     (scales inside [1, threshold) then count as collisions).
     """
+    if not np.isfinite(threshold):
+        raise InvalidArgumentError("threshold must be finite")
     return bool(result.beta < threshold)

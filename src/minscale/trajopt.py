@@ -245,8 +245,9 @@ class CostConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise InvalidArgumentError(f"{name} must be >= 0 and finite")
-        if int(self.samples_per_segment) < 2:
-            raise InvalidArgumentError("samples_per_segment must be at least 2")
+        if not (isinstance(self.samples_per_segment, (int, np.integer))
+                and self.samples_per_segment >= 2):
+            raise InvalidArgumentError("samples_per_segment must be an integer >= 2")
         if not (np.isfinite(self.heading_eps) and self.heading_eps > 0):
             raise InvalidArgumentError("heading_eps must be positive")
         if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0):
@@ -494,9 +495,11 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
     pairs = _obstacle_pairs(scenario)
-    if not 0 <= int(obstacle_index) < len(pairs):
-        raise InvalidArgumentError(f"obstacle index {obstacle_index} out of range")
-    obs, vel = pairs[int(obstacle_index)]
+    if not (isinstance(obstacle_index, (int, np.integer))
+            and 0 <= obstacle_index < len(pairs)):
+        raise InvalidArgumentError(
+            f"obstacle_index must be an integer in [0, {len(pairs)}), got {obstacle_index!r}")
+    obs, vel = pairs[obstacle_index]
     p, v, a, _ = eval_trajectory(traj, tau)
     theta, d_theta_d_v = heading_from_velocity(v, heading_eps)
     pose = Pose2(theta, p)

@@ -44,11 +44,11 @@ def test_assembled_system_reproduces_the_lp_solution():
     for case in CASES_SE2:
         for _, _, (body, _, pose, result) in collect_se2(case, 6):
             system = assemble_active_system(body, result, pose)
-            full = np.block([[system.a, system.b], [system.c, system.d]])
-            rhs = np.concatenate([system.e.ravel(), system.f.ravel()])
-            z = np.linalg.solve(full, rhs)
-            reference = np.concatenate([result.certificate, [result.beta]])
-            assert np.max(np.abs(z - reference)) < 1e-8 * max(1.0, result.beta)
+            scale = max(1.0, result.beta)
+            assert np.max(np.abs(system.alpha - result.certificate)) < 1e-8 * scale
+            # the contact point lies on the beta-level set of alpha
+            touch = (system.contact - system.seed) @ system.alpha
+            assert abs(touch - result.beta) < 1e-8 * scale
 
 
 def test_gradients_match_finite_differences_2d():
@@ -65,41 +65,27 @@ def test_gradients_match_finite_differences_3d():
         assert grad_norm_err(pairs) <= 1e-4, case
 
 
-def test_translation_gradient_shares_one_formula_across_body_cases():
-    # whenever the obstacle contributes one active point (plus possibly a
-    # difference row), d beta / d t reduces to -R A^-1 E
-    for _, _, (body, _, pose, result) in collect_se2("2+1", 6):
-        system = assemble_active_system(body, result, pose)
-        grad = grad_scale_se2(system, pose)
-        alpha = np.linalg.solve(system.a, system.e).ravel()
-        assert np.allclose(grad.d_beta_d_t, -rotation2(pose.heading) @ alpha,
-                           atol=1e-12)
-    for case in ("3+1", "2+2"):
-        for _, _, (body, _, pose, result) in collect_se3(case, 4):
+def test_every_split_shares_one_translation_formula_and_contact_point():
+    # d beta / d t = -R alpha in every split; the contact point is the lone
+    # obstacle point of an (n, 1) split and the scaled lone body point of a
+    # (1, n) split
+    for case in (*CASES_SE2, *CASES_SE3):
+        in_2d = case in CASES_SE2
+        collect, grad_scale = ((collect_se2, grad_scale_se2) if in_2d
+                               else (collect_se3, grad_scale_se3))
+        for _, _, (body, _, pose, result) in collect(case, 6):
             system = assemble_active_system(body, result, pose)
-            grad = grad_scale_se3(system, pose)
-            alpha = np.linalg.solve(system.a, system.e).ravel()
-            rot = rotation_from_quaternion(pose.rotation)
-            assert np.allclose(grad.d_beta_d_t, -(rot @ alpha), atol=1e-12)
-
-
-def test_single_body_point_cases_satisfy_the_inverse_identity():
-    # with one active body point, -C A^-1 B equals 1/beta at the solution
-    for _, _, (_, _, _, result), system in _systems("1+2"):
-        a_inv_b = np.linalg.solve(system.a, system.b).ravel()
-        product = -float(system.c.ravel() @ a_inv_b) * result.beta
-        assert abs(product - 1.0) < 1e-8
-    for _, _, (_, _, _, result), system in _systems("1+3"):
-        a_inv_b = np.linalg.solve(system.a, system.b).ravel()
-        product = -float(system.c.ravel() @ a_inv_b) * result.beta
-        assert abs(product - 1.0) < 1e-8
-
-
-def _systems(case):
-    collect = collect_se2 if case in CASES_SE2 else collect_se3
-    for analytic, fd, context in collect(case, 8):
-        body, _, pose, result = context
-        yield analytic, fd, context, assemble_active_system(body, result, pose)
+            rot = (rotation2(pose.heading) if in_2d
+                   else rotation_from_quaternion(pose.rotation))
+            grad = grad_scale(system, pose)
+            assert np.allclose(grad.d_beta_d_t, -(rot @ result.certificate), atol=1e-12)
+            n = body.dim
+            if system.split == (n, 1):
+                assert np.allclose(system.contact, system.obstacle_points_body[0],
+                                   atol=1e-12)
+            if system.split == (1, n):
+                scaled = system.seed + result.beta * (system.body_points[0] - system.seed)
+                assert np.allclose(system.contact, scaled, atol=1e-9)
 
 
 def test_negative_gradient_translation_step_decreases_beta():
@@ -121,6 +107,9 @@ def test_grad_scale_time_is_the_chain_rule_inner_product():
     assert grad_scale_time(grad, np.zeros(2), 0.0) == 0.0
     rate = grad_scale_time(grad, np.array([2.0, 0.0]), 0.0)
     assert abs(rate - (-2.0)) < 1e-12
+    for rot_rate in (np.array([0.1, 0.2]), "fast", None):
+        with pytest.raises(InvalidArgumentError):
+            grad_scale_time(grad, np.zeros(2), rot_rate)
 
     body3 = ConvexSetV(np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
                                  [-1.0, -1.0, 1.0], [0.0, 0.0, -1.0],

@@ -296,6 +296,9 @@ def test_is_colliding_thresholds():
     assert is_colliding(near)
     assert is_colliding(margin, threshold=1.1)
     assert not is_colliding(margin, threshold=1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidArgumentError):
+            is_colliding(near, threshold=bad)
 
 
 def test_random_bodies_under_random_poses_match_pulled_back_query():

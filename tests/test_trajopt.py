@@ -143,8 +143,14 @@ def test_scenario_validation():
         Scenario(body=BODY, bounds=MotionLimits(-1.0, 2.0))
     with pytest.raises(InvalidArgumentError):
         CostConfig(safety_weight=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        CostConfig(samples_per_segment=1)
+    for count in (1, 2.5, math.nan, math.inf, "16"):
+        with pytest.raises(InvalidArgumentError):
+            CostConfig(samples_per_segment=count)
+    assert CostConfig(samples_per_segment=np.int64(8)).samples_per_segment == 8
+    traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
+    for index in (0.9, -0.5, -1, 2, "0"):
+        with pytest.raises(InvalidArgumentError):
+            scale_time_rate(traj, SCENE, 1.0, obstacle_index=index)
 
 
 def test_far_trajectory_has_zero_safety_cost_and_gradient():
