@@ -65,10 +65,9 @@ def test_gradients_match_finite_differences_3d():
         assert grad_norm_err(pairs) <= 1e-4, case
 
 
-def test_every_split_shares_one_translation_formula_and_contact_point():
-    # d beta / d t = -R alpha in every split; the contact point is the lone
-    # obstacle point of an (n, 1) split and the scaled lone body point of a
-    # (1, n) split
+def test_translation_gradient_shares_one_formula_across_body_cases():
+    # d beta / d t = -R alpha in every split; the contact point of an (n, 1)
+    # split is the lone obstacle point
     for case in (*CASES_SE2, *CASES_SE3):
         in_2d = case in CASES_SE2
         collect, grad_scale = ((collect_se2, grad_scale_se2) if in_2d
@@ -79,13 +78,26 @@ def test_every_split_shares_one_translation_formula_and_contact_point():
                    else rotation_from_quaternion(pose.rotation))
             grad = grad_scale(system, pose)
             assert np.allclose(grad.d_beta_d_t, -(rot @ result.certificate), atol=1e-12)
-            n = body.dim
-            if system.split == (n, 1):
+            if system.split == (body.dim, 1):
                 assert np.allclose(system.contact, system.obstacle_points_body[0],
                                    atol=1e-12)
-            if system.split == (1, n):
-                scaled = system.seed + result.beta * (system.body_points[0] - system.seed)
-                assert np.allclose(system.contact, scaled, atol=1e-9)
+
+
+def test_single_body_point_cases_satisfy_the_inverse_identity():
+    # with one active body point p, alpha . (p - seed) = 1, so the contact
+    # point is p scaled about the seed by beta
+    for case in (*CASES_SE2, *CASES_SE3):
+        collect = collect_se2 if case in CASES_SE2 else collect_se3
+        for _, _, (body, _, pose, result) in collect(case, 8):
+            system = assemble_active_system(body, result, pose)
+            if case in ("1+2", "1+3"):
+                assert system.split == (1, body.dim)
+            if system.split != (1, body.dim):
+                continue
+            lever = system.body_points[0] - system.seed
+            assert abs(float(lever @ system.alpha) - 1.0) < 1e-8
+            scaled = system.seed + result.beta * lever
+            assert np.allclose(system.contact, scaled, atol=1e-9)
 
 
 def test_negative_gradient_translation_step_decreases_beta():
