@@ -265,6 +265,13 @@ class OptimizationReport:
     scale is degenerate: beta is 0, or a second candidate of the planar
     kernel lies within ``SolverParams().act_eps * max(1, beta)`` of the
     minimum, so the scale has a kink there.
+
+    ``status`` says why the run stopped: ``"converged"`` only when the
+    result also passes the audit (``success``), ``"unsafe"`` when the
+    optimizer converged on a trajectory that fails it, the optimizer's
+    ``"max-iterations"`` or ``"line-search-failed"``, or
+    ``"infeasible-limits"`` when the request breaks a necessary condition
+    of the motion limits and no optimization was run.
     """
 
     iterations: int
@@ -722,7 +729,10 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     first optimization round, where the objective is fixed.  If
     ``total_time`` is omitted, a duration is chosen so the straight-line
     guess respects the limits with margin.  Boundary states are ``[px, py]``
-    (at rest), ``[px, py, vx, vy]`` or the full 6-vector.
+    (at rest), ``[px, py, vx, vy]`` or the full 6-vector.  A request whose
+    mean speed exceeds ``v_max``, or that goes from rest to rest faster than
+    ``a_max`` allows, returns at once with status ``"infeasible-limits"``,
+    0 iterations and the report of the straight-line guess.
     """
     t_start = time.perf_counter()
     if not isinstance(scenario, Scenario):
@@ -736,13 +746,19 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     s0 = _full_state(start)
     s1 = _full_state(goal)
     distance = float(np.linalg.norm(s1[:2] - s0[:2]))
+    limits = scenario.bounds
     if total_time is None:
-        limits = scenario.bounds
         total_time = max(2.5 * distance / limits.v_max,
                          2.8 * math.sqrt(distance / limits.a_max), 1.0)
     total_time = float(total_time)
     if not np.isfinite(total_time) or total_time <= 0:
         raise InvalidArgumentError("total_time must be positive and finite")
+    # necessary for any trajectory: the mean speed D/T, and from rest to rest
+    # the bang-bang bound 4D/T^2 on the peak acceleration; no optimization
+    # can succeed past them, so the plan stops at the straight-line guess
+    at_rest = not (np.any(s0[2:4]) or np.any(s1[2:4]))
+    beyond_limits = (distance / total_time > limits.v_max + 1e-6
+                     or (at_rest and 4.0 * distance / total_time ** 2 > limits.a_max + 1e-6))
     durations = np.full(segments, total_time / segments)
     init_states = _line_states(s0, s1, total_time, segments)
     optimize_scenario = replace(
@@ -762,10 +778,11 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     # at the deepest moment of each dip and re-optimize warm-started; the
     # handful of targeted nodes is far cheaper than refining every segment
     while True:
-        if segments == 1:
+        if segments == 1 or beyond_limits:
             traj = PiecewiseTrajectory(states, durations)
             cost, _ = _cost_terms(traj, optimize_scenario, config, table=table)
-            status, final_cost = "converged", float(cost)
+            status = "infeasible-limits" if beyond_limits else "converged"
+            final_cost = float(cost)
         else:
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
@@ -807,10 +824,12 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         if added == 0:
             break  # every dip already carries a node; repeats would stall
 
-    limits = scenario.bounds
-    success = (min_beta >= scenario.beta_min - 1e-6
+    success = (not beyond_limits
+               and min_beta >= scenario.beta_min - 1e-6
                and max_speed <= limits.v_max + 1e-6
                and max_accel <= limits.a_max + 1e-6)
+    if status == "converged" and not success:
+        status = "unsafe"  # the optimizer settled, but on a trajectory that fails the audit
     report = OptimizationReport(
         iterations=iterations,
         final_cost=final_cost,

@@ -310,10 +310,13 @@ def test_plan_dynamic_scene_renders_three_snapshots(tmp_path):
 
 def test_plan_reports_infeasible_limits_as_data_not_failure():
     # 9 units in 0.6 s forces a mean speed of 15 > v_max, so no junction
-    # adjustment can succeed; the run is still exit 0 with success false
+    # adjustment can succeed; the run is still exit 0 with success false,
+    # stops before optimizing and reports the straight-line guess
     code, out, _ = run_cli(["plan", BLOCKING, "--start", "0,0",
                             "--goal", "9,0", "--total-time", "0.6"])
     assert code == 0
     report = json.loads(out)
     assert report["success"] is False
+    assert report["status"] == "infeasible-limits"
+    assert report["iterations"] == 0
     assert report["max_speed"] > 8.0

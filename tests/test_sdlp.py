@@ -1,10 +1,15 @@
 """Randomized low-dimensional LP solver against the enumeration oracle."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 
+from minscale.cli import _bench_instance
 from minscale.errors import InvalidArgumentError, InvalidStateError
 from minscale.oracle import solve_lp_enumeration
+from minscale.scale import ConvexSetH, ConvexSetV, hrep_scale_lp, vrep_scale_lp
 from minscale.sdlp import LowDimLP, LpStatus, SolverParams, active_set, solve
 
 
@@ -236,3 +241,74 @@ def test_unconstrained_nonzero_objective_is_unbounded():
     sol = solve(LowDimLP(3, np.array([0.0, 1.0, 0.0]), np.zeros((0, 3)),
                          np.zeros(0)))
     assert sol.status == LpStatus.UNBOUNDED
+
+
+# ----------------------------------------------------------- golden answers
+
+def _golden_lps():
+    """Seeded LPs on both sides of the 256-row array cut.
+
+    Random scale LPs, 2000-point clouds, tied grid and duplicate-point
+    obstacles, ~300-halfspace H-rep LPs (some made infeasible), raw LPs of
+    255-257 rows (many infeasible) and one unbounded cloud query.
+    """
+    rng = np.random.default_rng(20240601)
+    lps = []
+    for dim in (3, 4):
+        for m in (100, 255, 256, 257, 1000, 10000):
+            lps.append(_bench_instance(rng, dim, m))
+        for m in (255, 256, 257):
+            for lift in (1.0, 1.0, 4.0, 4.0):
+                lps.append(LowDimLP(dim, rng.normal(size=dim), rng.normal(size=(m, dim)),
+                                    rng.normal(size=m) + lift))
+    for _ in range(6):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        cloud = rng.normal(size=(2000, 3)) * [1.0, 0.7, 0.5] + direction * rng.uniform(0.0, 5.0)
+        lps.append(vrep_scale_lp(ConvexSetV(rng.normal(size=(8, 3)) * 0.6), cloud))
+    far_seed = ConvexSetV(rng.normal(size=(8, 3)), seed=np.array([9.0, 0.0, 0.0]))
+    lps.append(vrep_scale_lp(far_seed, rng.normal(size=(400, 3)) + 4.0))
+    for n, side in ((2, 17), (3, 7)):
+        grid = np.array(list(itertools.product(np.linspace(-1.0, 1.0, side), repeat=n)))
+        body = ConvexSetV(np.array(list(itertools.product((-0.5, 0.5), repeat=n))))
+        for shift in (0.0, 1.0, 2.5):
+            offset = np.zeros(n)
+            offset[0] = shift
+            lps.append(vrep_scale_lp(body, grid + offset))
+            lps.append(vrep_scale_lp(body, np.repeat(grid[::3] + offset, 3, axis=0)))
+    for n in (2, 3):
+        for trial in range(4):
+            body_normals = rng.normal(size=(12, n))
+            body = ConvexSetH(body_normals / np.linalg.norm(body_normals, axis=1)[:, None],
+                              np.zeros(n))
+            obstacle = ConvexSetH(rng.normal(size=(300, n)), rng.normal(size=n) * 3.0)
+            problem = hrep_scale_lp(body, obstacle)
+            if trial % 2:
+                # pairs a.x <= b and a.x >= b + 1 leave no feasible point
+                a = problem.constraints_a.copy()
+                b = problem.constraints_b.copy()
+                for i, j in rng.choice(np.arange(12, a.shape[0]), size=(3, 2), replace=False):
+                    a[j] = -a[i]
+                    b[j] = -(b[i] + 1.0)
+                problem = LowDimLP(problem.dim, problem.objective, a, b)
+            lps.append(problem)
+    return lps
+
+
+# SHA-256 of every (status, value, basis, z bytes) the row-tuple recursion gave on _golden_lps
+GOLDEN_DIGEST = "f5ebc488b8bb2e0debe06e4588805bdd28274b35e9e51c993945bb034d840ac1"
+
+
+def test_lp_answers_match_the_golden_digest_across_the_array_cut():
+    digest = hashlib.sha256()
+    statuses = {}  # (status, at or above the cut) -> count
+    for i, problem in enumerate(_golden_lps()):
+        sol = solve(problem, SolverParams(rng_seed=i))
+        key = (sol.status, problem.m >= 256)
+        statuses[key] = statuses.get(key, 0) + 1
+        digest.update(repr((sol.status.value, sol.value, sol.active_basis)).encode())
+        digest.update(b"" if sol.z is None else sol.z.tobytes())
+    for status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE):
+        assert statuses.get((status, False)) and statuses.get((status, True)), statuses
+    assert statuses.get((LpStatus.UNBOUNDED, True)), statuses
+    assert digest.hexdigest() == GOLDEN_DIGEST

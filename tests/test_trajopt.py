@@ -382,6 +382,37 @@ def test_plan_validation():
         plan("scene", [0.0, 0.0], [9.0, 0.0])
 
 
+def test_plan_stops_at_once_when_only_the_acceleration_limit_is_impossible():
+    # 9 units from rest to rest in 3 s: the mean speed 3 is within v_max = 8,
+    # but even a bang-bang profile needs 4 D / T^2 = 4 > a_max = 2
+    traj, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=5,
+                        total_time=3.0)
+    assert report.status == "infeasible-limits"
+    assert report.iterations == 0
+    assert not report.success
+    assert report.max_speed <= 8.0  # the guess's speed is fine, its acceleration is not
+    assert report.max_accel > 4.0
+    assert np.all(traj.states[:, 1] == 0.0)  # the straight-line guess, unoptimized
+    # cruising through both ends needs no acceleration at all
+    empty = Scenario(body=BODY, bounds=MotionLimits(8.0, 2.0))
+    _, cruise = plan(empty, [0.0, 0.0, 3.0, 0.0], [9.0, 0.0, 3.0, 0.0], segments=3,
+                     total_time=3.0)
+    assert cruise.status == "converged" and cruise.success
+
+
+def test_a_plan_that_fails_its_audit_does_not_report_converged():
+    # the goal lies inside the box, so no trajectory can clear beta_min,
+    # however well the optimizer settles
+    box = ConvexSetV(np.array([[8.0, -1.0], [10.0, -1.0], [10.0, 1.0], [8.0, 1.0]]))
+    scene = Scenario(body=BODY, static_obstacles=(box,), bounds=MotionLimits(8.0, 2.0),
+                     beta_min=1.1)
+    for segments in (1, 3):
+        _, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=segments)
+        assert not report.success
+        assert report.min_beta == 0.0
+        assert report.status == "unsafe", report
+
+
 def test_plan_around_a_blocking_box():
     scene = blocking_scenario()
     traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
