@@ -9,23 +9,24 @@ dimension.
 
 Only the outermost level of the recursion ever sees all m rows: each level
 meets d * H_m violations in expectation (Seidel, DCG 1991), so the levels
-below it work on short random prefixes.  An LP with three or more
-variables and at least _ARRAY_ROWS rows therefore runs its outermost level
-on numpy arrays: the scan for the next violator goes in chunks and the
-prefix is eliminated by column arithmetic, with the elementwise operations
-of the scalar loop in the same order, so every answer is bit-identical.
-The sub-LP recurses on plain Python floats, through an unrolled
-three-variable level and the two- and one-variable base cases.
+below it work on short random prefixes.  An LP in four variables with at
+least _ARRAY_ROWS rows therefore runs its outermost level on numpy arrays:
+the scan for the next violator goes in chunks and the prefix is eliminated
+by column arithmetic, with the elementwise operations of the scalar loop in
+the same order, so every answer is bit-identical.  The sub-LP recurses on
+plain Python floats, through an unrolled three-variable level and the two-
+and one-variable base cases.
 
-The 256-row cut is where numpy starts to pay: each numpy call costs
-microseconds however few rows it touches.  Measured on scale LPs (2-core
-x86 host, Python 3.11, numpy 2.4), the scalar loop solved 4-variable LPs
-of 69-249 rows 5-20% faster than the array level did, and 3-variable LPs
-of 247 rows 30-40% faster; at 409 rows the array level was 1.6x faster in
-4 variables.  The inner levels stay scalar for the same reason: a
-prototype with numpy at every level was faster at m = 1e5 but slower at
-m = 1e2, flattening the log-log slope of solve time over m = 1e2..1e5 to
-0.59.
+Each numpy call costs microseconds however few rows it touches, so the
+array level pays only on long scans.  Measured on scale LPs (2-core x86
+host, Python 3.11, numpy 2.4), the scalar loop solved 4-variable LPs of
+69-249 rows 5-20% faster than the array level did, while at 409 rows the
+array level was 1.6x faster; hence the 256-row cut.  LPs in three
+variables stay scalar at every size: there the array level was 10-15%
+slower at 256 rows, even at 400 and only 15-20% faster at 1,000-10,000.
+The inner levels stay scalar for the same reason: a prototype with numpy
+at every level was faster at m = 1e5 but slower at m = 1e2, flattening the
+log-log slope of solve time over m = 1e2..1e5 to 0.59.
 
 Unboundedness is handled with a box |z_j| <= big_m around the origin.  A
 solution pressed against the box is re-solved with the box doubled; if the
@@ -53,8 +54,8 @@ _ZERO_ROW = 1e-30
 # they are decided by their right-hand side and dropped
 _CANCEL_EPS = 1e-12
 
-# LPs in three or more variables with at least this many rows run their
-# outermost Seidel level on arrays (see the module docstring)
+# LPs in four variables with at least this many rows run their outermost
+# Seidel level on arrays (see the module docstring)
 _ARRAY_ROWS = 256
 
 # first chunk of the array scan for the next violated row; chunks double
@@ -456,7 +457,7 @@ def _run(lp, params, big_m):
     b_o = lp.constraints_b[order]
     a_inf = np.abs(a_o).max(axis=1)
     c = lp.objective.tolist()
-    if lp.dim >= 3 and lp.m >= _ARRAY_ROWS:
+    if lp.dim == 4 and lp.m >= _ARRAY_ROWS:
         status, x, basis = _seidel_outer(c, a_o, b_o, order, a_inf, big_m, params.feas_eps)
     else:
         rows = list(zip(a_o.tolist(), b_o.tolist(), order.tolist(), a_inf.tolist()))
