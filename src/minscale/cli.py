@@ -308,9 +308,7 @@ def _fd_vector(body, points, pose):
     else:
         def beta_of(params):
             return min_scale_vrep(
-                body, points,
-                Pose3(Quaternion.from_array(params[3:]), params[:3],
-                      pose.rotation_center)).beta
+                body, points, Pose3(Quaternion.from_array(params[3:]), params[:3])).beta
         x0 = np.concatenate([pose.translation, pose.rotation.as_array()])
     return finite_diff(beta_of, x0)
 

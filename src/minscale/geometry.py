@@ -14,7 +14,7 @@ Conventions used throughout the package:
   components agree with the analytic formulas even off the unit sphere.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ class Quaternion:
     def as_array(self):
         return np.array([self.w, self.x, self.y, self.z])
 
-    def norm(self):
-        return float(np.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2))
-
     @staticmethod
     def identity():
         return Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -61,22 +58,14 @@ class Quaternion:
 
 @dataclass(frozen=True)
 class Pose3:
-    """Rigid placement of a 3D body: p_world = R(q) p_body + translation.
-
-    rotation_center is an optional offset subtracted from world points
-    before the rotation is undone (zero for bodies whose local frame is
-    centered where they rotate).
-    """
+    """Rigid placement of a 3D body: p_world = R(q) p_body + translation."""
 
     rotation: Quaternion
     translation: np.ndarray
-    rotation_center: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
         object.__setattr__(self, "translation",
                            _as_finite_array(self.translation, "translation", (3,)))
-        object.__setattr__(self, "rotation_center",
-                           _as_finite_array(self.rotation_center, "rotation_center", (3,)))
 
     @staticmethod
     def identity():
@@ -160,14 +149,14 @@ def _points_2d(points, dim, name):
 def world_to_body(points, pose):
     """Map world points into the body frame of a pose.
 
-    For Pose3 this solves R(q) p_body = p_world - t - c exactly, so the
+    For Pose3 this solves R(q) p_body = p_world - t exactly, so the
     transform is the true inverse of body_to_world for any finite
     quaternion.  Accepts a single point (n,) or a stack (k, n).
     """
     if isinstance(pose, Pose3):
         p, single = _points_2d(points, 3, "points")
         r = rotation_from_quaternion(pose.rotation)
-        shifted = p - pose.translation - pose.rotation_center
+        shifted = p - pose.translation
         try:
             out = np.linalg.solve(r, shifted.T).T
         except np.linalg.LinAlgError:
@@ -186,7 +175,7 @@ def body_to_world(points, pose):
     if isinstance(pose, Pose3):
         p, single = _points_2d(points, 3, "points")
         r = rotation_from_quaternion(pose.rotation)
-        out = p @ r.T + pose.translation + pose.rotation_center
+        out = p @ r.T + pose.translation
         return out[0] if single else out
     if isinstance(pose, Pose2):
         p, single = _points_2d(points, 2, "points")

@@ -23,7 +23,7 @@ onto the unit sphere is the caller's business.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -148,26 +148,33 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
                 f"{n + 1} rows with both sides represented)")
         return _system_from_rows(body, result, result.active_body,
                                  result.active_obstacle, obs_map)
-    pool_b = sorted(set(result.tight_body) | set(result.active_body))
-    pool_o = sorted(obs_map)
-    splits = [(kb, n + 1 - kb) for kb in range(n, 0, -1)]
-    candidates = []
-    for kb, ko in splits:
-        if len(pool_b) < kb or len(pool_o) < ko:
-            continue
-        for cb in combinations(pool_b, kb):
-            for co in combinations(pool_o, ko):
-                extra = (len(set(cb) - set(result.active_body))
-                         + len(set(co) - set(result.active_obstacle)))
-                candidates.append((extra, cb, co))
-    candidates.sort()
-    for _, cb, co in candidates:
-        try:
-            return _system_from_rows(body, result, cb, co, obs_map)
-        except (DegenerateActiveSetError, NumericalError, np.linalg.LinAlgError):
-            continue
+    # candidates in order of how many rows they take from outside the basis,
+    # each level sorted, so the search stops at the first level that works
+    in_b = sorted(result.active_body)
+    out_b = sorted(set(result.tight_body) - set(in_b))
+    in_o = sorted(result.active_obstacle)
+    out_o = sorted(set(obs_map) - set(in_o))
+    for extra in range(n + 2):
+        level = []
+        for kb in range(n, 0, -1):
+            ko = n + 1 - kb
+            for eb in range(max(0, extra - ko), min(kb, extra) + 1):
+                body_picks = _picks(in_b, out_b, kb, eb)
+                if body_picks:  # the obstacle side can be every point of a cloud
+                    level.extend(product(body_picks, _picks(in_o, out_o, ko, extra - eb)))
+        for cb, co in sorted(level):
+            try:
+                return _system_from_rows(body, result, cb, co, obs_map)
+            except (DegenerateActiveSetError, NumericalError, np.linalg.LinAlgError):
+                continue
     raise DegenerateActiveSetError(
         "no differentiable n+1 selection found among the tight constraints")
+
+
+def _picks(inside, outside, size, extra):
+    """Sorted index tuples of ``size`` rows, ``extra`` of them from ``outside``."""
+    return [tuple(sorted(a + b)) for a in combinations(inside, size - extra)
+            for b in combinations(outside, extra)]
 
 
 def grad_scale_se3(system, pose):

@@ -9,6 +9,9 @@ itself lies inside the obstacle.  Both representations reduce to a single
 LP in n+1 variables, solved by the incremental solver in `sdlp`.  For a 2D
 V-rep body, a private kernel evaluates the same scale in closed form for
 many poses at once; the planner uses it, and the LP is its reference.
+The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
+builds its gauge (as a body) and its hull (as an obstacle) on first use
+and keeps them, so every later query reuses one qhull run per set.
 
 Constraint rows are laid out body-first, then obstacle, then (V-rep only)
 an explicit -beta <= 0 row, so active-set indices map mechanically back to
@@ -16,7 +19,7 @@ input points and halfspaces; the gradient module relies on that layout.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -64,6 +67,16 @@ class ConvexSetV:
     @property
     def dim(self):
         return self.points.shape[1]
+
+    @cached_property
+    def _planar_gauge(self):
+        """This 2D set as a body of the planar kernel, built on first use."""
+        return _PlanarGauge(self)
+
+    @cached_property
+    def _planar_hull(self):
+        """This 2D set as an obstacle of the planar kernel, built on first use."""
+        return _PlanarHull.of(self.points)
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,34 @@ def vrep_scale_lp(body, obstacle_points):
     return LowDimLP(n + 1, c, a, b)
 
 
+def _scale_result(lp, sol, params, kb, end, beta, points=None):
+    """The ScaleResult of an optimal scale LP.
+
+    Rows [0, kb) are body rows and rows [kb, end) obstacle rows.  ``points``,
+    the body-frame obstacle points of a V-rep LP, fill the coordinate fields.
+    """
+    n = lp.dim - 1
+    basis = sol.active_basis
+    tight = active_set(lp, sol, params)
+    active_body = tuple(i for i in basis if i < kb)
+    active_obstacle = tuple(i - kb for i in basis if kb <= i < end)
+    tight_obstacle = tuple(i - kb for i in tight if kb <= i < end)
+    coordinates = {} if points is None else {
+        "active_obstacle_points_body": _read_only(points[list(active_obstacle)]),
+        "tight_obstacle_points_body": _read_only(points[list(tight_obstacle)])}
+    return ScaleResult(
+        beta=max(0.0, float(beta)),
+        certificate=_read_only(sol.z[:n]),
+        active_body=active_body,
+        active_obstacle=active_obstacle,
+        degenerate=(len(tight) != n + 1 or len(basis) != n + 1
+                    or len(active_body) + len(active_obstacle) != n + 1),
+        tight_body=tuple(i for i in tight if i < kb),
+        tight_obstacle=tight_obstacle,
+        **coordinates,
+    )
+
+
 def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     """Minimum scale of a V-rep body against obstacle points in the body frame."""
     if params is None:
@@ -215,27 +256,8 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
             "no finite scale: the seed is not strictly inside the body hull")
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalError("scale LP reported infeasible, yet it is feasible at zero")
-    n = body.dim
     kb = body.points.shape[0]
-    beta_row = kb + pts.shape[0]
-    basis = list(sol.active_basis)
-    tight = active_set(lp, sol, params)
-    active_body = tuple(i for i in basis if i < kb)
-    active_obstacle = tuple(i - kb for i in basis if kb <= i < beta_row)
-    tight_obstacle = tuple(i - kb for i in tight if kb <= i < beta_row)
-    degenerate = (len(tight) != n + 1 or len(basis) != n + 1
-                  or len(active_body) + len(active_obstacle) != n + 1)
-    return ScaleResult(
-        beta=max(0.0, float(sol.value)),
-        certificate=_read_only(sol.z[:n]),
-        active_body=active_body,
-        active_obstacle=active_obstacle,
-        degenerate=degenerate,
-        tight_body=tuple(i for i in tight if i < kb),
-        tight_obstacle=tight_obstacle,
-        active_obstacle_points_body=_read_only(pts[list(active_obstacle)]),
-        tight_obstacle_points_body=_read_only(pts[list(tight_obstacle)]),
-    )
+    return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
 
 
 def min_scale_vrep(body, obstacle_world, pose, params=None):
@@ -285,9 +307,12 @@ class _PlanarHull:
 
     ``points`` are the hull vertices in counter-clockwise order and
     ``starts``/``ends`` index its edges; ``normals``/``offsets`` are the
-    outward facets (n . x <= b inside).  A flat hull (one point, or all
-    points collinear) keeps every point, pairs them all as edges and has no
-    facets.
+    outward facets (n . x <= b inside).  A flat hull has no facets: when
+    all points are collinear it is the segment between the two extremes
+    along the widest axis (in input order), one edge; when they coincide
+    it is one point and no edge.  Points that lie on the hull but are not
+    its vertices are dropped, so the kernel's ties are ties among hull
+    vertices, where the LP also counts those points.
     """
 
     points: np.ndarray
@@ -301,9 +326,10 @@ class _PlanarHull:
         try:
             hull = ConvexHull(points)
         except (QhullError, ValueError):
-            pairs = np.array(list(combinations(range(len(points)), 2)),
-                             dtype=int).reshape(-1, 2)
-            return cls(points, pairs[:, 0], pairs[:, 1])
+            axis = int((points.max(axis=0) - points.min(axis=0)).argmax())
+            ends = sorted({int(points[:, axis].argmin()), int(points[:, axis].argmax())})
+            edges = np.arange(len(ends) - 1)
+            return cls(points[ends], edges, edges + 1)
         k = len(hull.vertices)
         return cls(points[hull.vertices], np.arange(k), np.roll(np.arange(k), -1),
                    hull.equations[:, :2], -hull.equations[:, 2])
@@ -399,22 +425,7 @@ def min_scale_hrep(body, obstacle, params=None):
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
             "scale unbounded below: body halfspaces leave a recession direction")
-    n = body.dim
-    kb = body.normals.shape[0]
-    basis = list(sol.active_basis)
-    tight = active_set(lp, sol, params)
-    active_body = tuple(i for i in basis if i < kb)
-    active_obstacle = tuple(i - kb for i in basis if i >= kb)
-    degenerate = len(tight) != n + 1 or len(basis) != n + 1
-    return ScaleResult(
-        beta=max(0.0, float(sol.z[n])),
-        certificate=_read_only(sol.z[:n]),
-        active_body=active_body,
-        active_obstacle=active_obstacle,
-        degenerate=degenerate,
-        tight_body=tuple(i for i in tight if i < kb),
-        tight_obstacle=tuple(i - kb for i in tight if i >= kb),
-    )
+    return _scale_result(lp, sol, params, body.normals.shape[0], lp.m, sol.z[body.dim])
 
 
 def is_colliding(result, threshold=1.0):

@@ -26,8 +26,7 @@ from .errors import InvalidArgumentError
 from .geometry import Pose2
 from .gradient import (_grad_scale_se2_batch, assemble_active_system, grad_scale_se2,
                        grad_scale_time)
-from .scale import (ConvexSetV, _PlanarGauge, _PlanarHull, _planar_scale, _read_only,
-                    min_scale_vrep)
+from .scale import ConvexSetV, _planar_scale, _read_only, min_scale_vrep
 
 
 @lru_cache(maxsize=128)
@@ -142,6 +141,13 @@ def eval_trajectory(traj, tau):
     return tuple(x[0] for x in values)
 
 
+def _count(value, name, least):
+    """An integer argument (int or numpy integer) of at least ``least``, as an int."""
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def heading_from_velocity(velocity, eps=1e-3):
     """Velocity-aligned heading and its regularized velocity Jacobian.
 
@@ -177,7 +183,9 @@ class Scenario:
 
     ``moving_obstacles`` holds ``(ConvexSetV, velocity)`` pairs; each
     obstacle translates at its constant velocity, so its vertex positions at
-    time tau are ``points + tau * velocity``.
+    time tau are ``points + tau * velocity``.  With any obstacle present the
+    body must have a full-dimensional hull with its seed strictly inside,
+    or construction raises DegenerateBodyError.
     """
 
     body: ConvexSetV
@@ -210,6 +218,8 @@ class Scenario:
             raise InvalidArgumentError("bounds must be a MotionLimits")
         if not (np.isfinite(self.beta_min) and self.beta_min >= 1.0):
             raise InvalidArgumentError("beta_min must be >= 1")
+        if statics or moving:
+            self.body._planar_gauge  # built here so that a body the kernel rejects fails now
         object.__setattr__(self, "static_obstacles", statics)
         object.__setattr__(self, "moving_obstacles", tuple(moving))
         object.__setattr__(self, "beta_min", float(self.beta_min))
@@ -245,16 +255,14 @@ class CostConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value >= 0):
                 raise InvalidArgumentError(f"{name} must be >= 0 and finite")
-        if not (isinstance(self.samples_per_segment, (int, np.integer))
-                and self.samples_per_segment >= 2):
-            raise InvalidArgumentError("samples_per_segment must be an integer >= 2")
+        count = _count(self.samples_per_segment, "samples_per_segment", 2)
         if not (np.isfinite(self.heading_eps) and self.heading_eps > 0):
             raise InvalidArgumentError("heading_eps must be positive")
         if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0):
             raise InvalidArgumentError("safety_margin must be >= 0")
         if not (np.isfinite(self.limit_margin) and 0 <= self.limit_margin < 1):
             raise InvalidArgumentError("limit_margin must lie in [0, 1)")
-        object.__setattr__(self, "samples_per_segment", int(self.samples_per_segment))
+        object.__setattr__(self, "samples_per_segment", count)
 
 
 @dataclass(frozen=True)
@@ -264,7 +272,10 @@ class OptimizationReport:
     ``degenerate_samples`` counts the (audit sample, obstacle) pairs whose
     scale is degenerate: beta is 0, or a second candidate of the planar
     kernel lies within ``SolverParams().act_eps * max(1, beta)`` of the
-    minimum, so the scale has a kink there.
+    minimum, so the scale has a kink there.  The candidates are the
+    obstacle's hull vertices and edges, so input points that lie on a hull
+    edge without being vertices, which the LP would count as tied at a
+    contact on that edge, do not count.
 
     ``status`` says why the run stopped: ``"converged"`` only when the
     result also passes the audit (``success``), ``"unsafe"`` when the
@@ -289,19 +300,6 @@ def _obstacle_pairs(scenario):
     """Every obstacle with its velocity, static ones first at zero velocity."""
     still = np.zeros(2)
     return [(obs, still) for obs in scenario.static_obstacles] + list(scenario.moving_obstacles)
-
-
-def _obstacle_table(scenario):
-    """The body's planar gauge and each obstacle's (hull, velocity).
-
-    Built once per plan.  Without obstacles the table is empty and the body
-    goes unchecked, since nothing will measure its scale.
-    """
-    pairs = _obstacle_pairs(scenario)
-    if not pairs:
-        return None, ()
-    return (_PlanarGauge(scenario.body),
-            tuple((_PlanarHull.of(obs.points), vel) for obs, vel in pairs))
 
 
 def _jerk_energy(coeffs, t):
@@ -338,27 +336,28 @@ def _nodes(traj, samples, extra_times=None):
     return seg, t_loc, w_quad
 
 
-def _scales(table, tau, p, v):
+def _scales(scenario, tau, p, v):
     """Scale of every obstacle at every node, posed along the velocity.
 
     Yields ``(hull, origin, cos, sin, beta, alpha, contact, degenerate)`` per
-    obstacle: ``origin`` is the body position in the obstacle's time-zero
-    frame, ``cos``/``sin`` are those of the heading, and the rest is
-    :func:`_planar_scale`'s result.
+    obstacle: ``hull`` is the obstacle's cached planar hull, ``origin`` the
+    body position in the obstacle's time-zero frame, ``cos``/``sin`` those
+    of the heading, and the rest is :func:`_planar_scale`'s result.
     """
-    gauge, rows = table
     theta = np.arctan2(v[:, 1], v[:, 0])
     cos, sin = np.cos(theta), np.sin(theta)
-    for hull, vel in rows:
+    for obs, vel in _obstacle_pairs(scenario):
+        hull = obs._planar_hull
         origin = p - tau[:, None] * vel
-        yield (hull, origin, cos, sin) + _planar_scale(gauge, hull, cos, sin, origin)
+        yield (hull, origin, cos, sin) + _planar_scale(
+            scenario.body._planar_gauge, hull, cos, sin, origin)
 
 
-def _min_scales(table, tau, p, v):
+def _min_scales(scenario, tau, p, v):
     """Smallest scale over the obstacles at each node, and the degenerate pair count."""
     here = np.full(len(tau), np.inf)
     degenerate = 0
-    for *_, beta, _, _, deg in _scales(table, tau, p, v):
+    for *_, beta, _, _, deg in _scales(scenario, tau, p, v):
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
     return here, degenerate
@@ -368,10 +367,10 @@ def _scale_at(traj, scenario, taus):
     """Smallest scale over the obstacles at each absolute time in ``taus``."""
     taus = np.asarray(taus, dtype=float)
     p, v, _, _ = _spline(traj, *_locate(traj, taus))
-    return _min_scales(_obstacle_table(scenario), taus, p, v)[0]
+    return _min_scales(scenario, taus, p, v)[0]
 
 
-def _cost_terms(traj, scenario, config, extra_times=None, table=None):
+def _cost_terms(traj, scenario, config, extra_times=None):
     """Sampled objective and its gradient w.r.t. every junction state.
 
     Returns ``(cost, grad)`` where ``grad`` has one row per junction
@@ -379,8 +378,7 @@ def _cost_terms(traj, scenario, config, extra_times=None, table=None):
     may hold one array of local times per segment; each adds a penalty node
     at full interior weight on top of the uniform grid, which lets a caller
     pin down moments the grid is too coarse to see without refining every
-    segment.  ``table`` is the scenario's :func:`_obstacle_table`, built
-    here when not given.
+    segment.
     """
     k = traj.segment_count
     g_coeff = np.zeros((k, 2, 6))
@@ -408,13 +406,12 @@ def _cost_terms(traj, scenario, config, extra_times=None, table=None):
                 d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
 
         if need_safety:
-            table = _obstacle_table(scenario) if table is None else table
             threshold = scenario.beta_min
             tau = traj.knots[seg] + t_loc
             d_theta_d_v = np.stack([-v[:, 1], v[:, 0]], axis=1) / (
                 (v * v).sum(axis=1) + config.heading_eps ** 2)[:, None]
-            gauge = table[0]
-            for hull, origin, cos, sin, beta, alpha, contact, _ in _scales(table, tau, p, v):
+            gauge = scenario.body._planar_gauge
+            for hull, origin, cos, sin, beta, alpha, contact, _ in _scales(scenario, tau, p, v):
                 hinge = threshold - beta
                 swallowed = (beta <= 0.0) & (hull.normals is not None)
                 touched = (hinge > 0.0) & ~swallowed
@@ -567,18 +564,15 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         raise InvalidArgumentError("x0 must contain at least one variable")
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("x0 contains non-finite values")
-    if int(memory) < 1:
-        raise InvalidArgumentError("memory must be at least 1")
-    if int(max_iterations) < 1:
-        raise InvalidArgumentError("max_iterations must be at least 1")
-    memory = int(memory)
+    memory = _count(memory, "memory", 1)
+    max_iterations = _count(max_iterations, "max_iterations", 1)
     f, g = _evaluated(objective, x)
     if not np.isfinite(f):
         raise InvalidArgumentError("objective is not finite at x0")
     s_list, y_list, rho_list = [], [], []
     status = "max-iterations"
     iterations = 0
-    for _ in range(int(max_iterations)):
+    for _ in range(max_iterations):
         if np.linalg.norm(g) <= grad_tolerance * max(1.0, float(np.linalg.norm(x))):
             status = "converged"
             break
@@ -682,28 +676,24 @@ def _audit_samples(traj, scenario, config):
     speed = scenario.bounds.v_max
     for _, velocity in scenario.moving_obstacles:
         speed = max(speed, scenario.bounds.v_max + float(np.linalg.norm(velocity)))
-    if extent <= 0.0 or speed <= 0.0:
-        return config.samples_per_segment
     needed = math.ceil(float(traj.durations.max()) * speed / (0.25 * extent))
     return int(np.clip(needed, config.samples_per_segment, 4096))
 
 
-def _audit_trajectory(traj, scenario, samples, dip_threshold=None, table=None):
+def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
     """Sampled extremes plus, on request, the deepest time of every scale dip.
 
     Returns ``(min_beta, max_speed, max_accel, degenerate, dips)``.  When
     ``dip_threshold`` is given, ``dips`` holds one list per segment with the
     local time of the deepest sample of each maximal run of consecutive
-    samples whose scale sits below the threshold.  ``table`` is the
-    scenario's :func:`_obstacle_table`, built here when not given.
+    samples whose scale sits below the threshold.
     """
     seg, t_loc, _ = _nodes(traj, samples)
     p, v, a, _ = _spline(traj, seg, t_loc)
     max_speed = float(np.sqrt((v * v).sum(axis=1)).max())
     max_accel = float(np.sqrt((a * a).sum(axis=1)).max())
     dips = [[] for _ in range(traj.segment_count)]
-    table = _obstacle_table(scenario) if table is None else table
-    here, degenerate = _min_scales(table, traj.knots[seg] + t_loc, p, v)
+    here, degenerate = _min_scales(scenario, traj.knots[seg] + t_loc, p, v)
     if dip_threshold is not None:
         grid = (x.reshape(traj.segment_count, samples + 1) for x in (here, t_loc))
         for (row, t_row), dips_k in zip(zip(*grid), dips):
@@ -740,9 +730,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     config = CostConfig() if config is None else config
     if not isinstance(config, CostConfig):
         raise InvalidArgumentError("config must be a CostConfig")
-    segments = int(segments)
-    if segments < 1:
-        raise InvalidArgumentError("segments must be at least 1")
+    segments = _count(segments, "segments", 1)
     s0 = _full_state(start)
     s1 = _full_state(goal)
     distance = float(np.linalg.norm(s1[:2] - s0[:2]))
@@ -768,7 +756,6 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                             scenario.bounds.a_max * (1.0 - config.limit_margin)),
     )
 
-    table = _obstacle_table(scenario)
     states = init_states
     iterations = 0
     extras = [np.empty(0) for _ in range(segments)]
@@ -780,7 +767,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     while True:
         if segments == 1 or beyond_limits:
             traj = PiecewiseTrajectory(states, durations)
-            cost, _ = _cost_terms(traj, optimize_scenario, config, table=table)
+            cost, _ = _cost_terms(traj, optimize_scenario, config)
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
         else:
@@ -788,7 +775,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
                 candidate = PiecewiseTrajectory(xs, durations)
                 cost, grad = _cost_terms(candidate, optimize_scenario, config,
-                                         extra_times=extras, table=table)
+                                         extra_times=extras)
                 return cost, grad[1:-1].ravel()
 
             x_best, inner = lbfgs_minimize(objective, states[1:-1].ravel(),
@@ -805,11 +792,11 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         target = scenario.beta_min + 0.4 * config.safety_margin
         min_beta, max_speed, max_accel, degenerate, dips = _audit_trajectory(
             traj, scenario, audit,
-            dip_threshold=scenario.beta_min + 0.5 * config.safety_margin, table=table)
+            dip_threshold=scenario.beta_min + 0.5 * config.safety_margin)
         rounds += 1
         if (min_beta >= target - 1e-6 or segments == 1 or status != "converged" or rounds >= 6):
             break
-        if (_audit_trajectory(traj, scenario, config.samples_per_segment, table=table)[0]
+        if (_audit_trajectory(traj, scenario, config.samples_per_segment)[0]
                 < scenario.beta_min - 1e-6):
             break  # the cost grid itself is blocked; more nodes will not help
         guard = 0.5 * float(traj.durations.min()) / audit

@@ -97,14 +97,6 @@ def test_single_point_and_stack_shapes_agree():
     assert np.allclose(stacked[0], single)
 
 
-def test_rotation_center_offsets_the_inverse_transform():
-    center = np.array([0.1, -0.2, 0.4])
-    pose = Pose3(Quaternion.identity(), np.array([1.0, 0.0, 0.0]), center)
-    p = np.array([2.0, 1.0, 1.0])
-    assert np.allclose(world_to_body(p, pose), p - pose.translation - center)
-    assert np.allclose(body_to_world(world_to_body(p, pose), pose), p)
-
-
 def test_centroid_is_the_mean():
     points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
     assert np.allclose(centroid(points), [1.0, 1.0])

@@ -1,13 +1,16 @@
 """Analytic pose gradients of the scale against central differences."""
 
+import time
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from minscale.errors import (DegenerateActiveSetError, InvalidArgumentError,
+from minscale.errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
                              SubgradientOnlyError)
 from minscale.geometry import (Pose2, Pose3, Quaternion, rotation2,
                                rotation_from_quaternion)
-from minscale.gradient import (assemble_active_system, grad_scale_se2,
+from minscale.gradient import (_system_from_rows, assemble_active_system, grad_scale_se2,
                                grad_scale_se3, grad_scale_time)
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep
 from minscale.sdlp import SolverParams
@@ -148,12 +151,89 @@ def test_degenerate_results_require_opting_into_subgradients():
     assert np.isfinite(grad.d_beta_d_theta)
 
 
+def exhaustive_selection(body, result):
+    """Body and obstacle rows of the first n+1 selection that assembles, from
+    every candidate sorted by (rows outside the basis, body rows, obstacle rows)."""
+    n = body.dim
+    obs_map = dict(zip(result.active_obstacle, result.active_obstacle_points_body))
+    obs_map.update(zip(result.tight_obstacle, result.tight_obstacle_points_body))
+    pool_b = sorted(set(result.tight_body) | set(result.active_body))
+    candidates = sorted(
+        (len(set(cb) - set(result.active_body)) + len(set(co) - set(result.active_obstacle)),
+         cb, co)
+        for kb in range(1, n + 1)
+        for cb in combinations(pool_b, kb) for co in combinations(sorted(obs_map), n + 1 - kb))
+    for _, cb, co in candidates:
+        try:
+            _system_from_rows(body, result, cb, co, obs_map)
+        except (DegenerateActiveSetError, NumericalError, np.linalg.LinAlgError):
+            continue
+        return body.points[list(cb)], np.array([obs_map[j] for j in co])
+    return None
+
+
+def test_subgradient_search_selects_the_first_working_rows_of_the_full_order():
+    cube = ConvexSetV(box_corners([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(3))
+    ys = np.linspace(-0.6, 0.8, 3)
+    cases = [
+        (cube, np.array([[3.0, y, z] for y in ys for z in ys]), Pose3.identity()),
+        (cube, np.array([[2.0, t, t] for t in (-0.7, -0.2, 0.4, 0.9)]), Pose3.identity()),
+        (cube, np.array([[3.0, 3.0, 0.0], [3.0, 3.0, 0.0], [3.0, 3.0, 1.0]]), Pose3.identity()),
+        (SQUARE, box_corners([4.0, 0.0], [1.0, 1.0]), Pose2.identity()),
+        (SQUARE, np.array([[3.0, -0.4], [3.0, 0.7], [3.0, 0.0]]), Pose2.identity()),
+        (SQUARE, np.array([[2.5, 2.5], [2.5, -2.5], [3.5, 0.0]]), Pose2.identity()),
+        (SQUARE, box_corners([2.5, 0.0], [0.5, 0.5]), Pose2(0.0, np.array([0.0, 0.2]))),
+    ]
+    past_the_basis = 0
+    for body, obstacle, pose in cases:
+        result = min_scale_vrep(body, obstacle, pose)
+        assert result.degenerate
+        system = assemble_active_system(body, result, pose, allow_subgradient=True)
+        body_rows, obstacle_rows = exhaustive_selection(body, result)
+        assert np.array_equal(system.body_points, body_rows)
+        assert np.array_equal(system.obstacle_points_body, obstacle_rows)
+        past_the_basis += not np.array_equal(body_rows, body.points[list(result.active_body)])
+    assert past_the_basis > 0
+
+
+@pytest.mark.parametrize("side", [10, 14])
+def test_subgradient_search_on_a_face_to_grid_contact_is_fast(side):
+    # 4 tight body corners against 100 or 196 tight grid points; the full
+    # candidate list would hold 4 * C(k, 3) selections
+    cube = ConvexSetV(box_corners([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(3))
+    ys = np.linspace(-0.5, 0.5, side)
+    grid = np.array([[3.0, y, z] for y in ys for z in ys])
+    pose = Pose3.identity()
+    result = min_scale_vrep(cube, grid, pose)
+    assert len(result.tight_body) == 4 and len(result.tight_obstacle) == side * side
+    start = time.perf_counter()
+    system = assemble_active_system(cube, result, pose, allow_subgradient=True)
+    assert time.perf_counter() - start < 0.5
+    # the solver basis is a (2, 2) split that assembles, so it heads the order
+    assert system.split == (2, 2)
+    assert np.array_equal(system.body_points, cube.points[list(result.active_body)])
+    assert np.array_equal(system.obstacle_points_body, grid[list(result.active_obstacle)])
+
+
 def test_seed_inside_obstacle_has_no_differentiable_selection():
     pose = Pose2.identity()
     result = min_scale_vrep(SQUARE, box_corners([0.0, 0.0], [0.2, 0.2]), pose)
     assert result.beta == 0.0
     with pytest.raises(DegenerateActiveSetError):
         assemble_active_system(SQUARE, result, pose, allow_subgradient=True)
+
+
+def test_seed_inside_a_cloud_fails_at_once():
+    # every cloud row is tight at beta = 0 and no body row is, so no split
+    # exists; the search must not build the C(200, 3) obstacle picks first
+    rng = np.random.default_rng(1)
+    body = ConvexSetV(rng.normal(size=(10, 3)) * 0.6)
+    result = min_scale_vrep(body, rng.normal(size=(200, 3)), Pose3.identity())
+    assert result.beta == 0.0 and len(result.tight_obstacle) == 200
+    start = time.perf_counter()
+    with pytest.raises(DegenerateActiveSetError):
+        assemble_active_system(body, result, Pose3.identity(), allow_subgradient=True)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_assemble_validates_inputs():

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 from minscale.errors import DegenerateBodyError
 from minscale.geometry import Pose2, world_to_body
 from minscale.gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_se2
-from minscale.oracle import min_scale_bisection
-from minscale.scale import (ConvexSetV, _PlanarGauge, _PlanarHull, _planar_scale,
-                            min_scale_vrep)
+from minscale.oracle import finite_diff, min_scale_bisection
+from minscale.scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 from support import random_body
 
@@ -31,13 +30,13 @@ def kernel(body, obstacle, pose, shift=None):
     """Kernel scale, gradient (t, theta) and degenerate flag for one pose.
 
     ``shift`` moves the obstacle by that vector, the way the planner
-    advances a moving obstacle: through the pose's origin.
+    advances a moving obstacle: through the pose's origin.  Body and
+    obstacle are prepared the way the planner reads them, on the sets.
     """
     c, s = np.array([math.cos(pose.heading)]), np.array([math.sin(pose.heading)])
     origin = pose.translation if shift is None else pose.translation - shift
     beta, alpha, contact, degenerate = _planar_scale(
-        _PlanarGauge(body), _PlanarHull.of(np.asarray(obstacle, dtype=float)),
-        c, s, origin[None, :])
+        body._planar_gauge, ConvexSetV(obstacle)._planar_hull, c, s, origin[None, :])
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, c, s)
     return float(beta[0]), np.append(d_t[0], d_theta[0]), bool(degenerate[0])
 
@@ -124,6 +123,38 @@ def test_single_and_two_point_obstacles():
     assert kernel(SQUARE, [[-1.0, -1.0], [2.0, 2.0]], Pose2(0.0, np.zeros(2)))[0] == 0.0
 
 
+def test_a_flat_wall_is_one_segment():
+    rng = np.random.default_rng(21)
+    along = rng.permutation(np.linspace(-3.0, 3.0, 150))
+    wall = ConvexSetV(along[:, None] * np.array([0.6, 0.8]) + [4.0, -1.0])
+    hull = wall._planar_hull
+    assert hull is wall._planar_hull  # prepared once, on the set
+    assert len(hull.starts) == 1 and hull.normals is None
+    assert np.array_equal(hull.points, wall.points[sorted([along.argmin(), along.argmax()])])
+    interior_ties = 0
+    for _ in range(30):
+        body = random_body(rng, 2)
+        pose = Pose2(rng.uniform(-math.pi, math.pi), rng.normal(size=2))
+        beta, grad, degenerate = kernel(body, wall.points, pose)
+        result = min_scale_vrep(body, wall.points, pose)
+        assert abs(beta - result.beta) <= BETA_RTOL * max(1.0, result.beta)
+        # the LP ties the collinear points around an interior contact; the kernel
+        # counts ties among hull vertices only
+        interior_ties += result.degenerate and not degenerate
+        if not degenerate:
+            numeric = finite_diff(
+                lambda x: min_scale_vrep(body, wall.points, Pose2(x[2], x[:2])).beta,
+                np.append(pose.translation, pose.heading))
+            assert np.abs(grad - numeric).max() <= 1e-6 * max(1.0, np.abs(numeric).max())
+    assert interior_ties > 0
+    # coincident points are one point and no edge
+    dot = ConvexSetV(np.tile([2.0, 1.0], (5, 1)))
+    assert dot._planar_hull.points.shape == (1, 2) and len(dot._planar_hull.starts) == 0
+    pose = Pose2(0.3, np.zeros(2))
+    assert kernel(SQUARE, dot.points, pose)[0] == pytest.approx(
+        min_scale_vrep(SQUARE, dot.points, pose).beta, rel=BETA_RTOL)
+
+
 def test_moving_obstacle_shift_matches_the_shifted_points():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -139,6 +170,6 @@ def test_moving_obstacle_shift_matches_the_shifted_points():
 ])
 def test_the_seed_must_be_strictly_inside_the_body(body):
     with pytest.raises(DegenerateBodyError):
-        _PlanarGauge(body)
+        body._planar_gauge
     with pytest.raises(DegenerateBodyError):
         min_scale_vrep(body, np.array([[5.0, 0.0]]), Pose2(0.0, np.zeros(2)))

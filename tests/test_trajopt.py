@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from minscale.errors import InvalidArgumentError
+from minscale.errors import DegenerateBodyError, InvalidArgumentError
 from minscale.geometry import Pose2
 from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
@@ -151,6 +151,27 @@ def test_scenario_validation():
     for index in (0.9, -0.5, -1, 2, "0"):
         with pytest.raises(InvalidArgumentError):
             scale_time_rate(traj, SCENE, 1.0, obstacle_index=index)
+    empty = Scenario(body=BODY)
+    for count in (2.5, "3", math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError):
+            plan(empty, [0.0, 0.0], [9.0, 0.0], segments=count)
+    assert plan(empty, [0.0, 0.0], [9.0, 0.0], segments=np.int64(2))[0].segment_count == 2
+
+
+def test_a_body_the_kernel_rejects_fails_at_construction():
+    flat = ConvexSetV(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    with pytest.raises(DegenerateBodyError):
+        Scenario(body=flat, static_obstacles=(BOX,))
+    with pytest.raises(DegenerateBodyError):
+        Scenario(body=flat, moving_obstacles=((TRI, (-0.4, -0.5)),))
+
+
+def test_a_flat_body_without_obstacles_still_plans():
+    traj, report = plan(Scenario(body=ConvexSetV(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))),
+                        [0.0, 0.0], [9.0, 0.0], segments=3)
+    assert report.success
+    assert math.isinf(report.min_beta)
+    assert np.max(np.abs(traj.states[:, 1])) < 1e-6
 
 
 def test_far_trajectory_has_zero_safety_cost_and_gradient():
@@ -342,6 +363,20 @@ def test_lbfgs_rosenbrock():
 
     x, _ = lbfgs_minimize(rosen, np.array([-1.2, 1.0]))
     assert np.linalg.norm(x - 1.0) < 1e-5
+
+
+def test_lbfgs_counts_must_be_integers():
+    def bowl(x):
+        return float(x @ x), 2.0 * x
+
+    for value in (2.5, "3", math.nan, math.inf, 0):
+        with pytest.raises(InvalidArgumentError):
+            lbfgs_minimize(bowl, np.ones(2), memory=value)
+    for value in (1.5, "3", math.nan, math.inf, 0):
+        with pytest.raises(InvalidArgumentError):
+            lbfgs_minimize(bowl, np.ones(2), max_iterations=value)
+    _, report = lbfgs_minimize(bowl, np.ones(2), memory=np.int64(3), max_iterations=np.int32(1))
+    assert report.iterations == 1
 
 
 def test_lbfgs_accepted_costs_are_monotone():
