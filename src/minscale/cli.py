@@ -428,8 +428,6 @@ def cmd_plan(args):
         raise InvalidArgumentError("planning requires a dim-2 scene")
     start = _parse_floats(args.start, "--start", {2, 4, 6})
     goal = _parse_floats(args.goal, "--goal", {2, 4, 6})
-    if args.segments < 1:
-        raise InvalidArgumentError("--segments must be at least 1")
     scenario = _scene_scenario(scene)
     traj, report = plan(scenario, start, goal, segments=args.segments,
                         total_time=args.total_time)

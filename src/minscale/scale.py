@@ -13,6 +13,15 @@ The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
 builds its gauge (as a body) and its hull (as an obstacle) on first use
 and keeps them, so every later query reuses one qhull run per set.
 
+A V-rep query against more than _WORKING_POINTS obstacle points solves the
+LP on a working set: the body rows, the beta row and the obstacle points
+nearest the seed.  Leaving rows out relaxes the LP, so when no obstacle
+row is violated at the set's optimum that optimum solves the whole LP;
+otherwise the violated rows join the set and it is solved again (a
+cutting-plane loop in the manner of Clarkson, J. ACM 1995).  Interior
+points of a large cloud thus never reach the Seidel loop, with no hull
+built, and the tight rows are still read from the whole LP.
+
 Constraint rows are laid out body-first, then obstacle, then (V-rep only)
 an explicit -beta <= 0 row, so active-set indices map mechanically back to
 input points and halfspaces; the gradient module relies on that layout.
@@ -26,10 +35,13 @@ from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateBodyError, InvalidArgumentError, NumericalError
 from .geometry import centroid, world_to_body
-from .sdlp import LowDimLP, LpStatus, SolverParams, active_set, solve
+from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, active_set, solve
 
 # candidates of the planar kernel this close to the minimum count as a tie
 _TIE_EPS = SolverParams().act_eps
+
+# obstacle points in the first working set of a V-rep scale LP
+_WORKING_POINTS = 64
 
 
 def _read_only(a):
@@ -244,19 +256,58 @@ def _scale_result(lp, sol, params, kb, end, beta, points=None):
     )
 
 
+def _solve_on_working_set(lp, kb, params):
+    """Solve a V-rep scale LP with ``kb`` body rows on a working set of its rows.
+
+    The set's LP (every body row, the set's obstacle rows in input order,
+    the beta row) relaxes the whole one, so its optimum is the whole
+    optimum once every obstacle row passes the solver's own test
+    a . z <= feas_eps.  Only rows from outside the set join it, so the loop
+    ends even where numpy's dot product puts a row of the set a rounding
+    above that bound.  The basis comes back as rows of the whole LP.
+    """
+    ko = lp.m - kb - 1
+    if ko <= _WORKING_POINTS:
+        return solve(lp, params)
+    obstacle_rows = lp.constraints_a[kb:kb + ko]
+    rel = obstacle_rows[:, :-1]  # the seed minus each point
+    near = np.argpartition(np.einsum("ij,ij->i", rel, rel), _WORKING_POINTS)
+    inside = np.zeros(ko, dtype=bool)
+    inside[near[:_WORKING_POINTS]] = True
+    while True:
+        rows = np.concatenate([np.arange(kb), kb + np.flatnonzero(inside), [lp.m - 1]])
+        sol = solve(LowDimLP(lp.dim, lp.objective, lp.constraints_a[rows],
+                             lp.constraints_b[rows]), params)
+        if sol.status != LpStatus.OPTIMAL:
+            # unbounded on the set, as a seed on the body hull can make it,
+            # while the rows left out may still bound the whole LP
+            return solve(lp, params)
+        new = ~inside & (obstacle_rows @ sol.z > params.feas_eps)
+        if not new.any():
+            return LpSolution(sol.status, sol.z, sol.value, rows[sol.active_basis].tolist())
+        inside |= new
+
+
 def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
-    """Minimum scale of a V-rep body against obstacle points in the body frame."""
+    """Minimum scale of a V-rep body against obstacle points in the body frame.
+
+    With more than _WORKING_POINTS obstacle points the LP is solved on a
+    working set of the points nearest the seed, grown by the points its
+    optimum violates, until no point does (see _solve_on_working_set).
+    Up to that many points the set is the whole LP.  The tight rows are
+    always those of the whole LP at the optimum.
+    """
     if params is None:
         params = SolverParams()
     pts = _points_of(obstacle_points)
     lp = vrep_scale_lp(body, pts)
-    sol = solve(lp, params)
+    kb = body.points.shape[0]
+    sol = _solve_on_working_set(lp, kb, params)
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
             "no finite scale: the seed is not strictly inside the body hull")
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalError("scale LP reported infeasible, yet it is feasible at zero")
-    kb = body.points.shape[0]
     return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
 
 

@@ -209,6 +209,13 @@ def test_plan_requires_a_2d_scene(tmp_path):
     assert code == 2
 
 
+def test_plan_rejects_zero_segments_with_plans_own_message():
+    code, out, err = run_cli(["plan", BLOCKING, "--start", "0,0",
+                              "--goal", "9,0", "--segments", "0"])
+    assert code == 2 and out == ""
+    assert "segments must be an integer >= 1, got 0" in err
+
+
 # ---------------------------------------------------------------- round trip
 
 def test_shipped_scenes_round_trip_byte_identical():

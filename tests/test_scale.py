@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+import minscale.scale
 from minscale.errors import DegenerateBodyError, InvalidArgumentError
 from minscale.geometry import (Pose2, Pose3, Quaternion, rotation_from_quaternion,
                                world_to_body)
+from minscale.gradient import assemble_active_system
 from minscale.oracle import hulls_intersect, min_scale_bisection
-from minscale.scale import (ConvexSetH, ConvexSetV, hrep_scale_lp, is_colliding,
-                            min_scale_hrep, min_scale_vrep,
+from minscale.scale import (ConvexSetH, ConvexSetV, _scale_result, hrep_scale_lp,
+                            is_colliding, min_scale_hrep, min_scale_vrep,
                             min_scale_vrep_bodyframe, vrep_scale_lp)
-from minscale.sdlp import LpStatus, solve
+from minscale.sdlp import LpStatus, SolverParams, solve
 
 from support import box_corners, box_h, hull_h, random_body, random_pair, rotation_nd
 
@@ -311,3 +313,145 @@ def test_random_bodies_under_random_poses_match_pulled_back_query():
         pulled = min_scale_vrep_bodyframe(body, world_to_body(obstacle, pose))
         assert posed.beta == pulled.beta
         assert posed.active_obstacle == pulled.active_obstacle
+
+
+# -------------------------------------------------------------- working set
+
+def _whole_lp_result(body, pts, params=SolverParams()):
+    """The result of one solve over every row of the scale LP."""
+    lp = vrep_scale_lp(body, pts)
+    sol = solve(lp, params)
+    kb = body.points.shape[0]
+    return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
+
+
+def _ball_cloud(rng, dim, k):
+    directions = rng.normal(size=(k, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return directions * rng.random((k, 1)) ** (1.0 / dim)
+
+
+def _face_grid(dim, k):
+    """k points on the plane x = 3, facing the box body's x = 1 face."""
+    if dim == 2:
+        return np.column_stack([np.full(k, 3.0), np.linspace(-5.0, 5.0, k)])
+    side = int(np.ceil(np.sqrt(k)))
+    y, z = np.meshgrid(np.linspace(-4.0, 4.0, side), np.linspace(-3.0, 5.0, side))
+    return np.column_stack([np.full(side * side, 3.0), y.ravel(), z.ravel()])[:k]
+
+
+def _working_set_cases(rng):
+    """(body, obstacle points) pairs: clouds inside, near and separated, and tied grids."""
+    for dim in (2, 3):
+        box = ConvexSetV(box_corners(np.zeros(dim), np.ones(dim)), np.zeros(dim))
+        for k in (65, 300, 2000):
+            yield box, _face_grid(dim, k)
+            for offset in (0.3, 1.2, 4.0, 0.3, 1.2, 4.0):  # seed inside, overlapping, apart
+                # stretched bodies reach points far from the seed before near ones
+                body = ConvexSetV(random_body(rng, dim).points * rng.uniform(0.2, 3.0, dim))
+                direction = rng.normal(size=dim)
+                direction /= np.linalg.norm(direction)
+                yield body, _ball_cloud(rng, dim, k) + offset * direction
+
+
+def _counting_solves(monkeypatch, limit=50):
+    """Record the rows of every LP the scale module solves; fail past ``limit`` calls."""
+    calls = []
+
+    def counted(lp, params=None):
+        calls.append(lp.m)
+        assert len(calls) <= limit, "the working set keeps growing"
+        return solve(lp, params)
+
+    monkeypatch.setattr(minscale.scale, "solve", counted)
+    return calls
+
+
+def test_working_set_agrees_with_the_whole_lp(monkeypatch):
+    rng = np.random.default_rng(40)
+    calls = _counting_solves(monkeypatch)
+    rounds, regular = [], 0
+    for body, pts in _working_set_cases(rng):
+        del calls[:]
+        got = min_scale_vrep_bodyframe(body, pts)
+        rounds.append(len(calls))
+        ref = _whole_lp_result(body, pts)
+        assert abs(got.beta - ref.beta) <= 1e-12 * ref.beta
+        assert got.degenerate == ref.degenerate
+        assert got.tight_body == ref.tight_body
+        assert got.tight_obstacle == ref.tight_obstacle
+        if not ref.degenerate:
+            pose = Pose2.identity() if body.dim == 2 else Pose3.identity()
+            mine = assemble_active_system(body, got, pose)
+            whole = assemble_active_system(body, ref, pose)
+            assert np.array_equal(mine.alpha, whole.alpha)
+            assert np.array_equal(mine.contact, whole.contact)
+            regular += 1
+    assert regular >= 8
+    assert sum(n > 1 for n in rounds) >= 2  # some working sets had to grow
+
+
+def test_small_obstacles_solve_the_whole_lp_bit_for_bit():
+    rng = np.random.default_rng(41)
+    cases = [random_pair(rng, 2 + trial % 2) for trial in range(30)]
+    cases += [(ConvexSetV(box_corners(np.zeros(dim), np.ones(dim)), np.zeros(dim)),
+               _face_grid(dim, 64)) for dim in (2, 3)]
+    for body, pts in cases:
+        got = min_scale_vrep_bodyframe(body, pts)
+        ref = _whole_lp_result(body, pts)
+        for field in ("beta", "active_body", "active_obstacle", "degenerate",
+                      "tight_body", "tight_obstacle"):
+            assert getattr(got, field) == getattr(ref, field), field
+        for field in ("certificate", "active_obstacle_points_body",
+                      "tight_obstacle_points_body"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+
+
+def test_working_set_unbounded_falls_back_to_the_whole_lp():
+    # the seed lies on the cube's x = 1 face: the 80 points in front of that
+    # face, nearest the seed, leave the LP unbounded; those behind bound it
+    body = ConvexSetV(box_corners(np.zeros(3), np.ones(3)), np.array([1.0, 0.0, 0.0]))
+    rng = np.random.default_rng(42)
+    front = np.column_stack([rng.uniform(1.1, 1.5, 80), rng.uniform(-0.5, 0.5, (80, 2))])
+    behind = np.column_stack([rng.uniform(-3.0, -2.0, 120), rng.uniform(-2.0, 2.0, (120, 2))])
+    assert solve(vrep_scale_lp(body, front)).status == LpStatus.UNBOUNDED
+    pts = np.vstack([front, behind])
+    got = min_scale_vrep_bodyframe(body, pts)
+    ref = _whole_lp_result(body, pts)
+    assert got.beta == ref.beta == 0.0
+    assert got.degenerate and ref.degenerate
+    assert (got.active_obstacle, got.tight_obstacle) == (ref.active_obstacle, ref.tight_obstacle)
+
+
+def test_working_set_ends_when_numpy_flags_its_own_rows(monkeypatch):
+    # with feas_eps = 0 numpy's dot product can put a basis row of the set
+    # one rounding above zero; the set must not take it in again and loop
+    exact = SolverParams(feas_eps=0.0)
+    rng = np.random.default_rng(43)
+    calls = _counting_solves(monkeypatch)
+    flagged = 0
+    for _ in range(20):
+        del calls[:]
+        body = random_body(rng, 3)
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        pts = _ball_cloud(rng, 3, 2000) + rng.uniform(1.0, 3.0) * direction
+        got = min_scale_vrep_bodyframe(body, pts, exact)
+        ref = _whole_lp_result(body, pts, exact)
+        assert abs(got.beta - ref.beta) <= 1e-12 * ref.beta
+        z = np.concatenate([got.certificate, [got.beta]])
+        kb = body.points.shape[0]
+        rows = vrep_scale_lp(body, pts).constraints_a[kb:-1]
+        flagged += bool(np.any(rows[list(got.active_obstacle)] @ z > 0.0))
+    assert flagged  # the case the guard is for did occur
+
+
+def test_working_set_queries_repeat_bit_for_bit():
+    rng = np.random.default_rng(44)
+    body = random_body(rng, 3)
+    pts = _ball_cloud(rng, 3, 2000) + np.array([1.4, 0.3, -0.2])
+    first = min_scale_vrep_bodyframe(body, pts)
+    again = min_scale_vrep_bodyframe(body, pts.copy())
+    assert first.beta == again.beta
+    assert (first.active_body, first.active_obstacle) == (again.active_body, again.active_obstacle)
+    assert first.certificate.tobytes() == again.certificate.tobytes()
