@@ -18,9 +18,9 @@ LP on a working set: the body rows, the beta row and the obstacle points
 nearest the seed.  Leaving rows out relaxes the LP, so when no obstacle
 row is violated at the set's optimum that optimum solves the whole LP;
 otherwise the violated rows join the set and it is solved again (a
-cutting-plane loop in the manner of Clarkson, J. ACM 1995).  Interior
-points of a large cloud thus never reach the Seidel loop, with no hull
-built, and the tight rows are still read from the whole LP.
+cutting-plane loop in the manner of Clarkson, J. ACM 1995).  Most points
+of a large cloud thus never reach the Seidel loop, with no hull built,
+and the tight rows are still read from the whole LP.
 
 Constraint rows are laid out body-first, then obstacle, then (V-rep only)
 an explicit -beta <= 0 row, so active-set indices map mechanically back to
