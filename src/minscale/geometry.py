@@ -30,6 +30,13 @@ def _as_finite_array(x, name, shape=None):
     return a
 
 
+def _read_only(a):
+    """A frozen float copy of a, so no caller alias can change it later."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Quaternion:
     w: float
@@ -64,8 +71,8 @@ class Pose3:
     translation: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "translation",
-                           _as_finite_array(self.translation, "translation", (3,)))
+        object.__setattr__(self, "translation", _read_only(
+            _as_finite_array(self.translation, "translation", (3,))))
 
     @staticmethod
     def identity():
@@ -82,8 +89,8 @@ class Pose2:
     def __post_init__(self):
         if not np.isfinite(self.heading):
             raise InvalidArgumentError("heading is not finite")
-        object.__setattr__(self, "translation",
-                           _as_finite_array(self.translation, "translation", (2,)))
+        object.__setattr__(self, "translation", _read_only(
+            _as_finite_array(self.translation, "translation", (2,))))
 
     @staticmethod
     def identity():

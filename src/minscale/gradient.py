@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
                      SubgradientOnlyError)
-from .geometry import Pose2, Pose3, rotation_from_quaternion, rotation_partials
-from .scale import ConvexSetV, ScaleResult, _read_only
+from .geometry import Pose2, Pose3, _read_only, rotation_from_quaternion, rotation_partials
+from .scale import ConvexSetV, ScaleResult
 
 _COND_LIMIT = 1e10
 
@@ -136,6 +136,9 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
         raise SubgradientOnlyError(
             "scale result is degenerate; the gradient is only a subgradient "
             "(pass allow_subgradient=True to differentiate the solver basis)")
+    if not (result.active_body or result.tight_body):
+        # at alpha = 0 (beta = 0) a body row reads 0 = 1: none can be tight
+        raise DegenerateActiveSetError("no body row can be tight at beta = 0")
     # obstacle coordinates can only come from the result
     obs_map = dict(zip(result.active_obstacle, result.active_obstacle_points_body))
     obs_map.update(zip(result.tight_obstacle, result.tight_obstacle_points_body))

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import DegenerateBodyError, InvalidArgumentError, NumericalError
-from .geometry import centroid, world_to_body
+from .geometry import _read_only, centroid, world_to_body
 from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, active_set, solve
 
 # candidates of the planar kernel this close to the minimum count as a tie
@@ -42,12 +42,6 @@ _TIE_EPS = SolverParams().act_eps
 
 # obstacle points in the first working set of a V-rep scale LP
 _WORKING_POINTS = 64
-
-
-def _read_only(a):
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

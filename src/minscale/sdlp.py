@@ -7,26 +7,11 @@ hyperplane and the problem recurses with one variable eliminated.
 Expected running time is linear in the number of constraints for fixed
 dimension.
 
-Only the outermost level of the recursion ever sees all m rows: each level
-meets d * H_m violations in expectation (Seidel, DCG 1991), so the levels
-below it work on short random prefixes.  An LP in four variables with at
-least _ARRAY_ROWS rows therefore runs its outermost level on numpy arrays:
-the scan for the next violator goes in chunks and the prefix is eliminated
-by column arithmetic, with the elementwise operations of the scalar loop in
-the same order, so every answer is bit-identical.  The sub-LP recurses on
-plain Python floats, through an unrolled three-variable level and the two-
-and one-variable base cases.
-
-Each numpy call costs microseconds however few rows it touches, so the
-array level pays only on long scans.  Measured on scale LPs (2-core x86
-host, Python 3.11, numpy 2.4), the scalar loop solved 4-variable LPs of
-69-249 rows 5-20% faster than the array level did, while at 409 rows the
-array level was 1.6x faster; hence the 256-row cut.  LPs in three
-variables stay scalar at every size: there the array level was 10-15%
-slower at 256 rows, even at 400 and only 15-20% faster at 1,000-10,000.
-The inner levels stay scalar for the same reason: a prototype with numpy
-at every level was faster at m = 1e5 but slower at m = 1e2, flattening the
-log-log slope of solve time over m = 1e2..1e5 to 0.59.
+One unrolled level function per variable count (_solve_1d to _solve_4d)
+runs the recursion on plain Python floats: each level eliminates a variable
+at every violation and hands the prefix straight to the level below.  Numpy
+at the inner levels was faster at m = 1e5 but slower at m = 1e2, flattening
+the log-log slope of solve time over m = 1e2..1e5 to 0.59.
 
 Unboundedness is handled with a box |z_j| <= big_m around the origin.  A
 solution pressed against the box is re-solved with the box doubled; if the
@@ -53,14 +38,6 @@ _ZERO_ROW = 1e-30
 # construction magnitude are noise from eliminating near-parallel rows;
 # they are decided by their right-hand side and dropped
 _CANCEL_EPS = 1e-12
-
-# LPs in four variables with at least this many rows run their outermost
-# Seidel level on arrays (see the module docstring)
-_ARRAY_ROWS = 256
-
-# first chunk of the array scan for the next violated row; chunks double
-# while no row violates and restart at this size after each violation
-_SCAN_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -102,22 +79,21 @@ class LowDimLP:
         if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= 4:
             raise InvalidArgumentError(f"dim outside [1, 4]: {dim}")
         self.dim = int(dim)
-        c = np.asarray(objective, dtype=float)
+        # copies, so freezing them leaves the caller's arrays writable
+        c = np.array(objective, dtype=float)
         if c.shape != (self.dim,):
             raise InvalidArgumentError(f"objective must have shape ({self.dim},), got {c.shape}")
-        a = np.zeros((0, self.dim)) if constraints_a is None else np.asarray(constraints_a, dtype=float)
-        b = np.zeros(0) if constraints_b is None else np.asarray(constraints_b, dtype=float)
+        a = np.zeros((0, self.dim)) if constraints_a is None else np.array(constraints_a, dtype=float, order="C")
+        b = np.zeros(0) if constraints_b is None else np.array(constraints_b, dtype=float)
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise InvalidArgumentError(f"constraints_a must be (m, {self.dim}), got {a.shape}")
         if b.shape != (a.shape[0],):
             raise InvalidArgumentError(f"constraints_b must be ({a.shape[0]},), got {b.shape}")
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise InvalidArgumentError("LP data contains non-finite values")
-        self.objective = c.copy()
-        self.constraints_a = np.ascontiguousarray(a)
-        self.constraints_b = b.copy()
-        for arr in (self.objective, self.constraints_a, self.constraints_b):
+        for arr in (c, a, b):
             arr.setflags(write=False)
+        self.objective, self.constraints_a, self.constraints_b = c, a, b
 
     @property
     def m(self):
@@ -125,10 +101,7 @@ class LowDimLP:
 
 
 def _solve_1d(c0, rows, big_m, feas_eps):
-    """Closed-form base case: intersect the half-lines, pick the best end.
-
-    Rows are (coeffs, b, id, inf_norm) tuples throughout the recursion.
-    """
+    """Closed-form base case: intersect the half-lines, pick the best end."""
     lo, hi = -big_m, big_m
     lo_id = hi_id = -1
     for coeffs, bi, rid, _inf in rows:
@@ -229,10 +202,11 @@ def _solve_2d(c0, c1, rows, big_m, feas_eps):
 
 
 def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
-    """The three-variable level of _seidel, unrolled.
+    """The three-variable level, unrolled.
 
-    The same arithmetic in the same order as the generic loop, with the two
-    kept columns held as locals; the sub-LP goes straight to _solve_2d.
+    Pivots on the violated row's largest coefficient (the first of ties),
+    with the two kept columns held as locals; the sub-LP goes straight to
+    _solve_2d.
     """
     x0 = big_m if c0 > 0.0 else (-big_m if c0 < 0.0 else 0.0)
     x1 = big_m if c1 > 0.0 else (-big_m if c1 < 0.0 else 0.0)
@@ -294,89 +268,54 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
     return LpStatus.OPTIMAL, [x0, x1, x2], basis
 
 
-def _pivot(ai, bi):
-    """Substitution for a violated row: x_j = bkj - sum_k rk_k x_k.
+def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
+    """The four-variable level, unrolled; the sub-LP goes straight to _solve_3d.
 
-    j is the row's largest coefficient (the first of ties).  Returns
-    (j, keep, rk, bkj, rk_inf), or None for a violated 0.z <= b row.
+    Rows arrive in random order, and every prefix of a random order is in
+    random order too, so the levels below do not reshuffle.
     """
-    j, best = 0, abs(ai[0])
-    for l in range(1, len(ai)):
-        v = abs(ai[l])
-        if v > best:
-            j, best = l, v
-    if best < _ZERO_ROW:
-        return None
-    aj = ai[j]
-    keep = [l for l in range(len(ai)) if l != j]
-    rk = [ai[l] / aj for l in keep]
-    return j, keep, rk, bi / aj, max(map(abs, rk))
-
-
-def _descend(c, pivot, sub_rows, big_m, feas_eps):
-    """Solve on the pivot row's hyperplane and lift the sub-LP's solution.
-
-    Appends the two rows |x_j| <= big_m to sub_rows, which holds the
-    eliminated prefix.  Returns (status, x, sub_basis).
-    """
-    j, keep, rk, bkj, rk_inf = pivot
-    sub_rows.append(([-r for r in rk], big_m - bkj, -1, rk_inf))  # x_j <= big_m
-    sub_rows.append((list(rk), big_m + bkj, -1, rk_inf))          # -x_j <= big_m
-    sub_c = [c[k] - c[j] * r for k, r in zip(keep, rk)]
-    status, x_sub, sub_basis = _seidel(sub_c, sub_rows, big_m, feas_eps)
-    if status is not LpStatus.OPTIMAL:
-        return status, None, None
-    x = [0.0] * len(c)
-    dot = 0.0
-    for k, r, v in zip(keep, rk, x_sub):
-        x[k] = v
-        dot += r * v
-    x[j] = bkj - dot
-    return status, x, sub_basis
-
-
-def _seidel(c, rows, big_m, feas_eps):
-    """Seidel recursion on Python lists; rows are already in random order.
-
-    The prefix of a random order is itself in random order, so recursive
-    calls do not reshuffle.  Rows carry (coeffs, b, id, inf_norm); the
-    infinity norm makes the cancellation filter one multiply per row.
-    """
-    d = len(c)
-    if d == 1:
-        return _solve_1d(c[0], rows, big_m, feas_eps)
-    if d == 2:
-        return _solve_2d(c[0], c[1], rows, big_m, feas_eps)
-    if d == 3:
-        return _solve_3d(c[0], c[1], c[2], rows, big_m, feas_eps)
-
-    # optimum of the box alone: the corner selected by the objective signs
-    x = [big_m if v > 0.0 else (-big_m if v < 0.0 else 0.0) for v in c]
+    x0 = big_m if c0 > 0.0 else (-big_m if c0 < 0.0 else 0.0)
+    x1 = big_m if c1 > 0.0 else (-big_m if c1 < 0.0 else 0.0)
+    x2 = big_m if c2 > 0.0 else (-big_m if c2 < 0.0 else 0.0)
+    x3 = big_m if c3 > 0.0 else (-big_m if c3 < 0.0 else 0.0)
+    c = (c0, c1, c2, c3)
     basis = []
     for i, (ai, bi, rid, _inf) in enumerate(rows):
-        s = 0.0
-        for av, xv in zip(ai, x):
-            s += av * xv
-        if s <= bi + feas_eps * (abs(bi) if abs(bi) > 1.0 else 1.0):
+        a0, a1, a2, a3 = ai
+        if (a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
+                <= bi + feas_eps * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
-        pivot = _pivot(ai, bi)
-        if pivot is None:
+        j, best = 0, abs(a0)
+        if abs(a1) > best:
+            j, best = 1, abs(a1)
+        if abs(a2) > best:
+            j, best = 2, abs(a2)
+        if abs(a3) > best:
+            j, best = 3, abs(a3)
+        if best < _ZERO_ROW:
             return LpStatus.INFEASIBLE, None, None  # violated 0.z <= b row
 
-        # substitute x_j = (bi - sum_{l != j} ai_l x_l) / ai_j everywhere
-        j, keep, rk, bkj, rk_inf = pivot
+        # substitute x_j = (bi - ai_k x_k - ai_l x_l - ai_n x_n) / ai_j everywhere
+        k, l, n = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))[j]
+        aj = ai[j]
+        rk = ai[k] / aj
+        rl = ai[l] / aj
+        rn = ai[n] / aj
+        bkj = bi / aj
+        rk_inf = max(abs(rk), abs(rl), abs(rn))
         noise = _CANCEL_EPS * (1.0 + rk_inf)
         sub_rows = []
         for al, bl, lid, linf in rows[:i]:
             alj = al[j]
-            coeffs = []
-            cmax = 0.0
-            for k, r in zip(keep, rk):
-                v = al[k] - alj * r
-                coeffs.append(v)
-                v = -v if v < 0.0 else v
-                if v > cmax:
-                    cmax = v
+            vk = al[k] - alj * rk
+            vl = al[l] - alj * rl
+            vn = al[n] - alj * rn
+            ck = vk if vk >= 0.0 else -vk
+            cl = vl if vl >= 0.0 else -vl
+            cn = vn if vn >= 0.0 else -vn
+            cmax = ck if ck > cl else cl
+            if cn > cmax:
+                cmax = cn
             bsub = bl - alj * bkj
             if cmax <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
@@ -385,83 +324,37 @@ def _seidel(c, rows, big_m, feas_eps):
                 if bsub < -slack:
                     return LpStatus.INFEASIBLE, None, None
                 continue
-            sub_rows.append((coeffs, bsub, lid, cmax))
+            sub_rows.append(((vk, vl, vn), bsub, lid, cmax))
+        sub_rows.append(((-rk, -rl, -rn), big_m - bkj, -1, rk_inf))  # x_j <= big_m
+        sub_rows.append(((rk, rl, rn), big_m + bkj, -1, rk_inf))     # -x_j <= big_m
 
-        status, x, sub_basis = _descend(c, pivot, sub_rows, big_m, feas_eps)
+        status, x_sub, sub_basis = _solve_3d(c[k] - c[j] * rk, c[l] - c[j] * rl,
+                                             c[n] - c[j] * rn, sub_rows, big_m, feas_eps)
         if status is not LpStatus.OPTIMAL:
             return status, None, None
+        xk, xl, xn = x_sub
+        dot = 0.0
+        dot += rk * xk
+        dot += rl * xl
+        dot += rn * xn
+        xj = bkj - dot
+        x0, x1, x2, x3 = (*x_sub[:j], xj, *x_sub[j:])
         basis = sub_basis + [rid]
-    return LpStatus.OPTIMAL, x, basis
+    return LpStatus.OPTIMAL, [x0, x1, x2, x3], basis
 
 
-def _seidel_outer(c, a, b, ids, a_inf, big_m, feas_eps):
-    """Outermost level of _seidel on arrays; rows are already in random order.
-
-    The scan for the next violated row runs in chunks, the prefix is
-    eliminated by column arithmetic, and the sub-LP goes to the Python
-    recursion as row tuples.  Every float operation is the scalar loop's,
-    in the same order, so the answer is bit-identical to it.
-    """
-    m, d = a.shape
-    cols = np.ascontiguousarray(a.T)
-    fits = b + feas_eps * np.maximum(np.abs(b), 1.0)
-    x = [big_m if v > 0.0 else (-big_m if v < 0.0 else 0.0) for v in c]
-    basis = []
-    start, chunk = 0, _SCAN_CHUNK
-    while start < m:
-        stop = min(start + chunk, m)
-        s = cols[0, start:stop] * x[0]
-        for l in range(1, d):
-            s += cols[l, start:stop] * x[l]
-        ok = s <= fits[start:stop]
-        i = int(ok.argmin())  # the first violated row, if there is one
-        if ok[i]:
-            start, chunk = stop, 2 * chunk
-            continue
-        i += start
-        start, chunk = i + 1, _SCAN_CHUNK
-        pivot = _pivot(a[i].tolist(), float(b[i]))
-        if pivot is None:
-            return LpStatus.INFEASIBLE, None, None  # violated 0.z <= b row
-
-        j, keep, rk, bkj, rk_inf = pivot
-        noise = _CANCEL_EPS * (1.0 + rk_inf)
-        alj = cols[j, :i]
-        sub_a = np.column_stack([cols[k, :i] - alj * r for k, r in zip(keep, rk)])
-        cmax = np.abs(sub_a).max(axis=1)
-        bsub = b[:i] - alj * bkj
-        sub_ids = ids[:i]
-        gone = cmax <= noise * a_inf[:i]
-        if gone.any():
-            # cancelled to numerical zero: vacuous within the box
-            bg = bsub[gone]
-            slack = (feas_eps * np.maximum(np.abs(bg), 1.0)
-                     + _CANCEL_EPS * (np.abs(b[:i][gone]) + np.abs(alj[gone] * bkj)))
-            if (bg < -slack).any():
-                return LpStatus.INFEASIBLE, None, None
-            kept = ~gone
-            sub_a, bsub, sub_ids, cmax = sub_a[kept], bsub[kept], sub_ids[kept], cmax[kept]
-        sub_rows = list(zip(sub_a.tolist(), bsub.tolist(), sub_ids.tolist(), cmax.tolist()))
-
-        status, x, sub_basis = _descend(c, pivot, sub_rows, big_m, feas_eps)
-        if status is not LpStatus.OPTIMAL:
-            return status, None, None
-        basis = sub_basis + [int(ids[i])]
-    return LpStatus.OPTIMAL, x, basis
+# the Seidel level for each variable count, 1 to 4
+_LEVELS = (_solve_1d, _solve_2d, _solve_3d, _solve_4d)
 
 
 def _run(lp, params, big_m):
-    rng = np.random.default_rng(params.rng_seed)
-    order = rng.permutation(lp.m)
+    order = np.random.default_rng(params.rng_seed).permutation(lp.m)
     a_o = lp.constraints_a[order]
-    b_o = lp.constraints_b[order]
-    a_inf = np.abs(a_o).max(axis=1)
-    c = lp.objective.tolist()
-    if lp.dim == 4 and lp.m >= _ARRAY_ROWS:
-        status, x, basis = _seidel_outer(c, a_o, b_o, order, a_inf, big_m, params.feas_eps)
-    else:
-        rows = list(zip(a_o.tolist(), b_o.tolist(), order.tolist(), a_inf.tolist()))
-        status, x, basis = _seidel(c, rows, big_m, params.feas_eps)
+    # every level reads rows as (coeffs, b, id, inf_norm); the infinity norm
+    # makes the cancellation filter one multiply per row
+    rows = list(zip(a_o.tolist(), lp.constraints_b[order].tolist(), order.tolist(),
+                    np.abs(a_o).max(axis=1).tolist()))
+    status, x, basis = _LEVELS[lp.dim - 1](*lp.objective.tolist(), rows, big_m, params.feas_eps)
     return status, (None if x is None else np.array(x)), basis
 
 

@@ -23,10 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .geometry import Pose2
+from .geometry import Pose2, _read_only
 from .gradient import (_grad_scale_se2_batch, assemble_active_system, grad_scale_se2,
                        grad_scale_time)
-from .scale import ConvexSetV, _planar_scale, _read_only, min_scale_vrep
+from .scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 
 @lru_cache(maxsize=128)

@@ -8,6 +8,7 @@ from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world, centroid
                                rotation2, rotation2_partial,
                                rotation_from_quaternion, rotation_partials,
                                world_to_body)
+from minscale.scale import ConvexSetV, min_scale_vrep
 
 from support import random_unit_quaternion
 
@@ -124,3 +125,15 @@ def test_dimension_mismatch_between_points_and_pose():
         world_to_body(np.zeros((1, 3)), Pose2.identity())
     with pytest.raises(InvalidArgumentError):
         world_to_body(np.zeros((1, 2)), Pose3.identity())
+
+
+def test_poses_keep_their_own_frozen_translation():
+    t2, t3 = np.zeros(2), np.zeros(3)
+    p2, p3 = Pose2(0.0, t2), Pose3(Quaternion.identity(), t3)
+    t2[0] = t3[0] = 1.0
+    assert p2.translation.tolist() == [0.0, 0.0]
+    assert p3.translation.tolist() == [0.0, 0.0, 0.0]
+    assert not (p2.translation.flags.writeable or p3.translation.flags.writeable)
+    # the README square still reads beta 3 against (3, 0) at the pose it was given
+    square = ConvexSetV(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]))
+    assert min_scale_vrep(square, np.array([[3.0, 0.0]]), p2).beta == 3.0

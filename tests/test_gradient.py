@@ -1,6 +1,7 @@
 """Analytic pose gradients of the scale against central differences."""
 
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -234,6 +235,18 @@ def test_seed_inside_a_cloud_fails_at_once():
     with pytest.raises(DegenerateActiveSetError):
         assemble_active_system(body, result, Pose3.identity(), allow_subgradient=True)
     assert time.perf_counter() - start < 0.5
+
+
+def test_beta_zero_fails_before_reading_the_tight_points():
+    # no body row can be tight at alpha = 0, so the tight obstacle points
+    # are never needed: the error comes before they are read
+    rng = np.random.default_rng(2)
+    body = ConvexSetV(rng.normal(size=(10, 3)) * 0.6)
+    result = min_scale_vrep(body, rng.normal(size=(2000, 3)), Pose3.identity())
+    assert result.beta == 0.0 and not result.tight_body
+    with pytest.raises(DegenerateActiveSetError):
+        assemble_active_system(body, replace(result, tight_obstacle_points_body=None),
+                               Pose3.identity(), allow_subgradient=True)
 
 
 def test_assemble_validates_inputs():

@@ -1,0 +1,58 @@
+"""Rare exits of the Seidel levels, each checked against the enumeration oracle."""
+
+import numpy as np
+import pytest
+
+from minscale.oracle import solve_lp_enumeration
+from minscale.sdlp import LowDimLP, LpStatus, SolverParams, solve
+
+
+def _agrees_with_oracle(problem, seed=0):
+    fast = solve(problem, SolverParams(rng_seed=seed))
+    slow = solve_lp_enumeration(problem)
+    assert fast.status == slow.status
+    if fast.status is LpStatus.OPTIMAL:
+        assert abs(fast.value - slow.value) <= 1e-9 * max(1.0, abs(slow.value))
+    return fast
+
+
+def test_one_variable_violated_zero_row_is_infeasible():
+    # 0 x <= -1 after a real bound: the base case meets a violated 0.z <= b row
+    problem = LowDimLP(1, [1.0], [[1.0], [0.0]], [3.0, -1.0])
+    assert _agrees_with_oracle(problem).status is LpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("a, b, x", [
+    ([[-1.0], [1.0]], [-2.0, 5.0], 2.0),   # 2 <= x <= 5: the lower end
+    ([[-1.0], [1.0]], [7.0, -3.0], -3.0),  # -7 <= x <= -3: the upper end
+    ([[-1.0], [1.0]], [1.0, 1.0], 0.0),    # -1 <= x <= 1 holds 0
+])
+def test_one_variable_zero_objective_takes_the_point_nearest_zero(a, b, x):
+    sol = _agrees_with_oracle(LowDimLP(1, [0.0], a, b))
+    assert sol.status is LpStatus.OPTIMAL and sol.value == 0.0
+    assert sol.z.tolist() == [x]
+    assert sol.active_basis == ([] if x == 0.0 else [0 if x > 0.0 else 1])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_three_variable_contradictory_twin_cancels_to_infeasible(seed):
+    # a.x <= 1 and -a.x <= -2 with a box: whichever of the twins comes later
+    # in the order is violated and, eliminated against the other, leaves a
+    # cancelled sub-row 0 <= -1
+    a = np.array([0.3, -0.8, 0.5])
+    rows = np.vstack([a, np.eye(3), -np.eye(3), -a])
+    rhs = np.array([1.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, -2.0])
+    problem = LowDimLP(3, [0.2, 0.4, -0.1], rows, rhs)
+    assert _agrees_with_oracle(problem, seed).status is LpStatus.INFEASIBLE
+
+
+def test_constructor_leaves_the_callers_arrays_writable():
+    a, b, c = np.eye(2), np.ones(2), np.ones(2)
+    problem = LowDimLP(2, c, a, b)
+    a[0, 0] = 2.0
+    b[0] = 3.0
+    c[0] = 4.0
+    assert problem.constraints_a[0, 0] == 1.0
+    assert problem.constraints_b[0] == 1.0 and problem.objective[0] == 1.0
+    for arr in (problem.objective, problem.constraints_a, problem.constraints_b):
+        assert not arr.flags.writeable
