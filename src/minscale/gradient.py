@@ -110,11 +110,11 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
     """Build the active-constraint system of a V-rep scale result.
 
     Degenerate results raise SubgradientOnlyError unless allow_subgradient
-    is set.  With it, the solver basis is completed from the tight rows
-    into a differentiable n+1 selection (preferring basis rows, in index
-    order) and the outcome is one element of the subdifferential.  Every
-    assembled system is verified to reproduce the LP's (alpha, beta)
-    before being returned.
+    is set.  Every result then takes one search over n+1 selections of
+    tight rows, fewest rows from outside the solver basis first: a regular
+    result's only candidate is its basis, and a degenerate one's outcome is
+    one element of the subdifferential.  Every assembled system is verified
+    to reproduce the LP's (alpha, beta) before being returned.
     """
     if not isinstance(body, ConvexSetV):
         raise InvalidArgumentError("body must be a ConvexSetV")
@@ -142,15 +142,6 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
     # obstacle coordinates can only come from the result
     obs_map = dict(zip(result.active_obstacle, result.active_obstacle_points_body))
     obs_map.update(zip(result.tight_obstacle, result.tight_obstacle_points_body))
-    k1 = len(result.active_body)
-    k2 = len(result.active_obstacle)
-    if not result.degenerate:
-        if k1 < 1 or k2 < 1 or k1 + k2 != n + 1:
-            raise DegenerateActiveSetError(
-                f"active split {k1}+{k2} cannot be differentiated (need n+1 = "
-                f"{n + 1} rows with both sides represented)")
-        return _system_from_rows(body, result, result.active_body,
-                                 result.active_obstacle, obs_map)
     # candidates in order of how many rows they take from outside the basis,
     # each level sorted, so the search stops at the first level that works
     in_b = sorted(result.active_body)

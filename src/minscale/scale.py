@@ -13,9 +13,9 @@ The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
 builds its gauge (as a body) and its hull (as an obstacle) on first use
 and keeps them, so every later query reuses one qhull run per set.
 
-A V-rep query against more than _WORKING_POINTS obstacle points solves the
-LP on a working set: the body rows, the beta row and the obstacle points
-nearest the seed.  Leaving rows out relaxes the LP, so when no obstacle
+A V-rep query solves its LP on a working set: the body rows, the beta row
+and the _WORKING_POINTS obstacle points nearest the seed (all of them in a
+smaller cloud).  Leaving rows out relaxes the LP, so when no obstacle
 row is violated at the set's optimum that optimum solves the whole LP;
 otherwise the violated rows join the set and it is solved again (a
 cutting-plane loop in the manner of Clarkson, J. ACM 1995).  Most points
@@ -253,6 +253,8 @@ def _scale_result(lp, sol, params, kb, end, beta, points=None):
 def _solve_on_working_set(lp, kb, params):
     """Solve a V-rep scale LP with ``kb`` body rows on a working set of its rows.
 
+    The first set is the _WORKING_POINTS points nearest the seed: in a
+    smaller cloud every point, so one solve of the whole LP, row for row.
     The set's LP (every body row, the set's obstacle rows in input order,
     the beta row) relaxes the whole one, so its optimum is the whole
     optimum once every obstacle row passes the solver's own test
@@ -261,11 +263,9 @@ def _solve_on_working_set(lp, kb, params):
     above that bound.  The basis comes back as rows of the whole LP.
     """
     ko = lp.m - kb - 1
-    if ko <= _WORKING_POINTS:
-        return solve(lp, params)
     obstacle_rows = lp.constraints_a[kb:kb + ko]
     rel = obstacle_rows[:, :-1]  # the seed minus each point
-    near = np.argpartition(np.einsum("ij,ij->i", rel, rel), _WORKING_POINTS)
+    near = np.argpartition(np.einsum("ij,ij->i", rel, rel), min(_WORKING_POINTS, ko - 1))
     inside = np.zeros(ko, dtype=bool)
     inside[near[:_WORKING_POINTS]] = True
     while True:
@@ -285,11 +285,9 @@ def _solve_on_working_set(lp, kb, params):
 def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     """Minimum scale of a V-rep body against obstacle points in the body frame.
 
-    With more than _WORKING_POINTS obstacle points the LP is solved on a
-    working set of the points nearest the seed, grown by the points its
-    optimum violates, until no point does (see _solve_on_working_set).
-    Up to that many points the set is the whole LP.  The tight rows are
-    always those of the whole LP at the optimum.
+    The LP is solved on a working set of the points nearest the seed, grown
+    by the points its optimum violates until no point does (see
+    _solve_on_working_set).  The tight rows are those of the whole LP.
     """
     if params is None:
         params = SolverParams()

@@ -54,7 +54,8 @@ class SolverParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0.0):
                 raise InvalidArgumentError(f"{name} must be >= 0 and finite")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and self.rng_seed >= 0):
+        if not (isinstance(self.rng_seed, (int, np.integer)) and not isinstance(self.rng_seed, bool)
+                and self.rng_seed >= 0):
             raise InvalidArgumentError("rng_seed must be a non-negative integer")
 
 
@@ -76,7 +77,7 @@ class LowDimLP:
     """Maximize objective . z subject to constraints_a @ z <= constraints_b."""
 
     def __init__(self, dim, objective, constraints_a=None, constraints_b=None):
-        if not isinstance(dim, (int, np.integer)) or not 1 <= dim <= 4:
+        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or not 1 <= dim <= 4:
             raise InvalidArgumentError(f"dim outside [1, 4]: {dim}")
         self.dim = int(dim)
         # copies, so freezing them leaves the caller's arrays writable

@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .geometry import Pose2, _read_only
-from .gradient import (_grad_scale_se2_batch, assemble_active_system, grad_scale_se2,
-                       grad_scale_time)
+from .errors import DegenerateActiveSetError, InvalidArgumentError
+from .geometry import _read_only
+# assemble_active_system, grad_scale_se2 and min_scale_vrep go unused here;
+# perfbench/tracing.py still looks them up on this module
+from .gradient import (ScaleGradient2, _grad_scale_se2_batch, assemble_active_system,
+                       grad_scale_se2, grad_scale_time)
 from .scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 
@@ -142,8 +145,9 @@ def eval_trajectory(traj, tau):
 
 
 def _count(value, name, least):
-    """An integer argument (int or numpy integer) of at least ``least``, as an int."""
-    if not (isinstance(value, (int, np.integer)) and value >= least):
+    """An integer argument (int or numpy integer, not bool) of at least ``least``, as an int."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
         raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
@@ -494,35 +498,40 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     Combines the body's velocity and heading rate with the obstacle's drift:
     translating the obstacle changes the scale exactly like the body
     counter-translating, so the chain rule runs on the relative velocity.
-    Obstacles are indexed static-first, then moving.
+    Obstacles are indexed static-first, then moving.  The planar kernel
+    gives the scale and its gradient; beta = 0 raises DegenerateActiveSetError.
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
     pairs = _obstacle_pairs(scenario)
-    if not (isinstance(obstacle_index, (int, np.integer))
-            and 0 <= obstacle_index < len(pairs)):
-        raise InvalidArgumentError(
-            f"obstacle_index must be an integer in [0, {len(pairs)}), got {obstacle_index!r}")
-    obs, vel = pairs[obstacle_index]
+    index = _count(obstacle_index, "obstacle_index", 0)
+    if index >= len(pairs):
+        raise InvalidArgumentError(f"obstacle_index must be below {len(pairs)}, got {index}")
+    obs, vel = pairs[index]
     p, v, a, _ = eval_trajectory(traj, tau)
     theta, d_theta_d_v = heading_from_velocity(v, heading_eps)
-    pose = Pose2(theta, p)
-    result = min_scale_vrep(scenario.body, obs.points + float(tau) * vel, pose)
-    system = assemble_active_system(scenario.body, result, pose, allow_subgradient=True)
-    g2 = grad_scale_se2(system, pose)
-    return grad_scale_time(g2, v - vel, float(d_theta_d_v @ a))
+    cos, sin = np.cos([theta]), np.sin([theta])
+    origin = (p - float(tau) * vel)[None]
+    beta, alpha, contact, _ = _planar_scale(scenario.body._planar_gauge, obs._planar_hull,
+                                            cos, sin, origin)
+    if beta[0] <= 0.0:
+        raise DegenerateActiveSetError("no body row can be tight at beta = 0")
+    d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
+    grad = ScaleGradient2(d_t[0], float(d_theta[0]))
+    return grad_scale_time(grad, v - vel, float(d_theta_d_v @ a))
 
 
-def _lbfgs_direction(g, s_list, y_list, rho_list):
+def _lbfgs_direction(g, pairs):
     q = g.copy()
     alphas = []
-    for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+    for s, y, rho in reversed(pairs):
         a = rho * float(s @ q)
         alphas.append(a)
         q -= a * y
-    if s_list:
-        q *= 1.0 / (rho_list[-1] * float(y_list[-1] @ y_list[-1]))
-    for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+    if pairs:
+        _, y, rho = pairs[-1]
+        q *= 1.0 / (rho * float(y @ y))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
         b = rho * float(y @ q)
         q += (a - b) * s
     return -q
@@ -569,20 +578,18 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     f, g = _evaluated(objective, x)
     if not np.isfinite(f):
         raise InvalidArgumentError("objective is not finite at x0")
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=memory)  # (s, y, rho), oldest first
     status = "max-iterations"
     iterations = 0
     for _ in range(max_iterations):
         if np.linalg.norm(g) <= grad_tolerance * max(1.0, float(np.linalg.norm(x))):
             status = "converged"
             break
-        d = _lbfgs_direction(g, s_list, y_list, rho_list)
+        d = _lbfgs_direction(g, pairs)
         slope = float(g @ d)
         if not np.isfinite(slope) or slope >= 0.0:
             # stale curvature pairs can spoil the direction; restart from steepest descent
-            s_list.clear()
-            y_list.clear()
-            rho_list.clear()
+            pairs.clear()
             d = -g
             slope = -float(g @ g)
         step = None
@@ -608,13 +615,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         y = g_new - g
         sty = float(s @ y)
         if sty > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sty)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sty))
         drop = f - f_new
         x, f, g = x_new, f_new, g_new
         iterations += 1

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from minscale.errors import DegenerateBodyError, InvalidArgumentError
+from minscale.errors import DegenerateActiveSetError, DegenerateBodyError, InvalidArgumentError
 from minscale.geometry import Pose2
+from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_time
 from minscale.scale import ConvexSetV, min_scale_vrep
+from minscale.sdlp import LowDimLP, SolverParams
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _cost_terms, eval_trajectory,
                               heading_from_velocity, lbfgs_minimize, plan,
@@ -329,6 +331,55 @@ def test_scale_time_rate_matches_trajectory_finite_differences():
         analytic = scale_time_rate(traj, SCENE, tau, obstacle_index=index)
         numeric = (beta_at(tau + 1e-6, index) - beta_at(tau - 1e-6, index)) / 2e-6
         assert abs(analytic - numeric) < 1e-4 * max(1.0, abs(numeric))
+
+
+def test_scale_time_rate_matches_the_lp_chain():
+    traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
+    for index, (obs, vel) in enumerate(((BOX, np.zeros(2)), (TRI, np.array([-0.4, -0.5])))):
+        answered = 0
+        for tau in np.linspace(0.1, 5.9, 48):
+            p, v, a, _ = eval_trajectory(traj, tau)
+            theta, d_theta_d_v = heading_from_velocity(v)
+            pose = Pose2(theta, p)
+            result = min_scale_vrep(BODY, obs.points + tau * vel, pose)
+            if result.beta == 0.0:  # the seed is inside: the LP chain has no rate either
+                with pytest.raises(DegenerateActiveSetError):
+                    scale_time_rate(traj, SCENE, tau, obstacle_index=index)
+                continue
+            system = assemble_active_system(BODY, result, pose, allow_subgradient=True)
+            reference = grad_scale_time(grad_scale_se2(system, pose), v - vel,
+                                        float(d_theta_d_v @ a))
+            rate = scale_time_rate(traj, SCENE, tau, obstacle_index=index)
+            assert abs(rate - reference) <= 1e-12 * abs(reference)
+            answered += 1
+        assert answered >= 40
+
+
+def test_scale_time_rate_raises_where_the_seed_is_inside():
+    line = PiecewiseTrajectory.from_states(PENETRATING, [2.5, 2.5])
+    scene = Scenario(body=BODY, static_obstacles=(BOX,))
+    assert scale_time_rate(line, scene, 1.0) < 0.0
+    with pytest.raises(DegenerateActiveSetError):
+        scale_time_rate(line, scene, 2.5)
+
+
+def _bowl(x):
+    return float(x @ x), 2.0 * x
+
+
+@pytest.mark.parametrize("call", [
+    lambda: plan(Scenario(body=BODY), [0.0, 0.0], [9.0, 0.0], segments=True),
+    lambda: LowDimLP(True, [1.0], [[1.0]], [2.0]),
+    lambda: SolverParams(rng_seed=True),
+    lambda: lbfgs_minimize(_bowl, np.ones(2), memory=True),
+    lambda: lbfgs_minimize(_bowl, np.ones(2), max_iterations=True),
+    lambda: scale_time_rate(PiecewiseTrajectory.from_states(STATES, DURATIONS), SCENE, 1.0,
+                            obstacle_index=True),
+], ids=["plan-segments", "lp-dim", "rng-seed", "lbfgs-memory", "lbfgs-iterations",
+        "obstacle-index"])
+def test_bools_are_not_integer_arguments(call):
+    with pytest.raises(InvalidArgumentError):
+        call()
 
 
 # ---------------------------------------------------------------- optimizer
