@@ -11,7 +11,7 @@ from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale
 from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.sdlp import LowDimLP, SolverParams
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
-                              Scenario, _cost_terms, eval_trajectory,
+                              Scenario, _cost_terms, _obstacle_pairs, eval_trajectory,
                               heading_from_velocity, lbfgs_minimize, plan,
                               safety_penalty, scale_time_rate, total_cost)
 
@@ -335,7 +335,7 @@ def test_scale_time_rate_matches_trajectory_finite_differences():
 
 def test_scale_time_rate_matches_the_lp_chain():
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
-    for index, (obs, vel) in enumerate(((BOX, np.zeros(2)), (TRI, np.array([-0.4, -0.5])))):
+    for index, (obs, vel) in enumerate(_obstacle_pairs(SCENE)):
         answered = 0
         for tau in np.linspace(0.1, 5.9, 48):
             p, v, a, _ = eval_trajectory(traj, tau)
