@@ -183,11 +183,10 @@ def parse_scene(doc):
 
 
 def load_scene(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidArgumentError(f"scene file {path}: invalid JSON ({exc})") from exc
     return parse_scene(doc)
 
@@ -373,6 +372,8 @@ def cmd_bench(args):
         sizes.append(m)
     if args.trials < 1:
         raise InvalidArgumentError("--trials must be at least 1")
+    if args.rng_seed < 0:
+        raise InvalidArgumentError("--rng-seed must be at least 0")
     rng = np.random.default_rng(args.rng_seed)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["m", "median_ns", "p95_ns"])

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks.
+
+Every public entry point validates its arguments through the three private
+helpers at the end of this module, so malformed input (a string, a bool, a
+non-finite value, a ragged or misshapen array) raises InvalidArgumentError,
+a ValueError, and never numpy's own TypeError or ValueError.
+"""
+
+import math
+
+import numpy as np
 
 
 class MinScaleError(Exception):
@@ -31,3 +41,43 @@ class DegenerateActiveSetError(MinScaleError):
 
 class NumericalError(MinScaleError):
     """Internal numeric failure (solver returned something impossible)."""
+
+
+def _number(value, name, rule="", ok=None):
+    """A finite real number that passes ``ok``, as a float.
+
+    Accepts ints, floats, numpy integers and floats and 0-d arrays of them,
+    not bools.  ``rule`` words the condition ``ok`` tests, for the message.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        x = float(value)
+        if math.isfinite(x) and (ok is None or ok(x)):
+            return x
+    raise InvalidArgumentError(f"{name} must be a finite number{' ' + rule if rule else ''}, "
+                               f"got {value!r}")
+
+
+def _count(value, name, least):
+    """An integer argument (int or numpy integer, not bool) of at least ``least``, as an int."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= least):
+        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _finite_array(value, name, shape=None):
+    """``value`` as a float array of every finite entry, of ``shape`` when given.
+
+    Converts without copying what is already a float array.
+    """
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{name} must be a numeric array") from exc
+    if shape is not None and a.shape != shape:
+        raise InvalidArgumentError(f"{name} must have shape {shape}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidArgumentError(f"{name} contains non-finite values")
+    return a

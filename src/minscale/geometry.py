@@ -18,16 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-
-
-def _as_finite_array(x, name, shape=None):
-    a = np.asarray(x, dtype=float)
-    if shape is not None and a.shape != shape:
-        raise InvalidArgumentError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InvalidArgumentError(f"{name} contains non-finite values")
-    return a
+from .errors import InvalidArgumentError, _finite_array, _number
 
 
 def _read_only(a):
@@ -39,6 +30,8 @@ def _read_only(a):
 
 @dataclass(frozen=True)
 class Quaternion:
+    """Rotation (w, x, y, z), each component kept as a float; never normalized."""
+
     w: float
     x: float
     y: float
@@ -46,9 +39,8 @@ class Quaternion:
 
     def __post_init__(self):
         for name in ("w", "x", "y", "z"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise InvalidArgumentError(f"quaternion component {name} is not finite")
+            object.__setattr__(self, name, _number(getattr(self, name),
+                                                   f"quaternion component {name}"))
 
     def as_array(self):
         return np.array([self.w, self.x, self.y, self.z])
@@ -59,7 +51,7 @@ class Quaternion:
 
     @staticmethod
     def from_array(a):
-        a = _as_finite_array(a, "quaternion", (4,))
+        a = _finite_array(a, "quaternion", (4,))
         return Quaternion(a[0], a[1], a[2], a[3])
 
 
@@ -72,7 +64,7 @@ class Pose3:
 
     def __post_init__(self):
         object.__setattr__(self, "translation", _read_only(
-            _as_finite_array(self.translation, "translation", (3,))))
+            _finite_array(self.translation, "translation", (3,))))
 
     @staticmethod
     def identity():
@@ -81,16 +73,18 @@ class Pose3:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Rigid placement of a 2D body: p_world = R(heading) p_body + translation."""
+    """Rigid placement of a 2D body: p_world = R(heading) p_body + translation.
+
+    The heading is kept as a float and the translation as a frozen copy.
+    """
 
     heading: float
     translation: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.heading):
-            raise InvalidArgumentError("heading is not finite")
+        object.__setattr__(self, "heading", _number(self.heading, "heading"))
         object.__setattr__(self, "translation", _read_only(
-            _as_finite_array(self.translation, "translation", (2,))))
+            _finite_array(self.translation, "translation", (2,))))
 
     @staticmethod
     def identity():
@@ -144,7 +138,7 @@ def rotation2_partial(theta):
 
 
 def _points_2d(points, dim, name):
-    p = _as_finite_array(points, name)
+    p = _finite_array(points, name)
     single = p.ndim == 1
     if single:
         p = p[None, :]
@@ -194,7 +188,7 @@ def body_to_world(points, pose):
 
 def centroid(points):
     """Arithmetic mean of a nonempty point set."""
-    p = _as_finite_array(points, "points")
+    p = _finite_array(points, "points")
     if p.ndim != 2 or p.shape[0] == 0:
         raise InvalidArgumentError("points must be a nonempty (k, n) array")
     return p.mean(axis=0)

@@ -28,7 +28,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
-                     SubgradientOnlyError)
+                     SubgradientOnlyError, _finite_array)
 from .geometry import Pose2, Pose3, _read_only, rotation_from_quaternion, rotation_partials
 from .scale import ConvexSetV, ScaleResult
 
@@ -214,14 +214,6 @@ def grad_scale_time(grad, t_rate, rot_rate):
         d_rot, shapes = grad.d_beta_d_theta, ((2,), ())
     else:
         raise InvalidArgumentError("grad must be a ScaleGradient3 or ScaleGradient2")
-    try:
-        t_rate = np.asarray(t_rate, dtype=float)
-        rot_rate = np.asarray(rot_rate, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError("pose rates must be numeric") from exc
-    if (t_rate.shape, rot_rate.shape) != shapes:
-        raise InvalidArgumentError(
-            f"pose rates must have shapes {shapes}, got {(t_rate.shape, rot_rate.shape)}")
-    if not (np.all(np.isfinite(t_rate)) and np.all(np.isfinite(rot_rate))):
-        raise InvalidArgumentError("pose rates contain non-finite values")
+    t_rate = _finite_array(t_rate, "t_rate", shapes[0])
+    rot_rate = _finite_array(rot_rate, "rot_rate", shapes[1])
     return float(grad.d_beta_d_t @ t_rate + np.dot(d_rot, rot_rate))

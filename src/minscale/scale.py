@@ -10,8 +10,8 @@ LP in n+1 variables, solved by the incremental solver in `sdlp`.  For a 2D
 V-rep body, a private kernel evaluates the same scale in closed form for
 many poses at once; the planner uses it, and the LP is its reference.
 The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
-builds its gauge (as a body) and its hull (as an obstacle) on first use
-and keeps them, so every later query reuses one qhull run per set.
+builds its hull (as an obstacle) and, from that hull, its gauge (as a
+body) on first use and keeps them, so each set runs qhull once.
 
 A V-rep query solves its LP on a working set: the body rows, the beta row
 and the _WORKING_POINTS obstacle points nearest the seed (all of them in a
@@ -33,8 +33,9 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import DegenerateBodyError, InvalidArgumentError, NumericalError
-from .geometry import _read_only, centroid, world_to_body
+from .errors import (DegenerateBodyError, InvalidArgumentError, NumericalError, _finite_array,
+                     _number)
+from .geometry import _read_only, world_to_body
 from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, active_set, solve
 
 # candidates of the planar kernel this close to the minimum count as a tie
@@ -57,16 +58,10 @@ class ConvexSetV:
     seed: np.ndarray = None
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
+        p = _finite_array(self.points, "points")
         if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] not in (2, 3):
             raise InvalidArgumentError(f"points must be (k, 2) or (k, 3), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidArgumentError("points contain non-finite values")
-        s = centroid(p) if self.seed is None else np.asarray(self.seed, dtype=float)
-        if s.shape != (p.shape[1],):
-            raise InvalidArgumentError(f"seed must have shape ({p.shape[1]},), got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise InvalidArgumentError("seed contains non-finite values")
+        s = p.mean(axis=0) if self.seed is None else _finite_array(self.seed, "seed", (p.shape[1],))
         object.__setattr__(self, "points", _read_only(p))
         object.__setattr__(self, "seed", _read_only(s))
 
@@ -99,19 +94,12 @@ class ConvexSetH:
     interior_point: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.normals, dtype=float)
+        a = _finite_array(self.normals, "normals")
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] not in (2, 3):
             raise InvalidArgumentError(f"normals must be (k, 2) or (k, 3), got {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidArgumentError("normals contain non-finite values")
         if np.any(np.abs(a).max(axis=1) == 0.0):
             raise InvalidArgumentError("normals contain a zero row")
-        p = np.asarray(self.interior_point, dtype=float)
-        if p.shape != (a.shape[1],):
-            raise InvalidArgumentError(
-                f"interior_point must have shape ({a.shape[1]},), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise InvalidArgumentError("interior_point contains non-finite values")
+        p = _finite_array(self.interior_point, "interior_point", (a.shape[1],))
         object.__setattr__(self, "normals", _read_only(a))
         object.__setattr__(self, "interior_point", _read_only(p))
 
@@ -127,13 +115,11 @@ class ConvexSetH:
         point; rows with slack <= 1e-12 are rejected, since the point must
         be strictly inside every halfspace for the normalization to exist.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        p = np.asarray(interior_point, dtype=float)
-        if a.ndim != 2 or b.shape != (a.shape[0],) or p.shape != (a.shape[1],):
-            raise InvalidArgumentError("expected a (k, n), b (k,), interior_point (n,)")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(p))):
-            raise InvalidArgumentError("inequality data contains non-finite values")
+        a = _finite_array(a, "a")
+        if a.ndim != 2:
+            raise InvalidArgumentError(f"a must be (k, n), got {a.shape}")
+        b = _finite_array(b, "b", (a.shape[0],))
+        p = _finite_array(interior_point, "interior_point", (a.shape[1],))
         slack = b - a @ p
         if np.any(slack <= 1e-12):
             raise InvalidArgumentError(
@@ -177,18 +163,17 @@ class ScaleResult:
 
 
 def _points_of(obstacle):
-    return np.asarray(getattr(obstacle, "points", obstacle), dtype=float)
+    """The points of a ConvexSetV, or the obstacle itself (a point array)."""
+    return getattr(obstacle, "points", obstacle)
 
 
 def _obstacle_points(obstacle, n):
-    pts = _points_of(obstacle)
+    pts = _finite_array(_points_of(obstacle), "obstacle points")
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidArgumentError("obstacle must be a nonempty (k, n) point array")
     if pts.shape[1] != n:
         raise InvalidArgumentError(
             f"obstacle dimension {pts.shape[1]} does not match body dimension {n}")
-    if not np.all(np.isfinite(pts)):
-        raise InvalidArgumentError("obstacle points contain non-finite values")
     return pts
 
 
@@ -291,8 +276,8 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     """
     if params is None:
         params = SolverParams()
-    pts = _points_of(obstacle_points)
-    lp = vrep_scale_lp(body, pts)
+    lp = vrep_scale_lp(body, obstacle_points)
+    pts = np.asarray(_points_of(obstacle_points), dtype=float)  # checked by vrep_scale_lp
     kb = body.points.shape[0]
     sol = _solve_on_working_set(lp, kb, params)
     if sol.status == LpStatus.UNBOUNDED:
@@ -327,21 +312,18 @@ class _PlanarGauge:
     """
 
     def __init__(self, body):
-        try:
-            hull = ConvexHull(body.points)
-        except (QhullError, ValueError):
-            raise DegenerateBodyError(
-                "no finite scale: the body hull is flat") from None
-        normals = hull.equations[:, :2]
-        offsets = -hull.equations[:, 2] - normals @ body.seed
+        hull = body._planar_hull  # the set's one qhull run, shared with its obstacle role
+        if hull.normals is None:
+            raise DegenerateBodyError("no finite scale: the body hull is flat")
+        offsets = hull.offsets - hull.normals @ body.seed
         radius = float(np.linalg.norm(body.points - body.seed, axis=1).max())
         if offsets.min() <= 1e-12 * radius:
             raise DegenerateBodyError(
                 "no finite scale: the seed is not strictly inside the body hull")
         self.seed = body.seed
         self.radius = radius
-        self.rows = normals / offsets[:, None]
-        self.rays = body.points[hull.vertices] - body.seed
+        self.rows = hull.normals / offsets[:, None]
+        self.rays = hull.points - body.seed
 
 
 @dataclass(frozen=True)
@@ -474,9 +456,7 @@ def min_scale_hrep(body, obstacle, params=None):
 def is_colliding(result, threshold=1.0):
     """Whether the configuration collides: beta < threshold.
 
-    threshold 1 is exact touching; larger values add a safety margin
-    (scales inside [1, threshold) then count as collisions).
+    threshold, a finite number, is 1 for exact touching; larger values add
+    a safety margin (scales inside [1, threshold) then count as collisions).
     """
-    if not np.isfinite(threshold):
-        raise InvalidArgumentError("threshold must be finite")
-    return bool(result.beta < threshold)
+    return bool(result.beta < _number(threshold, "threshold"))

@@ -23,13 +23,12 @@ Feasibility and activity tests are relative: constraint i is satisfied
 when a_i.z <= b_i + feas_eps * max(1, |b_i|).
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError
+from .errors import InvalidArgumentError, InvalidStateError, _count, _finite_array, _number
 
 # rows with every coefficient below this are treated as 0.z <= b
 _ZERO_ROW = 1e-30
@@ -42,21 +41,19 @@ _CANCEL_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SolverParams:
+    """Solver settings: the shuffle seed, an int, and three tolerances kept as floats."""
+
     rng_seed: int = 0
     feas_eps: float = 1e-10
     act_eps: float = 1e-8
     big_m: float = 1e9
 
     def __post_init__(self):
-        if not (math.isfinite(self.big_m) and self.big_m > 0.0):
-            raise InvalidArgumentError("big_m must be positive and finite")
-        for name in ("feas_eps", "act_eps"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise InvalidArgumentError(f"{name} must be >= 0 and finite")
-        if not (isinstance(self.rng_seed, (int, np.integer)) and not isinstance(self.rng_seed, bool)
-                and self.rng_seed >= 0):
-            raise InvalidArgumentError("rng_seed must be a non-negative integer")
+        object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed", 0))
+        for name, rule, ok in (("feas_eps", ">= 0", lambda x: x >= 0.0),
+                               ("act_eps", ">= 0", lambda x: x >= 0.0),
+                               ("big_m", "> 0", lambda x: x > 0.0)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
 
 
 class LpStatus(Enum):
@@ -77,21 +74,18 @@ class LowDimLP:
     """Maximize objective . z subject to constraints_a @ z <= constraints_b."""
 
     def __init__(self, dim, objective, constraints_a=None, constraints_b=None):
-        if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or not 1 <= dim <= 4:
+        self.dim = _count(dim, "dim", 1)
+        if self.dim > 4:
             raise InvalidArgumentError(f"dim outside [1, 4]: {dim}")
-        self.dim = int(dim)
-        # copies, so freezing them leaves the caller's arrays writable
-        c = np.array(objective, dtype=float)
-        if c.shape != (self.dim,):
-            raise InvalidArgumentError(f"objective must have shape ({self.dim},), got {c.shape}")
-        a = np.zeros((0, self.dim)) if constraints_a is None else np.array(constraints_a, dtype=float, order="C")
-        b = np.zeros(0) if constraints_b is None else np.array(constraints_b, dtype=float)
+        c = _finite_array(objective, "objective", (self.dim,))
+        a = (np.zeros((0, self.dim)) if constraints_a is None
+             else _finite_array(constraints_a, "constraints_a"))
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise InvalidArgumentError(f"constraints_a must be (m, {self.dim}), got {a.shape}")
-        if b.shape != (a.shape[0],):
-            raise InvalidArgumentError(f"constraints_b must be ({a.shape[0]},), got {b.shape}")
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise InvalidArgumentError("LP data contains non-finite values")
+        b = (np.zeros(0) if constraints_b is None
+             else _finite_array(constraints_b, "constraints_b", (a.shape[0],)))
+        # copies, so freezing them leaves the caller's arrays writable
+        c, a, b = (np.array(arr, order="C") for arr in (c, a, b))
         for arr in (c, a, b):
             arr.setflags(write=False)
         self.objective, self.constraints_a, self.constraints_b = c, a, b

@@ -23,12 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateActiveSetError, InvalidArgumentError
+from .errors import (DegenerateActiveSetError, InvalidArgumentError, _count, _finite_array,
+                     _number)
 from .geometry import _read_only
 # assemble_active_system, grad_scale_se2 and min_scale_vrep go unused here;
 # perfbench/tracing.py still looks them up on this module
-from .gradient import (ScaleGradient2, _grad_scale_se2_batch, assemble_active_system,
-                       grad_scale_se2, grad_scale_time)
+from .gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_se2
 from .scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 
@@ -76,15 +76,13 @@ class PiecewiseTrajectory:
     knots: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        states = _read_only(self.states)
-        durations = _read_only(self.durations)
+        states = _read_only(_finite_array(self.states, "states"))
         if states.ndim != 2 or states.shape[1] != 6 or states.shape[0] < 2:
             raise InvalidArgumentError("states must be (k+1, 6) with k >= 1 segments")
-        if not np.all(np.isfinite(states)):
-            raise InvalidArgumentError("states contain non-finite values")
         k = states.shape[0] - 1
-        if durations.shape != (k,) or not np.all(np.isfinite(durations)) or np.any(durations <= 0):
-            raise InvalidArgumentError("durations must be positive and finite, one per segment")
+        durations = _read_only(_finite_array(self.durations, "durations", (k,)))
+        if np.any(durations <= 0):
+            raise InvalidArgumentError("durations must be positive, one per segment")
         # rows (p0, v0, a0, p1, v1, a1) of each segment, one column per axis
         ends = np.concatenate([states[:-1], states[1:]], axis=1).reshape(k, 6, 2)
         coeffs = np.einsum("kij,kja->kai", _coeff_maps(durations), ends)
@@ -133,40 +131,26 @@ def _spline(traj, seg, t_loc, order=2):
 
 
 def eval_trajectory(traj, tau):
-    """Position, velocity, acceleration and jerk at time ``tau``."""
+    """Position, velocity, acceleration and jerk at time ``tau``.
+
+    ``tau`` is a number (a numpy scalar or 0-d array will do) in
+    ``[0, traj.total_duration]``.
+    """
     if not isinstance(traj, PiecewiseTrajectory):
         raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
-    t = float(tau)
-    if not np.isfinite(t) or t < 0.0 or t > traj.total_duration:
-        raise InvalidArgumentError(
-            f"tau {tau!r} outside the trajectory span [0, {traj.total_duration}]")
+    span = traj.total_duration
+    t = _number(tau, "tau", f"in the trajectory span [0, {span}]", lambda x: 0.0 <= x <= span)
     *values, _ = _spline(traj, *_locate(traj, np.array([t])), order=3)
     return tuple(x[0] for x in values)
 
 
-def _count(value, name, least):
-    """An integer argument (int or numpy integer, not bool) of at least ``least``, as an int."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            and value >= least):
-        raise InvalidArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
+def _heading_jacobian(v, eps):
+    """Regularized Jacobian of the heading atan2(vy, vx) at each velocity row.
 
-
-def heading_from_velocity(velocity, eps=1e-3):
-    """Velocity-aligned heading and its regularized velocity Jacobian.
-
-    Returns ``(theta, d_theta_d_v)`` with ``theta = atan2(vy, vx)`` and the
-    Jacobian ``(-vy, vx) / (|v|^2 + eps^2)``, which stays bounded by
-    ``1 / (2 eps)`` through velocity reversals.
+    ``(-vy, vx) / (|v|^2 + eps^2)`` per row of ``v`` (N, 2); it stays
+    bounded by ``1 / (2 eps)`` through velocity reversals.
     """
-    if not (math.isfinite(eps) and eps > 0.0):
-        raise InvalidArgumentError("heading regularization eps must be positive and finite")
-    v = np.asarray(velocity, dtype=float).reshape(-1)
-    if v.shape != (2,) or not np.all(np.isfinite(v)):
-        raise InvalidArgumentError("velocity must be a finite 2-vector")
-    theta = math.atan2(v[1], v[0])
-    jac = np.array([-v[1], v[0]]) / (v[0] * v[0] + v[1] * v[1] + eps * eps)
-    return theta, jac
+    return np.stack([-v[:, 1], v[:, 0]], axis=1) / ((v * v).sum(axis=1) + eps ** 2)[:, None]
 
 
 @dataclass(frozen=True)
@@ -175,10 +159,9 @@ class MotionLimits:
     a_max: float = 2.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.v_max) and self.v_max > 0):
-            raise InvalidArgumentError("v_max must be positive and finite")
-        if not (np.isfinite(self.a_max) and self.a_max > 0):
-            raise InvalidArgumentError("a_max must be positive and finite")
+        for name in ("v_max", "a_max"):
+            object.__setattr__(self, name,
+                               _number(getattr(self, name), name, "> 0", lambda x: x > 0.0))
 
 
 @dataclass(frozen=True)
@@ -214,19 +197,15 @@ class Scenario:
                     "moving obstacles are (ConvexSetV, velocity) pairs") from exc
             if not isinstance(obs, ConvexSetV) or obs.dim != 2:
                 raise InvalidArgumentError("moving obstacles must be 2D ConvexSetV instances")
-            vel = np.asarray(vel, dtype=float).reshape(-1)
-            if vel.shape != (2,) or not np.all(np.isfinite(vel)):
-                raise InvalidArgumentError("obstacle velocity must be a finite 2-vector")
-            moving.append((obs, _read_only(vel)))
+            moving.append((obs, _read_only(_finite_array(vel, "obstacle velocity", (2,)))))
         if not isinstance(self.bounds, MotionLimits):
             raise InvalidArgumentError("bounds must be a MotionLimits")
-        if not (np.isfinite(self.beta_min) and self.beta_min >= 1.0):
-            raise InvalidArgumentError("beta_min must be >= 1")
+        beta_min = _number(self.beta_min, "beta_min", ">= 1", lambda x: x >= 1.0)
         if statics or moving:
             self.body._planar_gauge  # built here so that a body the kernel rejects fails now
         object.__setattr__(self, "static_obstacles", statics)
         object.__setattr__(self, "moving_obstacles", tuple(moving))
-        object.__setattr__(self, "beta_min", float(self.beta_min))
+        object.__setattr__(self, "beta_min", beta_min)
 
     @property
     def obstacle_count(self):
@@ -255,18 +234,15 @@ class CostConfig:
     limit_margin: float = 0.02
 
     def __post_init__(self):
-        for name in ("smoothness_weight", "safety_weight", "feasibility_weight"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise InvalidArgumentError(f"{name} must be >= 0 and finite")
-        count = _count(self.samples_per_segment, "samples_per_segment", 2)
-        if not (np.isfinite(self.heading_eps) and self.heading_eps > 0):
-            raise InvalidArgumentError("heading_eps must be positive")
-        if not (np.isfinite(self.safety_margin) and self.safety_margin >= 0):
-            raise InvalidArgumentError("safety_margin must be >= 0")
-        if not (np.isfinite(self.limit_margin) and 0 <= self.limit_margin < 1):
-            raise InvalidArgumentError("limit_margin must lie in [0, 1)")
-        object.__setattr__(self, "samples_per_segment", count)
+        for name, rule, ok in (("smoothness_weight", ">= 0", lambda x: x >= 0.0),
+                               ("safety_weight", ">= 0", lambda x: x >= 0.0),
+                               ("feasibility_weight", ">= 0", lambda x: x >= 0.0),
+                               ("heading_eps", "> 0", lambda x: x > 0.0),
+                               ("safety_margin", ">= 0", lambda x: x >= 0.0),
+                               ("limit_margin", "in [0, 1)", lambda x: 0.0 <= x < 1.0)):
+            object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
+        object.__setattr__(self, "samples_per_segment",
+                           _count(self.samples_per_segment, "samples_per_segment", 2))
 
 
 @dataclass(frozen=True)
@@ -340,17 +316,19 @@ def _nodes(traj, samples, extra_times=None):
     return seg, t_loc, w_quad
 
 
-def _scales(scenario, tau, p, v):
+def _scales(scenario, tau, p, v, pairs=None):
     """Scale of every obstacle at every node, posed along the velocity.
 
     Yields ``(hull, origin, cos, sin, beta, alpha, contact, degenerate)`` per
-    obstacle: ``hull`` is the obstacle's cached planar hull, ``origin`` the
-    body position in the obstacle's time-zero frame, ``cos``/``sin`` those
-    of the heading, and the rest is :func:`_planar_scale`'s result.
+    obstacle of ``pairs`` (default: every obstacle of the scenario, as
+    :func:`_obstacle_pairs` lists them): ``hull`` is the obstacle's cached
+    planar hull, ``origin`` the body position in the obstacle's time-zero
+    frame, ``cos``/``sin`` those of the heading, and the rest is
+    :func:`_planar_scale`'s result.
     """
     theta = np.arctan2(v[:, 1], v[:, 0])
     cos, sin = np.cos(theta), np.sin(theta)
-    for obs, vel in _obstacle_pairs(scenario):
+    for obs, vel in _obstacle_pairs(scenario) if pairs is None else pairs:
         hull = obs._planar_hull
         origin = p - tau[:, None] * vel
         yield (hull, origin, cos, sin) + _planar_scale(
@@ -412,8 +390,7 @@ def _cost_terms(traj, scenario, config, extra_times=None):
         if need_safety:
             threshold = scenario.beta_min
             tau = traj.knots[seg] + t_loc
-            d_theta_d_v = np.stack([-v[:, 1], v[:, 0]], axis=1) / (
-                (v * v).sum(axis=1) + config.heading_eps ** 2)[:, None]
+            d_theta_d_v = _heading_jacobian(v, config.heading_eps)
             gauge = scenario.body._planar_gauge
             for hull, origin, cos, sin, beta, alpha, contact, _ in _scales(scenario, tau, p, v):
                 hinge = threshold - beta
@@ -459,12 +436,20 @@ def _cost_terms(traj, scenario, config, extra_times=None):
     return cost, grad
 
 
+def _check_problem(scenario, config):
+    """The config, defaulted when None, once both arguments have their types."""
+    if not isinstance(scenario, Scenario):
+        raise InvalidArgumentError("scenario must be a Scenario")
+    config = CostConfig() if config is None else config
+    if not isinstance(config, CostConfig):
+        raise InvalidArgumentError("config must be a CostConfig")
+    return config
+
+
 def _check_cost_args(traj, scenario, config):
     if not isinstance(traj, PiecewiseTrajectory):
         raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
-    if not isinstance(scenario, Scenario):
-        raise InvalidArgumentError("scenario must be a Scenario")
-    return CostConfig() if config is None else config
+    return _check_problem(scenario, config)
 
 
 def safety_penalty(traj, scenario, config=None):
@@ -498,8 +483,10 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     Combines the body's velocity and heading rate with the obstacle's drift:
     translating the obstacle changes the scale exactly like the body
     counter-translating, so the chain rule runs on the relative velocity.
-    Obstacles are indexed static-first, then moving.  The planar kernel
-    gives the scale and its gradient; beta = 0 raises DegenerateActiveSetError.
+    Obstacles are indexed static-first, then moving.  The heading follows
+    the velocity, with the cost's regularized heading rate (``heading_eps``
+    as in CostConfig).  The planar kernel gives the scale and its gradient;
+    beta = 0 raises DegenerateActiveSetError.
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
@@ -507,18 +494,16 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     index = _count(obstacle_index, "obstacle_index", 0)
     if index >= len(pairs):
         raise InvalidArgumentError(f"obstacle_index must be below {len(pairs)}, got {index}")
-    obs, vel = pairs[index]
-    p, v, a, _ = eval_trajectory(traj, tau)
-    theta, d_theta_d_v = heading_from_velocity(v, heading_eps)
-    cos, sin = np.cos([theta]), np.sin([theta])
-    origin = (p - float(tau) * vel)[None]
-    beta, alpha, contact, _ = _planar_scale(scenario.body._planar_gauge, obs._planar_hull,
-                                            cos, sin, origin)
+    eps = _number(heading_eps, "heading_eps", "> 0", lambda x: x > 0.0)
+    p, v, a, _ = (x[None] for x in eval_trajectory(traj, tau))  # one sample
+    pair = pairs[index]
+    _, _, cos, sin, beta, alpha, contact, _ = next(
+        _scales(scenario, np.array([float(tau)]), p, v, [pair]))
     if beta[0] <= 0.0:
         raise DegenerateActiveSetError("no body row can be tight at beta = 0")
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
-    grad = ScaleGradient2(d_t[0], float(d_theta[0]))
-    return grad_scale_time(grad, v - vel, float(d_theta_d_v @ a))
+    heading_rate = float(_heading_jacobian(v, eps)[0] @ a[0])
+    return float(d_t[0] @ (v[0] - pair[1]) + d_theta[0] * heading_rate)
 
 
 def _lbfgs_direction(g, pairs):
@@ -560,21 +545,22 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     form is required, descent survives objectives with nonsmooth kinks.
     Terminates when the gradient norm falls below ``grad_tolerance *
     max(1, |x|)``, when an accepted step decreases the cost by less than
-    ``cost_tolerance * max(1, |cost|)``, or at ``max_iterations``.  If the
-    line search exhausts 64 bisections, the best iterate found so far is
-    returned with status ``"line-search-failed"``.
+    ``cost_tolerance * max(1, |cost|)``, or at ``max_iterations``; both
+    tolerances are finite numbers >= 0.  If the line search exhausts 64
+    bisections, the best iterate found so far is returned with status
+    ``"line-search-failed"``.
 
     Returns ``(x, OptimizationReport)``; the report's trajectory statistics
     are NaN since a bare objective has none.
     """
     t_start = time.perf_counter()
-    x = np.array(x0, dtype=float).ravel()
+    x = _finite_array(x0, "x0").flatten()
     if x.size == 0:
         raise InvalidArgumentError("x0 must contain at least one variable")
-    if not np.all(np.isfinite(x)):
-        raise InvalidArgumentError("x0 contains non-finite values")
     memory = _count(memory, "memory", 1)
     max_iterations = _count(max_iterations, "max_iterations", 1)
+    grad_tolerance = _number(grad_tolerance, "grad_tolerance", ">= 0", lambda x: x >= 0.0)
+    cost_tolerance = _number(cost_tolerance, "cost_tolerance", ">= 0", lambda x: x >= 0.0)
     f, g = _evaluated(objective, x)
     if not np.isfinite(f):
         raise InvalidArgumentError("objective is not finite at x0")
@@ -639,17 +625,11 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
 
 
 def _full_state(state):
-    s = np.asarray(state, dtype=float).ravel()
-    if s.shape == (2,):
-        s = np.concatenate([s, np.zeros(4)])
-    elif s.shape == (4,):
-        s = np.concatenate([s, np.zeros(2)])
-    elif s.shape != (6,):
+    s = _finite_array(state, "boundary state").ravel()
+    if s.shape not in ((2,), (4,), (6,)):
         raise InvalidArgumentError(
             "boundary states are [px, py], [px, py, vx, vy] or the full 6-vector")
-    if not np.all(np.isfinite(s)):
-        raise InvalidArgumentError("boundary state contains non-finite values")
-    return s
+    return np.concatenate([s, np.zeros(6 - s.size)])
 
 
 def _line_states(start, goal, total_time, segments):
@@ -726,11 +706,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     0 iterations and the report of the straight-line guess.
     """
     t_start = time.perf_counter()
-    if not isinstance(scenario, Scenario):
-        raise InvalidArgumentError("scenario must be a Scenario")
-    config = CostConfig() if config is None else config
-    if not isinstance(config, CostConfig):
-        raise InvalidArgumentError("config must be a CostConfig")
+    config = _check_problem(scenario, config)
     segments = _count(segments, "segments", 1)
     s0 = _full_state(start)
     s1 = _full_state(goal)
@@ -739,9 +715,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     if total_time is None:
         total_time = max(2.5 * distance / limits.v_max,
                          2.8 * math.sqrt(distance / limits.a_max), 1.0)
-    total_time = float(total_time)
-    if not np.isfinite(total_time) or total_time <= 0:
-        raise InvalidArgumentError("total_time must be positive and finite")
+    total_time = _number(total_time, "total_time", "> 0", lambda x: x > 0.0)
     # necessary for any trajectory: the mean speed D/T, and from rest to rest
     # the bang-bang bound 4D/T^2 on the peak acceleration; no optimization
     # can succeed past them, so the plan stops at the straight-line guess

@@ -7,6 +7,7 @@ comparison never straddles a nonsmooth point of beta.
 """
 
 import itertools
+import math
 
 import numpy as np
 import scipy.spatial
@@ -18,7 +19,7 @@ from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
 from minscale.sdlp import SolverParams
-from minscale.trajopt import _coeff_map, heading_from_velocity
+from minscale.trajopt import _coeff_map
 
 FD_H = 1e-6
 PARAMS = SolverParams()
@@ -332,7 +333,9 @@ def reference_cost(traj, scenario, config, extra_times=None):
                     cost += w_limits * w_quad * over ** 3
                     g_coeff += (w_limits * w_quad * 6.0 * over * over) * np.outer(x, pw)
             tau = float(traj.knots[seg]) + t_loc
-            theta, d_theta_d_v = heading_from_velocity(v, config.heading_eps)
+            theta = math.atan2(v[1], v[0])
+            d_theta_d_v = np.array([-v[1], v[0]]) / (v[0] * v[0] + v[1] * v[1]
+                                                     + config.heading_eps ** 2)
             pose = Pose2(theta, p)
             for (points, vel), edges in zip(obstacles, facets):
                 result = min_scale_vrep(body, points + tau * vel, pose)

@@ -176,6 +176,14 @@ def test_malformed_json_fails_with_exit_two(tmp_path):
     assert "error:" in err
 
 
+def test_scene_that_is_not_utf8_fails_with_exit_two(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, _, err = run_cli(["eval", str(path)])
+    assert code == 2
+    assert "invalid JSON" in err
+
+
 def test_missing_file_fails_with_exit_two(tmp_path):
     code, _, err = run_cli(["eval", str(tmp_path / "absent.json")])
     assert code == 2
@@ -267,6 +275,12 @@ def test_bench_rejects_bad_sizes():
     assert code == 2
     code, _, err = run_cli(["bench", "--m-list", "10,x"])
     assert code == 2
+
+
+def test_bench_rejects_a_negative_seed():
+    code, out, err = run_cli(["bench", "--m-list", "16", "--trials", "1", "--rng-seed", "-1"])
+    assert code == 2
+    assert "--rng-seed" in err and out == ""
 
 
 # --------------------------------------------------------------------- plan

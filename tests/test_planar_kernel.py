@@ -16,6 +16,7 @@ from minscale.errors import DegenerateBodyError
 from minscale.geometry import Pose2, world_to_body
 from minscale.gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_se2
 from minscale.oracle import finite_diff, min_scale_bisection
+from minscale import scale
 from minscale.scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 from support import random_body
@@ -173,3 +174,20 @@ def test_the_seed_must_be_strictly_inside_the_body(body):
         body._planar_gauge
     with pytest.raises(DegenerateBodyError):
         min_scale_vrep(body, np.array([[5.0, 0.0]]), Pose2(0.0, np.zeros(2)))
+
+
+def test_one_qhull_run_serves_a_set_as_body_and_as_obstacle(monkeypatch):
+    qhull = scale.ConvexHull
+    runs = []
+    monkeypatch.setattr(scale, "ConvexHull", lambda points: runs.append(1) or qhull(points))
+    points = np.random.default_rng(4).normal(size=(12, 2))
+    both = ConvexSetV(points)
+    gauge, hull = both._planar_gauge, both._planar_hull
+    beta, *_ = _planar_scale(gauge, hull, np.ones(1), np.zeros(1), np.array([[9.0, 0.0]]))
+    assert len(runs) == 1 and beta[0] > 1.0
+    # the rows and rays a hull of the body's own gives, bit for bit
+    own = qhull(points)
+    normals = own.equations[:, :2]
+    offsets = -own.equations[:, 2] - normals @ both.seed
+    assert np.array_equal(gauge.rows, normals / offsets[:, None])
+    assert np.array_equal(gauge.rays, both.points[own.vertices] - both.seed)

@@ -11,9 +11,9 @@ from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale
 from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.sdlp import LowDimLP, SolverParams
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
-                              Scenario, _cost_terms, _obstacle_pairs, eval_trajectory,
-                              heading_from_velocity, lbfgs_minimize, plan,
-                              safety_penalty, scale_time_rate, total_cost)
+                              Scenario, _cost_terms, _heading_jacobian, _obstacle_pairs,
+                              eval_trajectory, lbfgs_minimize, plan, safety_penalty,
+                              scale_time_rate, total_cost)
 
 from support import reference_cost
 
@@ -111,24 +111,30 @@ def test_construction_validation():
 
 
 def test_heading_model():
-    theta, _ = heading_from_velocity([1.0, 0.0])
-    assert theta == 0.0
-    theta, _ = heading_from_velocity([0.0, 2.0])
-    assert abs(theta - math.pi / 2.0) < 1e-15
-    v0 = np.array([0.4, -1.1])
-    h = 1e-6
-    numeric = np.zeros(2)
-    for i in range(2):
-        vp, vm = v0.copy(), v0.copy()
-        vp[i] += h
-        vm[i] -= h
-        numeric[i] = (heading_from_velocity(vp)[0]
-                      - heading_from_velocity(vm)[0]) / (2.0 * h)
-    _, analytic = heading_from_velocity(v0)
-    assert np.allclose(numeric, analytic, atol=1e-5)
-    for eps in (math.nan, 0.0):
+    velocities = np.array([[0.4, -1.1], [-2.0, 0.3], [0.0, 2.0], [-1e-2, -3e-3]])
+    h = 1e-7
+    analytic = _heading_jacobian(velocities, 1e-3)
+    for v0, row in zip(velocities, analytic):
+        numeric = np.zeros(2)
+        for i in range(2):
+            vp, vm = v0.copy(), v0.copy()
+            vp[i] += h
+            vm[i] -= h
+            numeric[i] = (math.atan2(vp[1], vp[0]) - math.atan2(vm[1], vm[0])) / (2.0 * h)
+        # the regularization scales the exact rate by |v|^2 / (|v|^2 + eps^2)
+        shrink = (v0 @ v0) / (v0 @ v0 + 1e-3 ** 2)
+        assert np.allclose(row, shrink * numeric, rtol=1e-6, atol=0.0)
+    # bounded by 1 / (2 eps) through reversals, and reached at |v| = eps
+    eps = 1e-3
+    speeds = np.geomspace(1e-6, 1.0, 61)
+    jac = _heading_jacobian(np.stack([speeds, np.zeros_like(speeds)], axis=1), eps)
+    assert np.all(np.linalg.norm(jac, axis=1) <= 1.0 / (2.0 * eps) * (1.0 + 1e-12))
+    peak = _heading_jacobian(np.array([[0.0, eps]]), eps)
+    assert abs(np.linalg.norm(peak) - 1.0 / (2.0 * eps)) <= 1e-9 / eps
+    traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
+    for bad in (math.nan, 0.0):
         with pytest.raises(InvalidArgumentError):
-            heading_from_velocity(v0, eps)
+            scale_time_rate(traj, SCENE, 2.7, heading_eps=bad)
 
 
 # -------------------------------------------------------------------- costs
@@ -339,8 +345,8 @@ def test_scale_time_rate_matches_the_lp_chain():
         answered = 0
         for tau in np.linspace(0.1, 5.9, 48):
             p, v, a, _ = eval_trajectory(traj, tau)
-            theta, d_theta_d_v = heading_from_velocity(v)
-            pose = Pose2(theta, p)
+            d_theta_d_v = np.array([-v[1], v[0]]) / (v @ v + 1e-3 ** 2)
+            pose = Pose2(math.atan2(v[1], v[0]), p)
             result = min_scale_vrep(BODY, obs.points + tau * vel, pose)
             if result.beta == 0.0:  # the seed is inside: the LP chain has no rate either
                 with pytest.raises(DegenerateActiveSetError):
