@@ -52,7 +52,10 @@ def _number(value, name, rule="", ok=None):
     if isinstance(value, np.ndarray) and value.ndim == 0:
         value = value[()]
     if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        x = float(value)
+        try:
+            x = float(value)
+        except OverflowError:  # an int too large for a float
+            x = math.inf
         if math.isfinite(x) and (ok is None or ok(x)):
             return x
     raise InvalidArgumentError(f"{name} must be a finite number{' ' + rule if rule else ''}, "
@@ -74,7 +77,7 @@ def _finite_array(value, name, shape=None):
     """
     try:
         a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidArgumentError(f"{name} must be a numeric array") from exc
     if shape is not None and a.shape != shape:
         raise InvalidArgumentError(f"{name} must have shape {shape}, got {a.shape}")

@@ -82,8 +82,8 @@ class LowDimLP:
              else _finite_array(constraints_a, "constraints_a"))
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise InvalidArgumentError(f"constraints_a must be (m, {self.dim}), got {a.shape}")
-        b = (np.zeros(0) if constraints_b is None
-             else _finite_array(constraints_b, "constraints_b", (a.shape[0],)))
+        b = _finite_array(np.zeros(0) if constraints_b is None else constraints_b,
+                          "constraints_b", (a.shape[0],))
         # copies, so freezing them leaves the caller's arrays writable
         c, a, b = (np.array(arr, order="C") for arr in (c, a, b))
         for arr in (c, a, b):

@@ -316,19 +316,18 @@ def _nodes(traj, samples, extra_times=None):
     return seg, t_loc, w_quad
 
 
-def _scales(scenario, tau, p, v, pairs=None):
+def _scales(scenario, tau, p, v, pairs):
     """Scale of every obstacle at every node, posed along the velocity.
 
     Yields ``(hull, origin, cos, sin, beta, alpha, contact, degenerate)`` per
-    obstacle of ``pairs`` (default: every obstacle of the scenario, as
-    :func:`_obstacle_pairs` lists them): ``hull`` is the obstacle's cached
+    (obstacle, velocity) pair of ``pairs``: ``hull`` is the obstacle's cached
     planar hull, ``origin`` the body position in the obstacle's time-zero
     frame, ``cos``/``sin`` those of the heading, and the rest is
     :func:`_planar_scale`'s result.
     """
     theta = np.arctan2(v[:, 1], v[:, 0])
     cos, sin = np.cos(theta), np.sin(theta)
-    for obs, vel in _obstacle_pairs(scenario) if pairs is None else pairs:
+    for obs, vel in pairs:
         hull = obs._planar_hull
         origin = p - tau[:, None] * vel
         yield (hull, origin, cos, sin) + _planar_scale(
@@ -339,7 +338,7 @@ def _min_scales(scenario, tau, p, v):
     """Smallest scale over the obstacles at each node, and the degenerate pair count."""
     here = np.full(len(tau), np.inf)
     degenerate = 0
-    for *_, beta, _, _, deg in _scales(scenario, tau, p, v):
+    for *_, beta, _, _, deg in _scales(scenario, tau, p, v, _obstacle_pairs(scenario)):
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
     return here, degenerate
@@ -392,7 +391,8 @@ def _cost_terms(traj, scenario, config, extra_times=None):
             tau = traj.knots[seg] + t_loc
             d_theta_d_v = _heading_jacobian(v, config.heading_eps)
             gauge = scenario.body._planar_gauge
-            for hull, origin, cos, sin, beta, alpha, contact, _ in _scales(scenario, tau, p, v):
+            scales = _scales(scenario, tau, p, v, _obstacle_pairs(scenario))
+            for hull, origin, cos, sin, beta, alpha, contact, _ in scales:
                 hinge = threshold - beta
                 swallowed = (beta <= 0.0) & (hull.normals is not None)
                 touched = (hinge > 0.0) & ~swallowed

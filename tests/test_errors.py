@@ -36,12 +36,15 @@ CASES = {
     "quaternion-string": lambda: Quaternion("a", 0.0, 0.0, 0.0),
     "colliding-string": lambda: is_colliding(RESULT, "x"),
     "colliding-nan": lambda: is_colliding(RESULT, math.nan),
+    "colliding-huge-int": lambda: is_colliding(RESULT, 10 ** 400),
     "vrep-obstacle-string": lambda: min_scale_vrep(BODY, "x", POSE),
     "vrep-obstacle-ragged": lambda: min_scale_vrep(BODY, RAGGED, POSE),
+    "vrep-obstacle-huge-int": lambda: min_scale_vrep(BODY, [[10 ** 400, 0]], POSE),
     "bodyframe-obstacle-string": lambda: min_scale_vrep_bodyframe(BODY, "x"),
     "lp-objective-string": lambda: LowDimLP(2, "ab"),
     "lp-constraints-0d": lambda: LowDimLP(2, [1.0, 0.0], np.array(1.0), [1.0]),
     "lp-constraints-ragged": lambda: LowDimLP(2, [1.0, 0.0], RAGGED, [1.0, 1.0]),
+    "lp-b-missing": lambda: LowDimLP(2, [1.0, 0.0], [[1.0, 0.0]]),
     "params-big-m-string": lambda: SolverParams(big_m="1"),
     "params-eps-nan": lambda: SolverParams(act_eps=math.nan),
     "rate-ragged": lambda: grad_scale_time(ScaleGradient2(np.ones(2), 1.0), RAGGED, 0.0),
@@ -57,6 +60,7 @@ CASES = {
     "cost-config-int": lambda: total_cost(TRAJ, EMPTY, config=5),
     "penalty-config-int": lambda: safety_penalty(TRAJ, EMPTY, config=5),
     "plan-time-string": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time="x"),
+    "plan-time-huge-int": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=10 ** 400),
     "plan-start-string": lambda: plan(EMPTY, "ab", [3.0, 0.0]),
     "plan-config-int": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], config=5),
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),
