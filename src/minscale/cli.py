@@ -26,7 +26,9 @@ input problems, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import statistics
@@ -40,6 +42,9 @@ from .errors import (
     DegenerateBodyError,
     InvalidArgumentError,
     MinScaleError,
+    _count,
+    _finite_array,
+    _number,
 )
 from .geometry import Pose2, Pose3, Quaternion, body_to_world, world_to_body
 from .gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
@@ -66,6 +71,15 @@ def _fail(path, message):
     raise InvalidArgumentError(f"scene field {path}: {message}")
 
 
+@contextlib.contextmanager
+def _at(label):
+    """Re-raise an InvalidArgumentError inside the block as one about ``label``."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{label}: {exc}") from exc
+
+
 def _field(obj, path, key, required=False, default=None):
     if key not in obj:
         if required:
@@ -81,36 +95,11 @@ def _check_keys(obj, path, allowed):
 
 
 def _as_points(value, path, dim):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "must be an array of numeric points")
+    with _at(f"scene field {path}"):
+        arr = _finite_array(value, "points")
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != dim:
         _fail(path, f"must be a non-empty array of length-{dim} points")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "contains non-finite values")
     return arr
-
-
-def _as_vector(value, path, dim):
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        _fail(path, "must be a numeric array")
-    if arr.shape != (dim,):
-        _fail(path, f"must have exactly {dim} components")
-    if not np.all(np.isfinite(arr)):
-        _fail(path, "contains non-finite values")
-    return arr
-
-
-def _as_positive(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(path, "must be a number")
-    value = float(value)
-    if not np.isfinite(value) or value <= 0:
-        _fail(path, "must be positive and finite")
-    return value
 
 
 def parse_scene(doc):
@@ -130,11 +119,9 @@ def parse_scene(doc):
                         "body.points", dim)
     seed = body_doc.get("seed")
     if seed is not None:
-        seed = _as_vector(seed, "body.seed", dim)
-    try:
-        body = ConvexSetV(points, seed)
-    except InvalidArgumentError as exc:
-        _fail("body", str(exc))
+        with _at("scene field body.seed"):
+            seed = _finite_array(seed, "seed", (dim,))
+    body = ConvexSetV(points, seed)
 
     obstacles_doc = _field(doc, "", "obstacles", required=True)
     if not isinstance(obstacles_doc, list):
@@ -151,13 +138,11 @@ def parse_scene(doc):
         if velocity is not None:
             if dim != 2:
                 _fail(f"{path}.velocity", "velocities are only legal in dim-2 scenes")
-            velocity = _as_vector(velocity, f"{path}.velocity", 2)
+            with _at(f"scene field {path}.velocity"):
+                velocity = _finite_array(velocity, "velocity", (2,))
             if np.allclose(velocity, 0.0):
                 velocity = None
-        try:
-            obstacles.append((ConvexSetV(pts), velocity))
-        except InvalidArgumentError as exc:
-            _fail(path, str(exc))
+        obstacles.append((ConvexSetV(pts), velocity))
 
     bounds_doc = doc.get("bounds")
     if bounds_doc is None:
@@ -166,18 +151,12 @@ def parse_scene(doc):
         if not isinstance(bounds_doc, dict):
             _fail("bounds", "must be an object")
         _check_keys(bounds_doc, "bounds", ("v_max", "a_max"))
-        bounds = MotionLimits(
-            _as_positive(_field(bounds_doc, "bounds", "v_max", required=True),
-                         "bounds.v_max"),
-            _as_positive(_field(bounds_doc, "bounds", "a_max", required=True),
-                         "bounds.a_max"))
+        limits = [_field(bounds_doc, "bounds", key, required=True) for key in ("v_max", "a_max")]
+        with _at("scene field bounds"):
+            bounds = MotionLimits(*limits)
 
-    beta_min = doc.get("beta_min", 1.1)
-    if not isinstance(beta_min, (int, float)) or isinstance(beta_min, bool):
-        _fail("beta_min", "must be a number")
-    beta_min = float(beta_min)
-    if not np.isfinite(beta_min) or beta_min < 1.0:
-        _fail("beta_min", "must be a finite number >= 1")
+    with _at("scene field beta_min"):
+        beta_min = _number(doc.get("beta_min", 1.1), "beta_min", ">= 1", lambda x: x >= 1.0)
 
     return Scene(int(dim), body, obstacles, bounds, beta_min)
 
@@ -186,7 +165,7 @@ def load_scene(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.loads(fh.read())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an int past Python's digit limit
         raise InvalidArgumentError(f"scene file {path}: invalid JSON ({exc})") from exc
     return parse_scene(doc)
 
@@ -226,21 +205,17 @@ def _parse_floats(text, flag, lengths):
     if len(values) not in lengths:
         expected = " or ".join(str(n) for n in sorted(lengths))
         raise InvalidArgumentError(f"{flag} expects {expected} numbers")
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidArgumentError(f"{flag} contains non-finite values")
-    return np.array(values)
+    return _finite_array(values, flag)
 
 
 def _parse_pose(args, dim):
     if dim == 2:
         if args.q is not None:
             raise InvalidArgumentError("--q applies to dim-3 scenes; use --theta")
-        heading = float(args.theta) if args.theta is not None else 0.0
-        if not math.isfinite(heading):
-            raise InvalidArgumentError("--theta must be finite")
         translation = (_parse_floats(args.t, "--t", {2}) if args.t is not None
                        else np.zeros(2))
-        return Pose2(heading, translation)
+        with _at("--theta"):
+            return Pose2(0.0 if args.theta is None else args.theta, translation)
     if args.theta is not None:
         raise InvalidArgumentError("--theta applies to dim-2 scenes; use --q")
     rotation = (Quaternion.from_array(_parse_floats(args.q, "--q", {4}))
@@ -370,16 +345,13 @@ def cmd_bench(args):
         if not 1 <= m <= 10 ** 6:
             raise InvalidArgumentError("--m-list entries must be in [1, 1e6]")
         sizes.append(m)
-    if args.trials < 1:
-        raise InvalidArgumentError("--trials must be at least 1")
-    if args.rng_seed < 0:
-        raise InvalidArgumentError("--rng-seed must be at least 0")
-    rng = np.random.default_rng(args.rng_seed)
+    trials = _count(args.trials, "--trials", 1)
+    rng = np.random.default_rng(_count(args.rng_seed, "--rng-seed", 0))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["m", "median_ns", "p95_ns"])
     for m in sizes:
         times = []
-        for _ in range(args.trials):
+        for _ in range(trials):
             lp = _bench_instance(rng, args.dim, m)
             t0 = time.perf_counter_ns()
             solve(lp)
@@ -399,17 +371,10 @@ def _scene_scenario(scene):
 
 
 def _report_doc(report):
-    return {
-        "iterations": report.iterations,
-        "final_cost": report.final_cost,
-        "min_beta": "inf" if math.isinf(report.min_beta) else report.min_beta,
-        "max_speed": report.max_speed,
-        "max_accel": report.max_accel,
-        "status": report.status,
-        "wall_time_s": report.wall_time_s,
-        "degenerate_samples": report.degenerate_samples,
-        "success": report.success,
-    }
+    doc = dataclasses.asdict(report)
+    if math.isinf(doc["min_beta"]):
+        doc["min_beta"] = "inf"
+    return doc
 
 
 def _trajectory_doc(traj):
@@ -531,20 +496,19 @@ def _build_parser():
         description="Minimum collision scale queries, gradients, benchmarks, planning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="scale per obstacle under a pose (CSV)")
-    p_eval.add_argument("scene", help="scene JSON path")
-    p_eval.add_argument("--t", help="translation, comma-separated")
-    p_eval.add_argument("--q", help="quaternion w,x,y,z (dim-3 scenes)")
-    p_eval.add_argument("--theta", type=float, help="heading, radians (dim-2 scenes)")
+    posed = argparse.ArgumentParser(add_help=False)
+    posed.add_argument("scene", help="scene JSON path")
+    posed.add_argument("--t", help="translation, comma-separated")
+    posed.add_argument("--q", help="quaternion w,x,y,z (dim-3 scenes)")
+    posed.add_argument("--theta", type=float, help="heading, radians (dim-2 scenes)")
+
+    p_eval = sub.add_parser("eval", parents=[posed],
+                            help="scale per obstacle under a pose (CSV)")
     p_eval.add_argument("--check-oracle", action="store_true",
                         help="also report the bisection scale and the difference")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_grad = sub.add_parser("grad", help="pose gradient of the scale (CSV)")
-    p_grad.add_argument("scene", help="scene JSON path")
-    p_grad.add_argument("--t", help="translation, comma-separated")
-    p_grad.add_argument("--q", help="quaternion w,x,y,z (dim-3 scenes)")
-    p_grad.add_argument("--theta", type=float, help="heading, radians (dim-2 scenes)")
+    p_grad = sub.add_parser("grad", parents=[posed], help="pose gradient of the scale (CSV)")
     p_grad.add_argument("--fd-check", action="store_true",
                         help="also report central differences and the max relative error")
     p_grad.set_defaults(func=cmd_grad)
@@ -581,10 +545,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return int(args.func(args) or 0)
-    except (InvalidArgumentError, DegenerateBodyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidArgumentError, DegenerateBodyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MinScaleError as exc:

@@ -127,12 +127,14 @@ def rotation_partials(q):
 
 def rotation2(theta):
     """2x2 rotation matrix for a heading angle."""
+    theta = _number(theta, "theta")
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
 
 
 def rotation2_partial(theta):
     """Derivative of rotation2 w.r.t. the heading angle."""
+    theta = _number(theta, "theta")
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[-s, -c], [c, -s]])
 

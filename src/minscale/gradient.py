@@ -173,8 +173,9 @@ def _picks(inside, outside, size, extra):
 
 def grad_scale_se3(system, pose):
     """Closed-form gradient of beta for a 3D body under a Pose3."""
-    if system.dim != 3 or not isinstance(pose, Pose3):
-        raise InvalidArgumentError("grad_scale_se3 needs a 3D system and a Pose3")
+    if not (isinstance(system, ActiveConstraintSystem) and system.dim == 3
+            and isinstance(pose, Pose3)):
+        raise InvalidArgumentError("grad_scale_se3 needs a 3D ActiveConstraintSystem and a Pose3")
     dt = -rotation_from_quaternion(pose.rotation) @ system.alpha
     # -x . (dR_i^T R) alpha = (dR_i x) . (-R alpha)
     dq = np.einsum("ikj,j,k->i", rotation_partials(pose.rotation), system.contact, dt)
@@ -183,8 +184,9 @@ def grad_scale_se3(system, pose):
 
 def grad_scale_se2(system, pose):
     """Closed-form gradient of beta for a 2D body under a Pose2."""
-    if system.dim != 2 or not isinstance(pose, Pose2):
-        raise InvalidArgumentError("grad_scale_se2 needs a 2D system and a Pose2")
+    if not (isinstance(system, ActiveConstraintSystem) and system.dim == 2
+            and isinstance(pose, Pose2)):
+        raise InvalidArgumentError("grad_scale_se2 needs a 2D ActiveConstraintSystem and a Pose2")
     dt, dtheta = _grad_scale_se2_batch(system.alpha[None], system.contact[None],
                                        np.cos([pose.heading]), np.sin([pose.heading]))
     return ScaleGradient2(_read_only(dt[0]), float(dtheta[0]))

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidArgumentError, NumericalError
-from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams
+from .sdlp import LowDimLP, LpSolution, LpStatus, _params
 
 _CHUNK = 500_000
 
@@ -173,8 +173,7 @@ def solve_lp_enumeration(lp, params=None):
         raise InvalidArgumentError("solve_lp_enumeration expects a LowDimLP")
     if lp.m > 200:
         raise InvalidArgumentError(f"enumeration oracle is desk-scale only (m <= 200, got {lp.m})")
-    if params is None:
-        params = SolverParams()
+    params = _params(params)
     if lp.m > 0 and not _ineq_feasible(lp.constraints_a, lp.constraints_b):
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
     if _has_improving_ray(lp):

@@ -36,7 +36,7 @@ from scipy.spatial import ConvexHull, QhullError
 from .errors import (DegenerateBodyError, InvalidArgumentError, NumericalError, _finite_array,
                      _number)
 from .geometry import _read_only, world_to_body
-from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, active_set, solve
+from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, _params, active_set, solve
 
 # candidates of the planar kernel this close to the minimum count as a tie
 _TIE_EPS = SolverParams().act_eps
@@ -274,8 +274,7 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     by the points its optimum violates until no point does (see
     _solve_on_working_set).  The tight rows are those of the whole LP.
     """
-    if params is None:
-        params = SolverParams()
+    params = _params(params)
     lp = vrep_scale_lp(body, obstacle_points)
     pts = np.asarray(_points_of(obstacle_points), dtype=float)  # checked by vrep_scale_lp
     kb = body.points.shape[0]
@@ -441,8 +440,7 @@ def hrep_scale_lp(body, obstacle):
 
 def min_scale_hrep(body, obstacle, params=None):
     """Minimum scale between H-rep body and obstacle; witness on the result."""
-    if params is None:
-        params = SolverParams()
+    params = _params(params)
     lp = hrep_scale_lp(body, obstacle)
     sol = solve(lp, params)
     if sol.status == LpStatus.INFEASIBLE:
@@ -459,4 +457,6 @@ def is_colliding(result, threshold=1.0):
     threshold, a finite number, is 1 for exact touching; larger values add
     a safety margin (scales inside [1, threshold) then count as collisions).
     """
+    if not isinstance(result, ScaleResult):
+        raise InvalidArgumentError(f"is_colliding expects a ScaleResult, got {result!r}")
     return bool(result.beta < _number(threshold, "threshold"))

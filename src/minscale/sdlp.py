@@ -56,6 +56,15 @@ class SolverParams:
             object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
 
 
+def _params(params):
+    """``params``, a SolverParams, or the default one for None."""
+    if params is None:
+        return SolverParams()
+    if not isinstance(params, SolverParams):
+        raise InvalidArgumentError(f"params must be a SolverParams, got {params!r}")
+    return params
+
+
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
@@ -357,8 +366,7 @@ def solve(lp, params=None):
     """Solve a LowDimLP.  Two calls with equal rng_seed give identical output."""
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve expects a LowDimLP")
-    if params is None:
-        params = SolverParams()
+    params = _params(params)
     status, x, basis = _run(lp, params, params.big_m)
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
@@ -381,8 +389,7 @@ def active_set(lp, solution, params=None):
     A superset of solution.active_basis whenever the optimal vertex has
     more than dim tight constraints.
     """
-    if params is None:
-        params = SolverParams()
+    params = _params(params)
     if not isinstance(solution, LpSolution) or solution.status is not LpStatus.OPTIMAL:
         raise InvalidStateError("active_set requires an optimal LpSolution")
     res = lp.constraints_a @ solution.z - lp.constraints_b

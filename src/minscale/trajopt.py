@@ -526,13 +526,14 @@ def _evaluated(objective, x):
     out = objective(x)
     try:
         f, g = out
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError("objective must return a (cost, gradient) pair") from exc
-    g = np.asarray(g, dtype=float).ravel()
+        f, g = float(f), np.asarray(g, dtype=float).ravel()
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgumentError(
+            "objective must return a (cost, gradient) pair of numbers") from exc
     if g.shape != x.shape:
         raise InvalidArgumentError(
             f"objective gradient has length {g.shape[0]}, expected {x.shape[0]}")
-    return float(f), g
+    return f, g
 
 
 def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,

@@ -8,6 +8,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from minscale import cli
 
@@ -195,6 +196,49 @@ def test_beta_min_below_one_is_rejected(tmp_path):
     code, _, err = run_cli(["eval", write_scene(tmp_path, doc)])
     assert code == 2
     assert "beta_min" in err
+
+
+# Each numeric scene field, the text stderr must hold when it is malformed,
+# and how to put a value into it.
+NUMERIC_FIELDS = {
+    "body.points": ("scene field body.points:",
+                    lambda doc, v: doc["body"].update(points=v)),
+    "body.seed": ("scene field body.seed:", lambda doc, v: doc["body"].update(seed=v)),
+    "obstacles[0].points": ("scene field obstacles[0].points:",
+                            lambda doc, v: doc["obstacles"][0].update(points=v)),
+    "obstacles[0].velocity": ("scene field obstacles[0].velocity:",
+                              lambda doc, v: doc["obstacles"][0].update(velocity=v)),
+    "bounds.v_max": ("scene field bounds: v_max",
+                     lambda doc, v: doc.update(bounds={"v_max": v, "a_max": 2.0})),
+    "bounds.a_max": ("scene field bounds: a_max",
+                     lambda doc, v: doc.update(bounds={"v_max": 8.0, "a_max": v})),
+    "beta_min": ("scene field beta_min:", lambda doc, v: doc.update(beta_min=v)),
+}
+
+
+@pytest.mark.parametrize("value", [10 ** 400, "x", True], ids=["huge-int", "string", "bool"])
+@pytest.mark.parametrize("field", NUMERIC_FIELDS)
+def test_malformed_numeric_scene_field_exits_two_naming_it(tmp_path, field, value):
+    expected, put = NUMERIC_FIELDS[field]
+    doc = json.loads(json.dumps(SQUARE_DOC))
+    put(doc, value)
+    code, out, err = run_cli(["eval", write_scene(tmp_path, doc)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {expected}")
+
+
+def test_int_past_the_digit_limit_exits_two(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 2, "beta_min": ' + "1" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(["eval", str(path)])
+    assert code == 2 and out == ""
+    assert "invalid JSON" in err
+
+
+def test_nan_heading_names_the_flag():
+    code, out, err = run_cli(["eval", SQUARE_POINT, "--theta", "nan"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --theta:")
 
 
 def test_pose_flag_dimension_mismatches():

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from minscale import (ConvexSetH, ConvexSetV, CostConfig, InvalidArgumentError, LowDimLP,
-                      MotionLimits, PiecewiseTrajectory, Pose2, Quaternion, ScaleGradient2,
-                      Scenario, SolverParams, eval_trajectory, grad_scale_time, is_colliding,
-                      lbfgs_minimize, min_scale_vrep, min_scale_vrep_bodyframe, plan,
-                      safety_penalty, total_cost)
+                      MotionLimits, PiecewiseTrajectory, Pose2, Pose3, Quaternion,
+                      ScaleGradient2, Scenario, SolverParams, active_set, eval_trajectory,
+                      grad_scale_se2, grad_scale_se3, grad_scale_time, is_colliding,
+                      lbfgs_minimize, min_scale_hrep, min_scale_vrep, min_scale_vrep_bodyframe,
+                      plan, rotation2, rotation2_partial, safety_penalty, solve, total_cost)
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 EMPTY = Scenario(body=BODY)
@@ -17,6 +18,9 @@ TRAJ = PiecewiseTrajectory(np.array([[0.0] * 6, [3.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
 POSE = Pose2(0.0, np.zeros(2))
 RESULT = min_scale_vrep(BODY, np.array([[3.0, 0.0]]), POSE)
 RAGGED = [[0.0, 0.0], [1.0, 0.0, 0.0]]
+LP = LowDimLP(2, [1.0, 1.0], np.eye(2), [1.0, 1.0])
+BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.zeros(2))
+FAR_BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 0.0]))
 
 
 def _bowl(x):
@@ -66,6 +70,19 @@ CASES = {
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),
     "lbfgs-tolerance-nan": lambda: lbfgs_minimize(_bowl, np.ones(2), grad_tolerance=math.nan),
     "lbfgs-tolerance-string": lambda: lbfgs_minimize(_bowl, np.ones(2), cost_tolerance="0"),
+    "solve-params-int": lambda: solve(LP, params=5),
+    "active-set-params-int": lambda: active_set(LP, solve(LP), params=5),
+    "vrep-params-int": lambda: min_scale_vrep(BODY, [[3.0, 0.0]], POSE, params=5),
+    "hrep-params-int": lambda: min_scale_hrep(BOX_H, FAR_BOX_H, params=5),
+    "grad-se2-system-string": lambda: grad_scale_se2("x", POSE),
+    "grad-se3-system-string": lambda: grad_scale_se3("x", Pose3(Quaternion(1.0, 0.0, 0.0, 0.0),
+                                                                np.zeros(3))),
+    "colliding-result-string": lambda: is_colliding("x"),
+    "lbfgs-cost-string": lambda: lbfgs_minimize(lambda x: ("a", 2.0 * x), np.ones(2)),
+    "lbfgs-gradient-string": lambda: lbfgs_minimize(lambda x: (1.0, "g"), np.ones(2)),
+    "lbfgs-gradient-ragged": lambda: lbfgs_minimize(lambda x: (1.0, RAGGED), np.ones(2)),
+    "rotation-string": lambda: rotation2("x"),
+    "rotation-partial-string": lambda: rotation2_partial("x"),
 }
 
 
