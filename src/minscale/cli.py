@@ -26,7 +26,6 @@ input problems, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import json
@@ -71,20 +70,27 @@ def _fail(path, message):
     raise InvalidArgumentError(f"scene field {path}: {message}")
 
 
-@contextlib.contextmanager
-def _at(label):
-    """Re-raise an InvalidArgumentError inside the block as one about ``label``."""
-    try:
-        yield
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"{label}: {exc}") from exc
+class _at:
+    """Re-raise an InvalidArgumentError inside the block as one about ``label``.
+
+    A class rather than contextlib.contextmanager, which builds a generator
+    per use and costs about twice as much per scene field.
+    """
+
+    def __init__(self, label):
+        self.label = label
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, traceback):
+        if isinstance(exc, InvalidArgumentError):
+            raise InvalidArgumentError(f"{self.label}: {exc}") from exc
 
 
-def _field(obj, path, key, required=False, default=None):
+def _field(obj, path, key):
     if key not in obj:
-        if required:
-            _fail(f"{path}.{key}" if path else key, "is missing")
-        return default
+        _fail(f"{path}.{key}" if path else key, "is missing")
     return obj[key]
 
 
@@ -107,23 +113,22 @@ def parse_scene(doc):
     if not isinstance(doc, dict):
         _fail("<root>", "must be a JSON object")
     _check_keys(doc, "", ("dim", "body", "obstacles", "bounds", "beta_min"))
-    dim = _field(doc, "", "dim", required=True)
+    dim = _field(doc, "", "dim")
     if dim not in (2, 3):
         _fail("dim", "must be 2 or 3")
 
-    body_doc = _field(doc, "", "body", required=True)
+    body_doc = _field(doc, "", "body")
     if not isinstance(body_doc, dict):
         _fail("body", "must be an object")
     _check_keys(body_doc, "body", ("points", "seed"))
-    points = _as_points(_field(body_doc, "body", "points", required=True),
-                        "body.points", dim)
+    points = _as_points(_field(body_doc, "body", "points"), "body.points", dim)
     seed = body_doc.get("seed")
     if seed is not None:
         with _at("scene field body.seed"):
             seed = _finite_array(seed, "seed", (dim,))
     body = ConvexSetV(points, seed)
 
-    obstacles_doc = _field(doc, "", "obstacles", required=True)
+    obstacles_doc = _field(doc, "", "obstacles")
     if not isinstance(obstacles_doc, list):
         _fail("obstacles", "must be an array")
     obstacles = []
@@ -132,8 +137,7 @@ def parse_scene(doc):
         if not isinstance(entry, dict):
             _fail(path, "must be an object")
         _check_keys(entry, path, ("points", "velocity"))
-        pts = _as_points(_field(entry, path, "points", required=True),
-                         f"{path}.points", dim)
+        pts = _as_points(_field(entry, path, "points"), f"{path}.points", dim)
         velocity = entry.get("velocity")
         if velocity is not None:
             if dim != 2:
@@ -151,7 +155,7 @@ def parse_scene(doc):
         if not isinstance(bounds_doc, dict):
             _fail("bounds", "must be an object")
         _check_keys(bounds_doc, "bounds", ("v_max", "a_max"))
-        limits = [_field(bounds_doc, "bounds", key, required=True) for key in ("v_max", "a_max")]
+        limits = [_field(bounds_doc, "bounds", key) for key in ("v_max", "a_max")]
         with _at("scene field bounds"):
             bounds = MotionLimits(*limits)
 

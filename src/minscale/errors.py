@@ -81,6 +81,6 @@ def _finite_array(value, name, shape=None):
         raise InvalidArgumentError(f"{name} must be a numeric array") from exc
     if shape is not None and a.shape != shape:
         raise InvalidArgumentError(f"{name} must have shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():  # the method skips np.all's Python wrapper
         raise InvalidArgumentError(f"{name} contains non-finite values")
     return a
