@@ -144,7 +144,7 @@ def parse_scene(doc):
                 _fail(f"{path}.velocity", "velocities are only legal in dim-2 scenes")
             with _at(f"scene field {path}.velocity"):
                 velocity = _finite_array(velocity, "velocity", (2,))
-            if np.allclose(velocity, 0.0):
+            if np.abs(velocity).max() <= 1e-8:
                 velocity = None
         obstacles.append((ConvexSetV(pts), velocity))
 
@@ -414,7 +414,7 @@ def cmd_plan(args):
 # ------------------------------------------------------------ SVG rendering
 
 def _body_outlines(scenario, traj, taus):
-    p, v, _, _ = _spline(traj, *_locate(traj, taus))
+    p, v = _spline(traj, *_locate(traj, taus), order=1)
     return [body_to_world(scenario.body.points, Pose2(math.atan2(vy, vx), pk))
             for pk, (vx, vy) in zip(p, v)]
 

@@ -5,19 +5,22 @@ with position, velocity and acceleration continuity; the decision variables
 are the interior junction states.  The objective blends the integral of
 squared jerk, cubic hinge penalties on the collision scale sampled along the
 motion (moving obstacles are advanced to each sample time), and hinge
-penalties on speed and acceleration limits.  Minimization is limited-memory
-BFGS with a weak Wolfe bisection line search, which tolerates the occasional
-nonsmooth scale sample.  Every sample of a cost evaluation or an audit pass
-is computed in one batch of array operations by the exact planar scale
-kernel in `scale`, with a fixed reduction order, so repeated runs are
-bit-identical.
+penalties on speed and acceleration limits.  For fixed durations the
+samples' position, velocity and acceleration are linear in the junction
+states and the jerk integral is a constant quadratic form in them, so each
+optimization round builds one linear node map for all its cost evaluations.
+Minimization is limited-memory BFGS with a weak Wolfe bisection line search,
+which tolerates the occasional nonsmooth scale sample.  Every sample of a
+cost evaluation or an audit pass is computed in one batch of array
+operations by the exact planar scale kernel in `scale`, with a fixed
+reduction order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -114,9 +117,9 @@ def _locate(traj, taus):
     return seg, taus - traj.knots[seg]
 
 
-def _spline(traj, seg, t_loc, order=2):
-    """Position and its first ``order`` derivatives at the nodes, followed by
-    the rows of local-time powers that map each segment's coefficients to them.
+def _power_rows(t_loc, order=2):
+    """Rows of local-time powers that map a segment's coefficients to the
+    position and its first ``order`` derivatives at each local time.
 
     Row ``d`` holds ``e! / (e - d)! * t^(e - d)`` for power ``e``.
     """
@@ -126,8 +129,13 @@ def _spline(traj, seg, t_loc, order=2):
         row = np.zeros_like(tpow)
         row[:, d:] = [math.perm(e, d) for e in range(d, 6)] * tpow[:, :6 - d]
         rows.append(row)
+    return rows
+
+
+def _spline(traj, seg, t_loc, order=2):
+    """Position and its first ``order`` derivatives at the nodes."""
     coeffs = traj.coeffs[seg]
-    return (*(np.einsum("nak,nk->na", coeffs, row) for row in rows), rows)
+    return tuple(np.einsum("nak,nk->na", coeffs, row) for row in _power_rows(t_loc, order))
 
 
 def eval_trajectory(traj, tau):
@@ -140,8 +148,7 @@ def eval_trajectory(traj, tau):
         raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
     span = traj.total_duration
     t = _number(tau, "tau", f"in the trajectory span [0, {span}]", lambda x: 0.0 <= x <= span)
-    *values, _ = _spline(traj, *_locate(traj, np.array([t])), order=3)
-    return tuple(x[0] for x in values)
+    return tuple(x[0] for x in _spline(traj, *_locate(traj, np.array([t])), order=3))
 
 
 def _heading_jacobian(v, eps):
@@ -282,27 +289,14 @@ def _obstacle_pairs(scenario):
     return [(obs, still) for obs in scenario.static_obstacles] + list(scenario.moving_obstacles)
 
 
-def _jerk_energy(coeffs, t):
-    """Integral of squared jerk over each segment plus its coefficient gradient."""
-    t, t2, t3, t4, t5 = (t[:, None] ** e for e in range(1, 6))
-    c3, c4, c5 = coeffs[:, :, 3], coeffs[:, :, 4], coeffs[:, :, 5]
-    energy = (36 * c3 * c3 * t + 144 * c3 * c4 * t2 + (192 * c4 * c4 + 240 * c3 * c5) * t3
-              + 720 * c4 * c5 * t4 + 720 * c5 * c5 * t5)
-    grad = np.zeros_like(coeffs)
-    grad[:, :, 3] = 72 * c3 * t + 144 * c4 * t2 + 240 * c5 * t3
-    grad[:, :, 4] = 144 * c3 * t2 + 384 * c4 * t3 + 720 * c5 * t4
-    grad[:, :, 5] = 240 * c3 * t3 + 720 * c4 * t4 + 1440 * c5 * t5
-    return float(energy.sum()), grad
-
-
-def _nodes(traj, samples, extra_times=None):
+def _nodes(durations, samples, extra_times=None):
     """Sample nodes of every segment: (segment, local time, quadrature weight).
 
     A uniform grid of ``samples`` steps per segment under trapezoid weights,
     then each segment's ``extra_times`` at full interior weight.
     """
-    k = traj.segment_count
-    step = traj.durations / samples
+    k = durations.shape[0]
+    step = durations / samples
     weights = np.ones(samples + 1)
     weights[[0, -1]] = 0.5
     seg = np.repeat(np.arange(k), samples + 1)
@@ -314,6 +308,38 @@ def _nodes(traj, samples, extra_times=None):
         t_loc = np.concatenate([t_loc, *extra_times])
         w_quad = np.concatenate([w_quad, np.repeat(step, counts)])
     return seg, t_loc, w_quad
+
+
+_NodeMap = namedtuple("_NodeMap", "tau w_quad matrix hessian")
+
+
+def _node_map(durations, samples, extra_times=None):
+    """The cost's view of a chain of segments with fixed ``durations``.
+
+    ``tau`` and ``w_quad`` are the absolute time and quadrature weight of
+    every node of :func:`_nodes`.  With ``y`` the junction states reshaped
+    to ``(3 (k+1), 2)`` (rows p, v, a of each junction), ``matrix @ y``
+    stacks the nodes' positions, velocities and accelerations, ``(3 N, 2)``,
+    and ``sum(y * (hessian @ y))`` is the integral of squared jerk.
+    """
+    k = durations.shape[0]
+    seg, t_loc, w_quad = _nodes(durations, samples, extra_times)
+    maps = _coeff_maps(durations)
+    # each node's p, v and a as rows over its segment's two junction states
+    rows = np.einsum("dnk,nkj->dnj", np.stack(_power_rows(t_loc)), maps[seg])
+    n = seg.shape[0]
+    matrix = np.zeros((3, n, 3 * (k + 1)))
+    matrix[:, np.arange(n)[:, None], 3 * seg[:, None] + np.arange(6)] = rows
+    # jerk 6 c3 + 24 c4 t + 60 c5 t^2: its Gram matrix over [0, t] in the coefficients
+    power = np.arange(6)
+    lift = np.array([math.perm(e, 3) for e in power], dtype=float)
+    order = np.maximum(power[:, None] + power - 5, 1)
+    hessian = np.zeros((3 * (k + 1), 3 * (k + 1)))
+    for s, (w, t) in enumerate(zip(maps, durations)):
+        gram = np.outer(lift, lift) * t ** order / order
+        hessian[3 * s:3 * s + 6, 3 * s:3 * s + 6] += w.T @ gram @ w
+    knots = np.concatenate([[0.0], np.cumsum(durations)])
+    return _NodeMap(knots[seg] + t_loc, w_quad, matrix.reshape(3 * n, -1), hessian)
 
 
 def _scales(scenario, tau, p, v, pairs):
@@ -347,7 +373,7 @@ def _min_scales(scenario, tau, p, v):
 def _scale_at(traj, scenario, taus):
     """Smallest scale over the obstacles at each absolute time in ``taus``."""
     taus = np.asarray(taus, dtype=float)
-    p, v, _, _ = _spline(traj, *_locate(traj, taus))
+    p, v = _spline(traj, *_locate(traj, taus), order=1)
     return _min_scales(scenario, taus, p, v)[0]
 
 
@@ -359,23 +385,30 @@ def _cost_terms(traj, scenario, config, extra_times=None):
     may hold one array of local times per segment; each adds a penalty node
     at full interior weight on top of the uniform grid, which lets a caller
     pin down moments the grid is too coarse to see without refining every
-    segment.
+    segment.  It runs on the trajectory's node map (:func:`_node_map`), as
+    :func:`plan` does with one map per optimization round.
     """
-    k = traj.segment_count
-    g_coeff = np.zeros((k, 2, 6))
+    node_map = _node_map(traj.durations, config.samples_per_segment, extra_times)
+    return _state_cost(traj.states, node_map, scenario, config)
+
+
+def _state_cost(states, node_map, scenario, config):
+    """:func:`_cost_terms` on the junction states ``(k+1, 6)`` of a node map."""
+    y = states.reshape(-1, 2)
     cost = 0.0
+    grad = np.zeros_like(y)
     if config.smoothness_weight > 0.0:
-        energy, g_energy = _jerk_energy(traj.coeffs, traj.durations)
-        cost += config.smoothness_weight * energy
-        g_coeff += config.smoothness_weight * g_energy
+        hy = node_map.hessian @ y
+        cost += config.smoothness_weight * float((y * hy).sum())
+        grad += 2.0 * config.smoothness_weight * hy
 
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
     need_safety = w_safety > 0.0 and scenario.obstacle_count > 0
     need_limits = w_limits > 0.0
     if need_safety or need_limits:
-        seg, t_loc, w_quad = _nodes(traj, config.samples_per_segment, extra_times)
-        p, v, a, powers = _spline(traj, seg, t_loc)
+        w_quad = node_map.w_quad
+        p, v, a = (node_map.matrix @ y).reshape(3, -1, 2)
         # cost derivatives w.r.t. position, velocity and acceleration per node
         d_pva = np.zeros((3,) + p.shape)
 
@@ -388,10 +421,9 @@ def _cost_terms(traj, scenario, config, extra_times=None):
 
         if need_safety:
             threshold = scenario.beta_min
-            tau = traj.knots[seg] + t_loc
             d_theta_d_v = _heading_jacobian(v, config.heading_eps)
             gauge = scenario.body._planar_gauge
-            scales = _scales(scenario, tau, p, v, _obstacle_pairs(scenario))
+            scales = _scales(scenario, node_map.tau, p, v, _obstacle_pairs(scenario))
             for hull, origin, cos, sin, beta, alpha, contact, _ in scales:
                 hinge = threshold - beta
                 swallowed = (beta <= 0.0) & (hull.normals is not None)
@@ -425,15 +457,8 @@ def _cost_terms(traj, scenario, config, extra_times=None):
                 d_spin = spun[:, 0] * d_seed[:, 1] - spun[:, 1] * d_seed[:, 0]
                 d_pva[1, swallowed] += d_spin[:, None] * d_theta_d_v[swallowed]
 
-        g_node = sum(d[:, :, None] * pw[:, None, :] for d, pw in zip(d_pva, powers))
-        np.add.at(g_coeff, seg, g_node)
-
-    # chain each segment's coefficient gradient to its two junction states
-    g_ends = np.einsum("kij,kai->kja", _coeff_maps(traj.durations), g_coeff).reshape(k, 12)
-    grad = np.zeros((k + 1, 6))
-    grad[:-1] += g_ends[:, :6]
-    grad[1:] += g_ends[:, 6:]
-    return cost, grad
+        grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
+    return cost, grad.reshape(-1, 6)
 
 
 def _check_problem(scenario, config):
@@ -637,7 +662,7 @@ def _line_states(start, goal, total_time, segments):
     """Junction states of the single quintic joining the boundary states."""
     line = PiecewiseTrajectory(np.stack([start, goal]), [total_time])
     times = total_time * np.arange(segments + 1) / segments
-    p, v, a, _ = _spline(line, np.zeros(segments + 1, dtype=int), times)
+    p, v, a = _spline(line, np.zeros(segments + 1, dtype=int), times)
     states = np.concatenate([p, v, a], axis=1)
     states[0] = start
     states[-1] = goal
@@ -670,8 +695,8 @@ def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
     local time of the deepest sample of each maximal run of consecutive
     samples whose scale sits below the threshold.
     """
-    seg, t_loc, _ = _nodes(traj, samples)
-    p, v, a, _ = _spline(traj, seg, t_loc)
+    seg, t_loc, _ = _nodes(traj.durations, samples)
+    p, v, a = _spline(traj, seg, t_loc)
     max_speed = float(np.sqrt((v * v).sum(axis=1)).max())
     max_accel = float(np.sqrt((a * a).sum(axis=1)).max())
     dips = [[] for _ in range(traj.segment_count)]
@@ -747,11 +772,11 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
         else:
+            node_map = _node_map(durations, config.samples_per_segment, extras)
+
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
-                candidate = PiecewiseTrajectory(xs, durations)
-                cost, grad = _cost_terms(candidate, optimize_scenario, config,
-                                         extra_times=extras)
+                cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
                 return cost, grad[1:-1].ravel()
 
             x_best, inner = lbfgs_minimize(objective, states[1:-1].ravel(),

@@ -169,6 +169,15 @@ def test_velocity_is_rejected_in_3d_scenes(tmp_path):
     assert "velocity" in err
 
 
+@pytest.mark.parametrize("speed, moving", [(5e-9, False), (-5e-9, False), (2e-8, True),
+                                           (-2e-8, True)])
+def test_a_velocity_within_1e_8_of_zero_parses_as_static(speed, moving):
+    doc = dict(SQUARE_DOC, obstacles=[{"points": [[3.0, 0.0]], "velocity": [speed, 0.0]},
+                                      {"points": [[0.0, 3.0]], "velocity": [0.0, speed]}])
+    for _, velocity in cli.parse_scene(doc).obstacles:
+        assert (velocity is not None) == moving
+
+
 def test_malformed_json_fails_with_exit_two(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

@@ -1,6 +1,7 @@
 """Trajectory representation, costs, the nonsmooth optimizer, and planning."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from minscale.geometry import Pose2
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_time
 from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.sdlp import LowDimLP, SolverParams
+from minscale import trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
-                              Scenario, _cost_terms, _heading_jacobian, _obstacle_pairs,
-                              eval_trajectory, lbfgs_minimize, plan, safety_penalty,
-                              scale_time_rate, total_cost)
+                              Scenario, _cost_terms, _heading_jacobian, _line_states,
+                              _node_map, _nodes, _obstacle_pairs, _spline, eval_trajectory,
+                              lbfgs_minimize, plan, safety_penalty, scale_time_rate,
+                              total_cost)
 
 from support import reference_cost
 
@@ -278,6 +281,56 @@ def test_batched_cost_matches_the_per_sample_reference(case):
         ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
         assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+@pytest.mark.parametrize("segments", [1, 3, 5])
+def test_node_map_jerk_energy_of_the_rest_to_rest_quintic(segments):
+    # the minimum-jerk quintic over distance D in time T has jerk energy
+    # 720 D^2 / T^5; junction states cut from it reproduce it exactly
+    for delta, total in (((9.0, 0.0), 6.0), ((3.0, -4.0), 2.5), ((0.2, 0.7), 0.8)):
+        goal = np.array([*delta, 0.0, 0.0, 0.0, 0.0])
+        states = _line_states(np.zeros(6), goal, total, segments)
+        hessian = _node_map(np.full(segments, total / segments), 8).hessian
+        y = states.reshape(-1, 2)
+        energy = float((y * (hessian @ y)).sum())
+        expected = 720.0 * float(np.dot(delta, delta)) / total ** 5
+        assert abs(energy - expected) <= 1e-12 * expected
+
+
+def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monkeypatch):
+    rng = np.random.default_rng(11)
+    extras = [np.sort(rng.uniform(0.0, d, size=n)) for d, n in zip(DURATIONS, (2, 0, 3))]
+    traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
+    node_map = _node_map(DURATIONS, 12, extras)
+    seg, t_loc, w_quad = _nodes(DURATIONS, 12, extras)
+    pva = (node_map.matrix @ STATES.reshape(-1, 2)).reshape(3, -1, 2)
+    for mapped, exact in zip(pva, _spline(traj, seg, t_loc)):
+        assert np.abs(mapped - exact).max() <= 1e-12 * max(1.0, np.abs(exact).max())
+    assert np.array_equal(node_map.tau, traj.knots[seg] + t_loc)
+    assert np.array_equal(node_map.w_quad, w_quad)
+
+    # plan's objective runs on the same map and path as total_cost
+    objectives = []
+
+    def recording(objective, *args, **kwargs):
+        objectives.append(objective)
+        return lbfgs_minimize(objective, *args, **kwargs)
+
+    monkeypatch.setattr(trajopt, "lbfgs_minimize", recording)
+    scene, config = blocking_scenario(), CostConfig()
+    planned, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config)
+    margin = 1.0 - config.limit_margin
+    tightened = replace(scene, beta_min=scene.beta_min + config.safety_margin,
+                        bounds=MotionLimits(scene.bounds.v_max * margin,
+                                            scene.bounds.a_max * margin))
+    for jitter in (0.0, 0.2):
+        states = planned.states.copy()
+        states[1:-1] += jitter * rng.normal(size=states[1:-1].shape)
+        cost, grad = objectives[0](states[1:-1].ravel())
+        ref_cost, ref_grad = total_cost(PiecewiseTrajectory(states, planned.durations),
+                                        tightened, config)
+        assert cost == ref_cost
+        assert np.array_equal(grad, ref_grad[1:-1].ravel())
 
 
 def test_smoothness_only_gradient_is_tight():
