@@ -200,7 +200,7 @@ def _grad_scale_se2_batch(alpha, contact, cos, sin):
     relative to the seed).  Returns (d_beta_d_t (N, 2), d_beta_d_theta (N,)).
     """
     ax, ay = alpha[:, 0], alpha[:, 1]
-    d_t = -np.stack([cos * ax - sin * ay, sin * ax + cos * ay], axis=1)
+    d_t = -np.array([cos * ax - sin * ay, sin * ax + cos * ay]).T
     return d_t, ax * contact[:, 1] - ay * contact[:, 0]
 
 

@@ -368,44 +368,55 @@ def _planar_scale(gauge, hull, cos, sin, origin):
     (N, 2), both in the body frame, and ``degenerate`` (N,): beta is 0, or
     a second candidate lies within ``SolverParams().act_eps * max(1, beta)``
     of the minimum.  Where beta is 0, alpha and contact mean nothing.
+
+    The sample axis N comes last: the obstacle vertices in the body frame
+    are (2, k, N), their gauge levels (facets, k, N), the ray crossings
+    (rays, edges, N) and the candidates (k + rays * edges, N).  Vertices,
+    facets and edges number a handful, and numpy reduces a short trailing
+    axis row by row at a fixed cost per row, while over a leading axis it
+    runs one vectorized pass across the samples, so every reduction here
+    runs over a leading axis.
     """
     seed, rows, rays = gauge.seed, gauge.rows, gauge.rays
-    rel = hull.points[None, :, :] - origin[:, None, :]
-    # obstacle points in the body frame, relative to the seed
-    yx = cos[:, None] * rel[..., 0] + sin[:, None] * rel[..., 1] - seed[0]
-    yy = cos[:, None] * rel[..., 1] - sin[:, None] * rel[..., 0] - seed[1]
-    n, k = yx.shape
-    level = yx[..., None] * rows[:, 0] + yy[..., None] * rows[:, 1]
-    facet = level.argmax(axis=2)
-    vertex = np.take_along_axis(level, facet[..., None], axis=2)[..., 0]
-    ax, ay = yx[:, hull.starts], yy[:, hull.starts]
-    ex, ey = yx[:, hull.ends] - ax, yy[:, hull.ends] - ay
-    num = ax * ey - ay * ex  # cross(a, e): >= 0 on every edge iff the seed is inside
-    dx, dy = rays[:, 0, None], rays[:, 1, None]
-    den = dx * ey[:, None, :] - dy * ex[:, None, :]  # cross(d, e), (N, rays, edges)
+    rx = hull.points[:, 0, None] - origin[:, 0]
+    ry = hull.points[:, 1, None] - origin[:, 1]
+    # obstacle points in the body frame, relative to the seed: rows x and y of (2, k, N)
+    y = np.empty((2,) + rx.shape)
+    np.subtract(cos * rx + sin * ry, seed[0], out=y[0])
+    np.subtract(cos * ry - sin * rx, seed[1], out=y[1])
+    k, n = rx.shape
+    level = y[0] * rows[:, 0, None, None] + y[1] * rows[:, 1, None, None]
+    a = y[:, hull.starts]
+    e = y[:, hull.ends] - a
+    num = a[0] * e[1] - a[1] * e[0]  # cross(a, e): >= 0 on every edge iff the seed is inside
+    dx, dy = rays[:, 0, None, None], rays[:, 1, None, None]
+    den = dx * e[1] - dy * e[0]  # cross(d, e), (rays, edges, N)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = num[:, None, :] / den
-        u = (ax[:, None, :] * dy - ay[:, None, :] * dx) / den
-    t = np.where((den != 0.0) & (t >= 0.0) & (u >= 0.0) & (u <= 1.0), t, np.inf)
-    cand = np.concatenate([vertex, t.reshape(n, -1)], axis=1)
-    best = cand.argmin(axis=1)
+        # where den is 0, u is +-inf or NaN and fails its bounds
+        t = num / den
+        u = (a[0] * dy - a[1] * dx) / den
+    t = np.where((t >= 0.0) & (u >= 0.0) & (u <= 1.0), t, np.inf)
+    cand = np.concatenate([level.max(axis=0), t.reshape(-1, n)])
+    best = cand.argmin(axis=0)
     idx = np.arange(n)
-    beta = cand[idx, best]
+    beta = cand[best, idx]
+    cand[best, idx] = np.inf
+    second = cand.min(axis=0)
     if hull.normals is not None:
-        beta[np.all(num >= 0.0, axis=1)] = 0.0
-    second = np.partition(cand, 1, axis=1)[:, 1] if cand.shape[1] > 1 else np.inf
+        beta[(num >= 0.0).all(axis=0)] = 0.0
     degenerate = (beta <= 0.0) | (second - beta <= _TIE_EPS * np.maximum(1.0, beta))
 
+    # alpha and contact as rows x and y, (2, N)
     near = np.minimum(best, k - 1)
-    alpha = rows[facet[idx, near]]
-    contact = np.stack([yx[idx, near], yy[idx, near]], axis=1) + seed
+    alpha = rows.T[:, level[:, near, idx].argmax(axis=0)]
+    contact = y[:, near, idx] + seed[:, None]
     on_edge = best >= k
     if on_edge.any():
         m = idx[on_edge]
-        r, e = np.divmod(best[on_edge] - k, ex.shape[1])
-        alpha[on_edge] = np.stack([ey[m, e], -ex[m, e]], axis=1) / den[m, r, e][:, None]
-        contact[on_edge] = seed + beta[on_edge, None] * rays[r]
-    return beta, alpha, contact, degenerate
+        r, j = np.divmod(best[m] - k, e.shape[1])
+        alpha[:, m] = e[::-1, j, m] * [[1.0], [-1.0]] / den[r, j, m]  # (ey, -ex) / den
+        contact[:, m] = seed[:, None] + beta[m] * rays.T[:, r]
+    return beta, alpha.T, contact.T, degenerate
 
 
 def hrep_scale_lp(body, obstacle):

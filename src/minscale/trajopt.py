@@ -157,7 +157,8 @@ def _heading_jacobian(v, eps):
     ``(-vy, vx) / (|v|^2 + eps^2)`` per row of ``v`` (N, 2); it stays
     bounded by ``1 / (2 eps)`` through velocity reversals.
     """
-    return np.stack([-v[:, 1], v[:, 0]], axis=1) / ((v * v).sum(axis=1) + eps ** 2)[:, None]
+    vx, vy = v[:, 0], v[:, 1]
+    return np.array([-vy, vx]).T / (vx * vx + vy * vy + eps ** 2)[:, None]
 
 
 @dataclass(frozen=True)
@@ -270,6 +271,10 @@ class OptimizationReport:
     ``"max-iterations"`` or ``"line-search-failed"``, or
     ``"infeasible-limits"`` when the request breaks a necessary condition
     of the motion limits and no optimization was run.
+
+    ``cost_evaluations`` counts the objective calls, line-search trials and
+    the call at the starting point included, summed over every
+    optimization round of a plan.
     """
 
     iterations: int
@@ -281,6 +286,7 @@ class OptimizationReport:
     wall_time_s: float
     degenerate_samples: int = 0
     success: bool = False
+    cost_evaluations: int = 0
 
 
 def _obstacle_pairs(scenario):
@@ -392,8 +398,14 @@ def _cost_terms(traj, scenario, config, extra_times=None):
     return _state_cost(traj.states, node_map, scenario, config)
 
 
+@np.errstate(all="ignore")
 def _state_cost(states, node_map, scenario, config):
-    """:func:`_cost_terms` on the junction states ``(k+1, 6)`` of a node map."""
+    """:func:`_cost_terms` on the junction states ``(k+1, 6)`` of a node map.
+
+    A state that overflows, as a line-search trial can, gives a non-finite
+    cost, which the line search rejects, and raises no floating-point
+    warning.
+    """
     y = states.reshape(-1, 2)
     cost = 0.0
     grad = np.zeros_like(y)
@@ -415,9 +427,10 @@ def _state_cost(states, node_map, scenario, config):
         if need_limits:
             limits = scenario.bounds
             for which, x, limit in ((1, v, limits.v_max), (2, a, limits.a_max)):
-                over = np.maximum((x * x).sum(axis=1) - limit * limit, 0.0)
-                cost += w_limits * float((w_quad * over ** 3).sum())
-                d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
+                over = np.maximum(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] - limit * limit, 0.0)
+                if over.any():  # an idle hinge adds zeros
+                    cost += w_limits * float((w_quad * over ** 3).sum())
+                    d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
 
         if need_safety:
             threshold = scenario.beta_min
@@ -429,13 +442,13 @@ def _state_cost(states, node_map, scenario, config):
                 swallowed = (beta <= 0.0) & (hull.normals is not None)
                 touched = (hinge > 0.0) & ~swallowed
                 cost += w_safety * float((w_quad[touched] * hinge[touched] ** 3).sum())
-                # beta = 0 has no polygon interior to measure penetration against
-                slope = touched & (beta > 0.0)
-                d_pen = -3.0 * w_safety * w_quad[slope] * hinge[slope] ** 2
-                d_t, d_theta = _grad_scale_se2_batch(alpha[slope], contact[slope],
-                                                     cos[slope], sin[slope])
-                d_pva[0, slope] += d_pen[:, None] * d_t
-                d_pva[1, slope] += (d_pen * d_theta)[:, None] * d_theta_d_v[slope]
+                # every node takes the gradient, weighted 0 off the hinge and at
+                # beta = 0, which has no polygon interior to measure penetration against
+                d_pen = np.where(touched & (beta > 0.0),
+                                 -3.0 * w_safety * w_quad * hinge ** 2, 0.0)
+                d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
+                d_pva[0] += d_pen[:, None] * d_t
+                d_pva[1] += (d_pen * d_theta)[:, None] * d_theta_d_v
                 if not swallowed.any():
                     continue
                 # Swallowed seed: the scale is flat at zero, which gives the
@@ -588,6 +601,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     grad_tolerance = _number(grad_tolerance, "grad_tolerance", ">= 0", lambda x: x >= 0.0)
     cost_tolerance = _number(cost_tolerance, "cost_tolerance", ">= 0", lambda x: x >= 0.0)
     f, g = _evaluated(objective, x)
+    evaluations = 1
     if not np.isfinite(f):
         raise InvalidArgumentError("objective is not finite at x0")
     pairs = deque(maxlen=memory)  # (s, y, rho), oldest first
@@ -610,6 +624,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         for _ in range(64):
             x_new = x + alpha * d
             f_new, g_new = _evaluated(objective, x_new)
+            evaluations += 1
             usable = np.isfinite(f_new) and bool(np.all(np.isfinite(g_new)))
             if not usable or f_new > f + 1e-4 * alpha * slope:
                 hi = alpha
@@ -646,6 +661,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         wall_time_s=time.perf_counter() - t_start,
         degenerate_samples=0,
         success=status == "converged",
+        cost_evaluations=evaluations,
     )
     return x, report
 
@@ -758,7 +774,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     )
 
     states = init_states
-    iterations = 0
+    iterations = evaluations = 0
     extras = [np.empty(0) for _ in range(segments)]
     rounds = 0
     # when the dense audit catches a clip between cost samples (a fast mover
@@ -771,6 +787,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             cost, _ = _cost_terms(traj, optimize_scenario, config)
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
+            evaluations += 1
         else:
             node_map = _node_map(durations, config.samples_per_segment, extras)
 
@@ -785,6 +802,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                                 s1[None, :]])
             traj = PiecewiseTrajectory(states, durations)
             iterations += inner.iterations
+            evaluations += inner.cost_evaluations
             status, final_cost = inner.status, inner.final_cost
 
         audit = _audit_samples(traj, scenario, config)
@@ -828,5 +846,6 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         wall_time_s=time.perf_counter() - t_start,
         degenerate_samples=degenerate,
         success=bool(success),
+        cost_evaluations=evaluations,
     )
     return traj, report

@@ -351,6 +351,7 @@ def test_plan_blocking_scene_writes_report_trajectory_and_svg(tmp_path):
     assert report["min_beta"] >= 1.1 - 1e-6
     assert report["max_speed"] <= 8.0 + 1e-6
     assert report["max_accel"] <= 2.0 + 1e-6
+    assert report["cost_evaluations"] > report["iterations"] > 0
 
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert len(doc["segments"]) == 5

@@ -5,6 +5,7 @@ bisection oracle's to 1e-6, and at nondegenerate results the same pose
 gradient as ``assemble_active_system`` + ``grad_scale_se2``.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -191,3 +192,62 @@ def test_one_qhull_run_serves_a_set_as_body_and_as_obstacle(monkeypatch):
     offsets = -own.equations[:, 2] - normals @ both.seed
     assert np.array_equal(gauge.rows, normals / offsets[:, None])
     assert np.array_equal(gauge.rays, both.points[own.vertices] - both.seed)
+
+
+# ----------------------------------------------------------- golden answers
+
+def _golden_batches():
+    """Seeded kernel calls: (gauge, hull, cos, sin, origin) per call.
+
+    Random bodies against random hulls of 1 to 7 points at N = 1, 17 and
+    85 poses, a one-point hull, a flat wall, exact quarter-turn headings
+    that tie a parallel edge or a body corner, and seeds inside and on the
+    edge of an obstacle.
+    """
+    rng = np.random.default_rng(20261019)
+    quarter = (np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0]))
+    for trial in range(40):
+        body = random_body(rng, 2)
+        k = 1 + trial % 7
+        obstacle = ConvexSetV(rng.normal(size=(k, 2)) * 0.8 + rng.normal(size=2) * 2.5)
+        n = (1, 17, 85)[trial % 3]
+        theta = rng.uniform(-math.pi, math.pi, n)
+        yield (body._planar_gauge, obstacle._planar_hull, np.cos(theta), np.sin(theta),
+               rng.normal(size=(n, 2)) * 1.5)
+    wall = ConvexSetV(np.linspace(-3.0, 3.0, 40)[:, None] * np.array([0.6, 0.8]) + [4.0, -1.0])
+    for trial in range(6):
+        body = random_body(rng, 2)
+        theta = rng.uniform(-math.pi, math.pi, 17)
+        yield (body._planar_gauge, wall._planar_hull, np.cos(theta), np.sin(theta),
+               rng.normal(size=(17, 2)))
+    origins = np.array([[0.0, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.3, -0.2]])
+    for points in ([[2.0, 1.0]] * 3,  # one-point hull
+                   [[3.0, -0.5], [3.0, 0.5], [4.0, 0.0]],  # an edge parallel to a facet
+                   [[1.5, 0.5], [0.5, 1.5], [2.0, 2.0]],  # an edge through a body corner
+                   [[2.0, 2.0], [3.0, 2.0], [2.0, 3.0]],  # a vertex on a corner's ray
+                   [[-2.0, -2.0], [3.0, -1.0], [0.0, 4.0]],  # the seed inside
+                   [[0.0, -2.0], [0.0, 2.0], [3.0, 0.0]]):  # the seed on an edge
+        hull = ConvexSetV(np.array(points))._planar_hull
+        for c, s in zip(*quarter):
+            yield (SQUARE._planar_gauge, hull, np.full(4, c), np.full(4, s), origins)
+        yield (SQUARE._planar_gauge, hull, *quarter, np.zeros((4, 2)))
+
+
+# SHA-256 of _planar_scale's beta, degenerate flags, and alpha and contact where
+# beta > 0, over _golden_batches, as the kernel with the samples on the first axis gave
+PLANAR_GOLDEN_DIGEST = "9929a4e60ecb2412822c24d7d7f1527f909338119acc448f0b3481df9df10d55"
+
+
+def test_kernel_answers_match_the_golden_digest():
+    digest = hashlib.sha256()
+    ties = zeros = 0
+    for gauge, hull, c, s, origin in _golden_batches():
+        beta, alpha, contact, degenerate = _planar_scale(gauge, hull, c, s, origin)
+        touching = (beta > 0.0)[:, None]
+        for out in (beta, np.where(touching, alpha, 0.0), np.where(touching, contact, 0.0),
+                    degenerate):
+            digest.update(np.ascontiguousarray(out).tobytes())
+        ties += int((degenerate & (beta > 0.0)).sum())
+        zeros += int((beta == 0.0).sum())
+    assert ties > 0 and zeros > 0
+    assert digest.hexdigest() == PLANAR_GOLDEN_DIGEST

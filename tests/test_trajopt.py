@@ -1,6 +1,7 @@
 """Trajectory representation, costs, the nonsmooth optimizer, and planning."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from minscale.sdlp import LowDimLP, SolverParams
 from minscale import trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _cost_terms, _heading_jacobian, _line_states,
-                              _node_map, _nodes, _obstacle_pairs, _spline, eval_trajectory,
-                              lbfgs_minimize, plan, safety_penalty, scale_time_rate,
-                              total_cost)
+                              _node_map, _nodes, _obstacle_pairs, _spline, _state_cost,
+                              eval_trajectory, lbfgs_minimize, plan, safety_penalty,
+                              scale_time_rate, total_cost)
 
 from support import reference_cost
 
@@ -333,6 +334,17 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
         assert np.array_equal(grad, ref_grad[1:-1].ravel())
 
 
+@pytest.mark.parametrize("value", [math.inf, 1e300])
+def test_an_overflowing_trial_state_gives_a_non_finite_cost_without_warnings(value):
+    # a line-search trial can reach such a state; the search rejects its cost
+    states = STATES.copy()
+    states[1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cost, _ = _state_cost(states, _node_map(DURATIONS, 16), SCENE, CostConfig())
+    assert not math.isfinite(cost)
+
+
 def test_smoothness_only_gradient_is_tight():
     config = CostConfig(safety_weight=0.0, feasibility_weight=0.0,
                         samples_per_segment=8)
@@ -504,6 +516,19 @@ def test_lbfgs_accepted_costs_are_monotone():
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
 
 
+def test_cost_evaluations_count_every_objective_call():
+    calls = []
+
+    def rosen(x):
+        calls.append(x)
+        a, b = x
+        return ((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2,
+                np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+    _, report = lbfgs_minimize(rosen, np.array([-1.2, 1.0]))
+    assert report.cost_evaluations == len(calls) > report.iterations + 1
+
+
 # ----------------------------------------------------------------- planning
 
 def test_plan_empty_scene_keeps_the_straight_line():
@@ -556,6 +581,30 @@ def test_a_plan_that_fails_its_audit_does_not_report_converged():
         assert not report.success
         assert report.min_beta == 0.0
         assert report.status == "unsafe", report
+
+
+def test_plan_sums_cost_evaluations_over_its_rounds(monkeypatch):
+    calls = []
+
+    def counting(objective, *args, **kwargs):
+        return lbfgs_minimize(lambda x: calls.append(1) or objective(x), *args, **kwargs)
+
+    monkeypatch.setattr(trajopt, "lbfgs_minimize", counting)
+    # a fast mover crosses the path between cost samples: the audit pins a
+    # node at the clip and a second round runs
+    square = np.array([[-0.3, -0.3], [0.3, -0.3], [0.3, 0.3], [-0.3, 0.3]])
+    crossing = Scenario(body=BODY, moving_obstacles=((ConvexSetV(square + [4.5, -39.6]),
+                                                      (0.0, 12.0)),),
+                        bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
+    rounds = []
+    monkeypatch.setattr(trajopt, "_node_map", lambda *a: rounds.append(1) or _node_map(*a))
+    _, report = plan(crossing, [0.0, 0.0], [9.0, 0.0], segments=3)
+    assert len(rounds) >= 2 and report.cost_evaluations == len(calls)
+    # one cost evaluation when there is nothing to optimize
+    for segments, total_time in ((1, None), (5, 3.0)):
+        _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=segments,
+                         total_time=total_time)
+        assert report.cost_evaluations == 1
 
 
 def test_plan_around_a_blocking_box():
