@@ -480,8 +480,7 @@ def _render_svg(path, traj, scenario):
         for poly in obstacles:
             parts.append(f'<polygon points="{_polygon_path(poly, to_px)}" '
                          f'fill="#b7bcc2" stroke="#6a6f75"/>')
-        curve_path = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in curve))
-        parts.append(f'<polyline points="{curve_path}" fill="none" '
+        parts.append(f'<polyline points="{_polygon_path(curve, to_px)}" fill="none" '
                      f'stroke="#1a73e8" stroke-width="1.4"/>')
         for outline, safe in bodies:
             color = "#188038" if safe else "#d93025"

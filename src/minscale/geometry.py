@@ -8,9 +8,9 @@ Conventions used throughout the package:
   and R is a proper rotation exactly when ||q|| = 1.  Keeping the raw
   algebraic form makes every entry of R a polynomial in the four
   components, which is what the analytic pose gradients differentiate.
-* world_to_body applies the exact matrix inverse of R (for unit
-  quaternions this is just the transpose).  Using the true inverse rather
-  than the transpose means central finite differences over raw quaternion
+* world_to_body applies the exact inverse R^-1 = R^T / |q|^4, since the
+  homogeneous form has R R^T = |q|^4 I.  Using the true inverse rather than
+  the transpose means central finite differences over raw quaternion
   components agree with the analytic formulas even off the unit sphere.
 """
 
@@ -149,43 +149,38 @@ def _points_2d(points, dim, name):
     return p, single
 
 
+def _rotation(pose):
+    """The rotation R of a pose and |q|^2 (exactly 1 for a Pose2)."""
+    if isinstance(pose, Pose3):
+        q = pose.rotation
+        n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
+        if not 0.0 < n2 < np.inf:
+            raise InvalidArgumentError("pose quaternion must have a nonzero, finite norm")
+        return rotation_from_quaternion(q), n2
+    if isinstance(pose, Pose2):
+        return rotation2(pose.heading), 1.0
+    raise InvalidArgumentError(f"unsupported pose type {type(pose).__name__}")
+
+
 def world_to_body(points, pose):
     """Map world points into the body frame of a pose.
 
-    For Pose3 this solves R(q) p_body = p_world - t exactly, so the
-    transform is the true inverse of body_to_world for any finite
-    quaternion.  Accepts a single point (n,) or a stack (k, n).
+    Applies R^-1 = R^T / |q|^4 (|q| = 1 for a Pose2), the exact inverse of
+    body_to_world; dividing by |q|^2 twice keeps |q| up to about 1e154 from
+    overflowing.  Accepts a single point (n,) or a stack (k, n).
     """
-    if isinstance(pose, Pose3):
-        p, single = _points_2d(points, 3, "points")
-        r = rotation_from_quaternion(pose.rotation)
-        shifted = p - pose.translation
-        try:
-            out = np.linalg.solve(r, shifted.T).T
-        except np.linalg.LinAlgError:
-            raise InvalidArgumentError("pose rotation is singular (zero quaternion?)")
-        return out[0] if single else out
-    if isinstance(pose, Pose2):
-        p, single = _points_2d(points, 2, "points")
-        r = rotation2(pose.heading)
-        out = (p - pose.translation) @ r  # (p-t) @ R == R^T (p-t) rowwise
-        return out[0] if single else out
-    raise InvalidArgumentError(f"unsupported pose type {type(pose).__name__}")
+    r, n2 = _rotation(pose)
+    p, single = _points_2d(points, r.shape[0], "points")
+    out = (p - pose.translation) @ (r / n2 / n2)  # (p-t) @ R == R^T (p-t) rowwise
+    return out[0] if single else out
 
 
 def body_to_world(points, pose):
     """Inverse of world_to_body."""
-    if isinstance(pose, Pose3):
-        p, single = _points_2d(points, 3, "points")
-        r = rotation_from_quaternion(pose.rotation)
-        out = p @ r.T + pose.translation
-        return out[0] if single else out
-    if isinstance(pose, Pose2):
-        p, single = _points_2d(points, 2, "points")
-        r = rotation2(pose.heading)
-        out = p @ r.T + pose.translation
-        return out[0] if single else out
-    raise InvalidArgumentError(f"unsupported pose type {type(pose).__name__}")
+    r, _ = _rotation(pose)
+    p, single = _points_2d(points, r.shape[0], "points")
+    out = p @ r.T + pose.translation
+    return out[0] if single else out
 
 
 def centroid(points):

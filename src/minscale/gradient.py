@@ -124,14 +124,10 @@ def assemble_active_system(body, result, pose, allow_subgradient=False):
         raise InvalidArgumentError(
             "result carries no obstacle coordinates; gradients need a V-rep result")
     n = body.dim
-    if isinstance(pose, Pose3):
-        if n != 3:
-            raise InvalidArgumentError("Pose3 requires a 3D body")
-    elif isinstance(pose, Pose2):
-        if n != 2:
-            raise InvalidArgumentError("Pose2 requires a 2D body")
-    else:
+    if not isinstance(pose, (Pose2, Pose3)):
         raise InvalidArgumentError(f"unsupported pose type {type(pose).__name__}")
+    if pose.translation.shape != (n,):
+        raise InvalidArgumentError(f"{type(pose).__name__} needs a {len(pose.translation)}D body")
     if result.degenerate and not allow_subgradient:
         raise SubgradientOnlyError(
             "scale result is degenerate; the gradient is only a subgradient "

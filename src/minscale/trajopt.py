@@ -37,8 +37,15 @@ from .scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 @lru_cache(maxsize=128)
 def _coeff_map(duration):
-    """6x6 map from one axis of (p0, v0, a0, p1, v1, a1) to quintic coefficients."""
+    """6x6 map from one axis of (p0, v0, a0, p1, v1, a1) to quintic coefficients.
+
+    The one duration rule: probed at each power of ten, the map holds end
+    states to about 1e-11 in [1e-60, 1e60]; below, h (det 2 t^9) is
+    singular in floating point, and above, the powers of t overflow.
+    """
     t = float(duration)
+    if not 1e-60 <= t <= 1e60:
+        raise InvalidArgumentError("segment durations must lie in [1e-60, 1e60]")
     h = np.array([
         [t ** 3, t ** 4, t ** 5],
         [3 * t ** 2, 4 * t ** 3, 5 * t ** 4],
@@ -64,7 +71,7 @@ def _coeff_maps(durations):
 
 @dataclass(frozen=True)
 class PiecewiseTrajectory:
-    """Quintic spline with fixed segment durations.
+    """Quintic spline with fixed segment durations, each in [1e-60, 1e60].
 
     ``states`` holds one row ``[px, py, vx, vy, ax, ay]`` per junction,
     endpoints included; ``coeffs[k, axis]`` are the ascending-power
@@ -84,8 +91,6 @@ class PiecewiseTrajectory:
             raise InvalidArgumentError("states must be (k+1, 6) with k >= 1 segments")
         k = states.shape[0] - 1
         durations = _read_only(_finite_array(self.durations, "durations", (k,)))
-        if np.any(durations <= 0):
-            raise InvalidArgumentError("durations must be positive, one per segment")
         # rows (p0, v0, a0, p1, v1, a1) of each segment, one column per axis
         ends = np.concatenate([states[:-1], states[1:]], axis=1).reshape(k, 6, 2)
         coeffs = np.einsum("kij,kja->kai", _coeff_maps(durations), ends)
@@ -694,8 +699,8 @@ def _audit_samples(traj, scenario, config):
     """
     if not (scenario.static_obstacles or scenario.moving_obstacles):
         return config.samples_per_segment
-    spans = scenario.body.points.max(axis=0) - scenario.body.points.min(axis=0)
-    extent = 0.5 * float(spans.min())
+    hull = scenario.body._planar_hull  # a polygon is thinnest across one of its edges
+    extent = 0.5 * float((hull.offsets - (hull.points @ hull.normals.T).min(axis=0)).min())
     speed = scenario.bounds.v_max
     for _, velocity in scenario.moving_obstacles:
         speed = max(speed, scenario.bounds.v_max + float(np.linalg.norm(velocity)))
@@ -741,7 +746,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     reruns warm-started, a few rounds at most.  ``callback`` observes the
     first optimization round, where the objective is fixed.  If
     ``total_time`` is omitted, a duration is chosen so the straight-line
-    guess respects the limits with margin.  Boundary states are ``[px, py]``
+    guess respects the limits with margin; ``total_time`` and each segment's
+    share of it must lie in [1e-60, 1e60].  Boundary states are ``[px, py]``
     (at rest), ``[px, py, vx, vy]`` or the full 6-vector.  A request whose
     mean speed exceeds ``v_max``, or that goes from rest to rest faster than
     ``a_max`` allows, returns at once with status ``"infeasible-limits"``,
@@ -758,14 +764,14 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         total_time = max(2.5 * distance / limits.v_max,
                          2.8 * math.sqrt(distance / limits.a_max), 1.0)
     total_time = _number(total_time, "total_time", "> 0", lambda x: x > 0.0)
+    durations = np.full(segments, total_time / segments)
+    init_states = _line_states(s0, s1, total_time, segments)
     # necessary for any trajectory: the mean speed D/T, and from rest to rest
     # the bang-bang bound 4D/T^2 on the peak acceleration; no optimization
     # can succeed past them, so the plan stops at the straight-line guess
     at_rest = not (np.any(s0[2:4]) or np.any(s1[2:4]))
     beyond_limits = (distance / total_time > limits.v_max + 1e-6
                      or (at_rest and 4.0 * distance / total_time ** 2 > limits.a_max + 1e-6))
-    durations = np.full(segments, total_time / segments)
-    init_states = _line_states(s0, s1, total_time, segments)
     optimize_scenario = replace(
         scenario,
         beta_min=scenario.beta_min + config.safety_margin,

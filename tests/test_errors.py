@@ -53,6 +53,8 @@ CASES = {
     "params-eps-nan": lambda: SolverParams(act_eps=math.nan),
     "rate-ragged": lambda: grad_scale_time(ScaleGradient2(np.ones(2), 1.0), RAGGED, 0.0),
     "trajectory-states-string": lambda: PiecewiseTrajectory([["a"] * 6] * 2, [1.0]),
+    "trajectory-duration-tiny": lambda: PiecewiseTrajectory(TRAJ.states, [1e-120]),
+    "trajectory-duration-huge": lambda: PiecewiseTrajectory(TRAJ.states, [1e70]),
     "eval-tau-string": lambda: eval_trajectory(TRAJ, "x"),
     "eval-tau-bool": lambda: eval_trajectory(TRAJ, True),
     "eval-tau-nan": lambda: eval_trajectory(TRAJ, math.nan),
@@ -65,6 +67,9 @@ CASES = {
     "penalty-config-int": lambda: safety_penalty(TRAJ, EMPTY, config=5),
     "plan-time-string": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time="x"),
     "plan-time-huge-int": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=10 ** 400),
+    "plan-time-tiny": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=1e-300),
+    "plan-time-tiny-in-place": lambda: plan(EMPTY, [0.0, 0.0], [0.0, 0.0], total_time=1e-300),
+    "plan-time-huge": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=1e200),
     "plan-start-string": lambda: plan(EMPTY, "ab", [3.0, 0.0]),
     "plan-config-int": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], config=5),
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),

@@ -71,15 +71,20 @@ def test_world_body_roundtrip_is_identity():
 
 
 def test_world_to_body_inverts_nonunit_quaternions_exactly():
-    # the transform solves R q = p rather than applying R^T, so a non-unit
-    # quaternion still round-trips exactly
+    # the transform applies R^-1 = R^T / |q|^4 rather than R^T, so a
+    # non-unit quaternion still round-trips exactly and matches a linear solve
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        q = rng.normal(size=4) * 2.0
-        pose = Pose3(Quaternion.from_array(q), rng.normal(size=3))
-        points = rng.normal(size=(4, 3))
-        back = body_to_world(world_to_body(points, pose), pose)
-        assert np.max(np.abs(back - points)) < 1e-10
+    for scale in 10.0 ** np.arange(-3, 61, 3):
+        for _ in range(10):
+            q = rng.normal(size=4) * scale
+            pose = Pose3(Quaternion.from_array(q), rng.normal(size=3))
+            points = rng.normal(size=(4, 3))
+            shifted = points - pose.translation
+            reference = np.linalg.solve(rotation_from_quaternion(q), shifted.T).T
+            body = world_to_body(points, pose)
+            assert np.max(np.abs(body - reference)) <= 1e-12 * np.max(np.abs(reference))
+            back = body_to_world(body, pose)
+            assert np.max(np.abs(back - points)) < 1e-10
 
 
 def test_world_to_body_translation_only():
@@ -115,9 +120,12 @@ def test_pose_validation_rejects_bad_inputs():
 
 
 def test_zero_quaternion_pose_is_rejected_at_the_transform():
-    pose = Pose3(Quaternion(0.0, 0.0, 0.0, 0.0), np.zeros(3))
-    with pytest.raises(InvalidArgumentError):
-        world_to_body(np.zeros((1, 3)), pose)
+    # |q|^2 of zero, or one that overflows, leaves no inverse to apply
+    for q in [(0.0, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1e154, 1e154, 0.0, 0.0)]:
+        pose = Pose3(Quaternion(*q), np.zeros(3))
+        for transform in (world_to_body, body_to_world):
+            with pytest.raises(InvalidArgumentError):
+                transform(np.zeros((1, 3)), pose)
 
 
 def test_dimension_mismatch_between_points_and_pose():

@@ -313,6 +313,20 @@ def test_random_bodies_under_random_poses_match_pulled_back_query():
         pulled = min_scale_vrep_bodyframe(body, world_to_body(obstacle, pose))
         assert posed.beta == pulled.beta
         assert posed.active_obstacle == pulled.active_obstacle
+    # 3D bodies under non-unit quaternions, against an LU solve of R p = p_world - t
+    for _ in range(20):
+        body = random_body(rng, 3)
+        obstacle = rng.normal(size=(8, 3)) + np.array([4.0, 0.0, 0.0])
+        q = rng.normal(size=4) * 10.0 ** rng.uniform(-3.0, 3.0)
+        pose = Pose3(Quaternion.from_array(q), rng.normal(size=3))
+        posed = min_scale_vrep(body, obstacle, pose)
+        shifted = obstacle - pose.translation
+        pulled = min_scale_vrep_bodyframe(
+            body, np.linalg.solve(rotation_from_quaternion(q), shifted.T).T)
+        assert abs(posed.beta - pulled.beta) <= 1e-12 * pulled.beta
+        if not (posed.degenerate or pulled.degenerate):
+            assert posed.active_body == pulled.active_body
+            assert posed.active_obstacle == pulled.active_obstacle
 
 
 # -------------------------------------------------------------- working set

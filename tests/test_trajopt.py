@@ -570,6 +570,22 @@ def test_plan_stops_at_once_when_only_the_acceleration_limit_is_impossible():
     assert cruise.status == "converged" and cruise.success
 
 
+def test_audit_resolution_does_not_depend_on_how_the_body_is_drawn():
+    # a 3.0 x 0.2 bar is 0.1 thick across however it is rotated about its seed
+    bar = np.array([[-1.5, -0.1], [1.5, -0.1], [1.5, 0.1], [-1.5, 0.1]])
+    traj = PiecewiseTrajectory(STATES, DURATIONS)
+    config = CostConfig()
+    # fastest relative motion v_max + |(-0.4, -0.5)| over 2 s, per quarter extent
+    expected = math.ceil(2.0 * (8.0 + math.hypot(0.4, 0.5)) / (0.25 * 0.1))
+    for degrees in (0.0, 17.0, 45.0, 90.0, 123.0):
+        angle = math.radians(degrees)
+        rot = np.array([[math.cos(angle), -math.sin(angle)],
+                        [math.sin(angle), math.cos(angle)]])
+        body = ConvexSetV(bar @ rot.T, np.zeros(2))
+        scene = replace(SCENE, body=body)
+        assert trajopt._audit_samples(traj, scene, config) == expected, degrees
+
+
 def test_a_plan_that_fails_its_audit_does_not_report_converged():
     # the goal lies inside the box, so no trajectory can clear beta_min,
     # however well the optimizer settles
