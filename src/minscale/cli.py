@@ -375,10 +375,9 @@ def _scene_scenario(scene):
 
 
 def _report_doc(report):
-    doc = dataclasses.asdict(report)
-    if math.isinf(doc["min_beta"]):
-        doc["min_beta"] = "inf"
-    return doc
+    """The report as strict JSON: a non-finite float is written "inf", "-inf" or "nan"."""
+    return {key: str(value) if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in dataclasses.asdict(report).items()}
 
 
 def _trajectory_doc(traj):

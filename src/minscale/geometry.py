@@ -20,6 +20,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError, _finite_array, _number
 
+# below the smallest normal float, |q|^2 makes the inverse R / |q|^4 overflow
+_MIN_NORM2 = np.finfo(float).tiny
+
 
 def _read_only(a):
     """A frozen float copy of a, so no caller alias can change it later."""
@@ -154,8 +157,8 @@ def _rotation(pose):
     if isinstance(pose, Pose3):
         q = pose.rotation
         n2 = q.w * q.w + q.x * q.x + q.y * q.y + q.z * q.z
-        if not 0.0 < n2 < np.inf:
-            raise InvalidArgumentError("pose quaternion must have a nonzero, finite norm")
+        if not _MIN_NORM2 <= n2 < np.inf:
+            raise InvalidArgumentError("pose quaternion needs a finite |q|^2 >= 2.2e-308")
         return rotation_from_quaternion(q), n2
     if isinstance(pose, Pose2):
         return rotation2(pose.heading), 1.0

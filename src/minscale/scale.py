@@ -8,7 +8,9 @@ from the obstacle, beta < 1 means it collides, and beta = 0 means the seed
 itself lies inside the obstacle.  Both representations reduce to a single
 LP in n+1 variables, solved by the incremental solver in `sdlp`.  For a 2D
 V-rep body, a private kernel evaluates the same scale in closed form for
-many poses at once; the planner uses it, and the LP is its reference.
+many poses at once, and continues it below zero (minus the seed's depth
+over the body's circumradius) where the seed lies inside an obstacle hull;
+the planner uses it, and the LP is its reference.
 The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
 builds its hull (as an obstacle) and, from that hull, its gauge (as a
 body) on first use and keeps them, so each set runs qhull once.
@@ -358,6 +360,11 @@ class _PlanarHull:
         return cls(points[hull.vertices], np.arange(k), np.roll(np.arange(k), -1),
                    hull.equations[:, :2], -hull.equations[:, 2])
 
+    @property
+    def width(self):
+        """Least width of a full hull: a polygon is thinnest across one of its edges."""
+        return float((self.offsets - (self.points @ self.normals.T).min(axis=0)).min())
+
 
 def _planar_scale(gauge, hull, cos, sin, origin):
     """Scale of the body at N poses against one obstacle hull.
@@ -365,9 +372,13 @@ def _planar_scale(gauge, hull, cos, sin, origin):
     The pose of sample i is the heading with (cos[i], sin[i]) at
     ``origin[i]``, given in the obstacle's own frame.  Returns ``beta``
     (N,), the LP certificate ``alpha`` (N, 2) and the ``contact`` point
-    (N, 2), both in the body frame, and ``degenerate`` (N,): beta is 0, or
+    (N, 2), both in the body frame, and ``degenerate`` (N,): beta <= 0, or
     a second candidate lies within ``SolverParams().act_eps * max(1, beta)``
-    of the minimum.  Where beta is 0, alpha and contact mean nothing.
+    of the minimum.  beta is signed: where the seed lies in a full hull, its
+    boundary included, beta = -depth / ``gauge.radius``, depth the seed's
+    distance inside across the nearest edge e, alpha = (-e_y, e_x) /
+    (|e| radius) and contact the seed.  Against a flat or one-point hull
+    through the seed, beta and alpha are 0.
 
     The sample axis N comes last: the obstacle vertices in the body frame
     are (2, k, N), their gauge levels (facets, k, N), the ray crossings
@@ -402,9 +413,6 @@ def _planar_scale(gauge, hull, cos, sin, origin):
     beta = cand[best, idx]
     cand[best, idx] = np.inf
     second = cand.min(axis=0)
-    if hull.normals is not None:
-        beta[(num >= 0.0).all(axis=0)] = 0.0
-    degenerate = (beta <= 0.0) | (second - beta <= _TIE_EPS * np.maximum(1.0, beta))
 
     # alpha and contact as rows x and y, (2, N)
     near = np.minimum(best, k - 1)
@@ -416,6 +424,17 @@ def _planar_scale(gauge, hull, cos, sin, origin):
         r, j = np.divmod(best[m] - k, e.shape[1])
         alpha[:, m] = e[::-1, j, m] * [[1.0], [-1.0]] / den[r, j, m]  # (ey, -ex) / den
         contact[:, m] = seed[:, None] + beta[m] * rays.T[:, r]
+    if hull.normals is None:
+        alpha[:, beta <= 0.0] = 0.0  # a flat hull through the seed: flat at 0
+    elif (inside := idx[(num >= 0.0).all(axis=0)]).size:
+        # the seed's depth across an edge is cross(a, e) / |e|; here over the radius
+        reach = np.hypot(*e[:, :, inside]) * gauge.radius
+        depth = num[:, inside] / reach
+        j, cols = depth.argmin(axis=0), np.arange(inside.size)
+        beta[inside] = -depth[j, cols]
+        alpha[:, inside] = e[::-1, j, inside] * [[-1.0], [1.0]] / reach[j, cols]  # (-ey, ex)
+        contact[:, inside] = seed[:, None]
+    degenerate = (beta <= 0.0) | (second - beta <= _TIE_EPS * np.maximum(1.0, beta))
     return beta, alpha.T, contact.T, degenerate
 
 

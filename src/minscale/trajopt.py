@@ -354,31 +354,28 @@ def _node_map(durations, samples, extra_times=None):
 
 
 def _scales(scenario, tau, p, v, pairs):
-    """Scale of every obstacle at every node, posed along the velocity.
+    """Signed scale of every obstacle at every node, posed along the velocity.
 
-    Yields ``(hull, origin, cos, sin, beta, alpha, contact, degenerate)`` per
-    (obstacle, velocity) pair of ``pairs``: ``hull`` is the obstacle's cached
-    planar hull, ``origin`` the body position in the obstacle's time-zero
-    frame, ``cos``/``sin`` those of the heading, and the rest is
-    :func:`_planar_scale`'s result.
+    Yields ``(cos, sin, beta, alpha, contact, degenerate)`` per (obstacle,
+    velocity) pair of ``pairs``: ``cos``/``sin`` are those of the heading
+    and the rest is :func:`_planar_scale`'s result, so beta is continued
+    below zero by the seed's depth where the seed is inside an obstacle.
     """
     theta = np.arctan2(v[:, 1], v[:, 0])
     cos, sin = np.cos(theta), np.sin(theta)
     for obs, vel in pairs:
-        hull = obs._planar_hull
-        origin = p - tau[:, None] * vel
-        yield (hull, origin, cos, sin) + _planar_scale(
-            scenario.body._planar_gauge, hull, cos, sin, origin)
+        yield (cos, sin) + _planar_scale(
+            scenario.body._planar_gauge, obs._planar_hull, cos, sin, p - tau[:, None] * vel)
 
 
 def _min_scales(scenario, tau, p, v):
-    """Smallest scale over the obstacles at each node, and the degenerate pair count."""
+    """Smallest scale of the obstacles at each node, clamped to +0.0, and the degenerate count."""
     here = np.full(len(tau), np.inf)
     degenerate = 0
     for *_, beta, _, _, deg in _scales(scenario, tau, p, v, _obstacle_pairs(scenario)):
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
-    return here, degenerate
+    return np.where(here > 0.0, here, 0.0), degenerate
 
 
 def _scale_at(traj, scenario, taus):
@@ -440,40 +437,16 @@ def _state_cost(states, node_map, scenario, config):
         if need_safety:
             threshold = scenario.beta_min
             d_theta_d_v = _heading_jacobian(v, config.heading_eps)
-            gauge = scenario.body._planar_gauge
             scales = _scales(scenario, node_map.tau, p, v, _obstacle_pairs(scenario))
-            for hull, origin, cos, sin, beta, alpha, contact, _ in scales:
+            for cos, sin, beta, alpha, contact, _ in scales:
                 hinge = threshold - beta
-                swallowed = (beta <= 0.0) & (hull.normals is not None)
-                touched = (hinge > 0.0) & ~swallowed
+                touched = hinge > 0.0
                 cost += w_safety * float((w_quad[touched] * hinge[touched] ** 3).sum())
-                # every node takes the gradient, weighted 0 off the hinge and at
-                # beta = 0, which has no polygon interior to measure penetration against
-                d_pen = np.where(touched & (beta > 0.0),
-                                 -3.0 * w_safety * w_quad * hinge ** 2, 0.0)
+                # every node takes the gradient, weighted 0 off the hinge
+                d_pen = np.where(touched, -3.0 * w_safety * w_quad * hinge ** 2, 0.0)
                 d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
                 d_pva[0] += d_pen[:, None] * d_t
                 d_pva[1] += (d_pen * d_theta)[:, None] * d_theta_d_v
-                if not swallowed.any():
-                    continue
-                # Swallowed seed: the scale is flat at zero, which gives the
-                # optimizer nothing to follow, so continue it below zero by
-                # the seed's penetration depth (in units of the body
-                # circumradius).  The cost stays continuous across the
-                # boundary and now slopes toward the nearest exit.
-                c, s = cos[swallowed], sin[swallowed]
-                spun = np.stack([c * gauge.seed[0] - s * gauge.seed[1],
-                                 s * gauge.seed[0] + c * gauge.seed[1]], axis=1)
-                depth = hull.offsets - (origin[swallowed] + spun) @ hull.normals.T
-                edge = depth.argmin(axis=1)
-                deep = threshold + depth[np.arange(len(edge)), edge] / gauge.radius
-                d_deep = -3.0 * w_safety * w_quad[swallowed] * deep * deep / gauge.radius
-                cost += w_safety * float((w_quad[swallowed] * deep ** 3).sum())
-                d_seed = d_deep[:, None] * hull.normals[edge]
-                d_pva[0, swallowed] += d_seed
-                # d(R seed)/d theta is R seed turned a quarter
-                d_spin = spun[:, 0] * d_seed[:, 1] - spun[:, 1] * d_seed[:, 0]
-                d_pva[1, swallowed] += d_spin[:, None] * d_theta_d_v[swallowed]
 
         grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
     return cost, grad.reshape(-1, 6)
@@ -500,10 +473,10 @@ def safety_penalty(traj, scenario, config=None):
 
     Each segment is sampled on a uniform grid; every obstacle (moving ones
     advanced to the sample time) contributes ``max(0, beta_min - beta)^3``
-    under trapezoid quadrature weights and the safety weight.  Samples whose
-    scale is exactly zero (body seed inside the obstacle) use the scale
-    continued below zero by the seed's penetration depth, so the penalty
-    keeps a descent direction instead of going flat.
+    under trapezoid quadrature weights and the safety weight.  beta is the
+    planar kernel's signed scale: with the body seed inside the obstacle,
+    minus the seed's depth over the body's circumradius, so the penalty
+    keeps a descent direction there instead of going flat.
     """
     config = _check_cost_args(traj, scenario, config)
     safety_only = replace(config, smoothness_weight=0.0, feasibility_weight=0.0)
@@ -529,7 +502,7 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     Obstacles are indexed static-first, then moving.  The heading follows
     the velocity, with the cost's regularized heading rate (``heading_eps``
     as in CostConfig).  The planar kernel gives the scale and its gradient;
-    beta = 0 raises DegenerateActiveSetError.
+    beta <= 0 (the seed in the obstacle) raises DegenerateActiveSetError.
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
@@ -540,7 +513,7 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     eps = _number(heading_eps, "heading_eps", "> 0", lambda x: x > 0.0)
     p, v, a, _ = (x[None] for x in eval_trajectory(traj, tau))  # one sample
     pair = pairs[index]
-    _, _, cos, sin, beta, alpha, contact, _ = next(
+    cos, sin, beta, alpha, contact, _ = next(
         _scales(scenario, np.array([float(tau)]), p, v, [pair]))
     if beta[0] <= 0.0:
         raise DegenerateActiveSetError("no body row can be tight at beta = 0")
@@ -699,8 +672,7 @@ def _audit_samples(traj, scenario, config):
     """
     if not (scenario.static_obstacles or scenario.moving_obstacles):
         return config.samples_per_segment
-    hull = scenario.body._planar_hull  # a polygon is thinnest across one of its edges
-    extent = 0.5 * float((hull.offsets - (hull.points @ hull.normals.T).min(axis=0)).min())
+    extent = 0.5 * scenario.body._planar_hull.width
     speed = scenario.bounds.v_max
     for _, velocity in scenario.moving_obstacles:
         speed = max(speed, scenario.bounds.v_max + float(np.linalg.norm(velocity)))

@@ -395,3 +395,19 @@ def test_plan_reports_infeasible_limits_as_data_not_failure():
     assert report["status"] == "infeasible-limits"
     assert report["iterations"] == 0
     assert report["max_speed"] > 8.0
+
+
+def test_plan_prints_strict_json_when_the_cost_overflows():
+    # a 9 unit move in 1e-30 s overflows the cost; the report still parses as
+    # strict JSON, with every non-finite float written as a string
+    code, out, _ = run_cli(["plan", BLOCKING, "--start", "0,0",
+                            "--goal", "9,0", "--total-time", "1e-30"])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["status"] == "infeasible-limits"
+    assert report["final_cost"] == "inf"
+    assert math.isfinite(report["max_speed"]) and report["max_speed"] > 1e30

@@ -120,8 +120,10 @@ def test_pose_validation_rejects_bad_inputs():
 
 
 def test_zero_quaternion_pose_is_rejected_at_the_transform():
-    # |q|^2 of zero, or one that overflows, leaves no inverse to apply
-    for q in [(0.0, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1e154, 1e154, 0.0, 0.0)]:
+    # |q|^2 of zero, one that overflows, or a subnormal one whose R / |q|^4
+    # overflows leaves no inverse to apply
+    for q in [(0.0, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1e154, 1e154, 0.0, 0.0),
+              (1e-155, 0.0, 0.0, 0.0), (0.0, 1e-160, 1e-160, 0.0)]:
         pose = Pose3(Quaternion(*q), np.zeros(3))
         for transform in (world_to_body, body_to_world):
             with pytest.raises(InvalidArgumentError):

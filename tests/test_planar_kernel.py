@@ -2,7 +2,9 @@
 
 The kernel must return the V-rep LP's beta to 1e-12 relative, the
 bisection oracle's to 1e-6, and at nondegenerate results the same pose
-gradient as ``assemble_active_system`` + ``grad_scale_se2``.
+gradient as ``assemble_active_system`` + ``grad_scale_se2``.  Below zero,
+where the LP stops at 0, its scale is checked against the seed's depth in
+the obstacle hull and its gradient against central differences.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from minscale.errors import DegenerateBodyError
 from minscale.geometry import Pose2, world_to_body
@@ -34,13 +37,15 @@ def kernel(body, obstacle, pose, shift=None):
     ``shift`` moves the obstacle by that vector, the way the planner
     advances a moving obstacle: through the pose's origin.  Body and
     obstacle are prepared the way the planner reads them, on the sets.
+    The scale is the kernel's clamped to 0, as the LP has no
+    continuation below zero.
     """
     c, s = np.array([math.cos(pose.heading)]), np.array([math.sin(pose.heading)])
     origin = pose.translation if shift is None else pose.translation - shift
     beta, alpha, contact, degenerate = _planar_scale(
         body._planar_gauge, ConvexSetV(obstacle)._planar_hull, c, s, origin[None, :])
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, c, s)
-    return float(beta[0]), np.append(d_t[0], d_theta[0]), bool(degenerate[0])
+    return max(float(beta[0]), 0.0), np.append(d_t[0], d_theta[0]), bool(degenerate[0])
 
 
 def lp_gradient(body, result, pose):
@@ -106,6 +111,58 @@ def test_seed_inside_and_on_an_edge_give_zero():
     beta, _, degenerate = kernel(SQUARE, on_edge, Pose2(0.0, np.array([0.1, 0.2])))
     assert beta == 0.0 and degenerate
     assert min_scale_vrep(SQUARE, on_edge, Pose2(0.0, np.array([0.1, 0.2]))).beta == 0.0
+
+
+def test_a_seed_inside_the_hull_continues_the_scale_below_zero():
+    # beta = -depth / R across the nearest edge, R the body's largest distance
+    # from its seed, with the facets taken from qhull as the reference cost does
+    rng = np.random.default_rng(1016)
+    checked = 0
+    for _ in range(30):
+        body = random_body(rng, 2)
+        radius = float(np.linalg.norm(body.points - body.seed, axis=1).max())
+        points = rng.normal(size=(int(rng.integers(3, 9)), 2)) * 2.0
+        facets = ConvexHull(points).equations
+        hull = ConvexSetV(points)._planar_hull
+        theta = rng.uniform(-math.pi, math.pi, 12)
+        c, s = np.cos(theta), np.sin(theta)
+        # world seeds strictly inside the hull, and the origins that put them there
+        seeds = rng.dirichlet(np.ones(len(points)), size=12) @ points
+        origin = seeds - np.stack([c * body.seed[0] - s * body.seed[1],
+                                   s * body.seed[0] + c * body.seed[1]], axis=1)
+        beta, alpha, contact, degenerate = _planar_scale(body._planar_gauge, hull, c, s, origin)
+        depth = np.sort(-facets[:, 2] - seeds @ facets[:, :2].T, axis=1)
+        assert np.all(beta < 0.0) and np.all(degenerate)
+        assert np.abs(beta + depth[:, 0] / radius).max() <= BETA_RTOL
+        assert np.array_equal(contact, np.tile(body.seed, (12, 1)))
+        d_t, d_theta = _grad_scale_se2_batch(alpha, contact, c, s)
+        for i in np.flatnonzero(depth[:, 1] - depth[:, 0] > 1e-4):  # one nearest edge
+            numeric = finite_diff(
+                lambda x: _planar_scale(body._planar_gauge, hull, np.cos(x[2:]), np.sin(x[2:]),
+                                        x[None, :2])[0][0],
+                np.append(origin[i], theta[i]))
+            assert np.abs(np.append(d_t[i], d_theta[i]) - numeric).max() <= 1e-6
+            checked += 1
+    assert checked > 300
+
+
+def test_a_flat_or_one_point_hull_through_the_seed_gives_zero_and_no_gradient():
+    # the seed at the body origin, quarter-turn headings and integer points
+    # put the seed exactly on the hull
+    rng = np.random.default_rng(7)
+    c, s = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, -1.0])
+    for _ in range(10):
+        drawn = random_body(rng, 2)
+        body = ConvexSetV(drawn.points - drawn.seed, np.zeros(2))
+        at = rng.integers(-3, 4, size=2).astype(float)
+        direction = rng.choice([-2.0, -1.0, 1.0, 2.0], size=2)
+        for points in ([at], [at - direction, at + 3.0 * direction]):
+            hull = ConvexSetV(np.array(points))._planar_hull
+            beta, alpha, contact, degenerate = _planar_scale(
+                body._planar_gauge, hull, c, s, np.tile(at, (4, 1)))
+            assert np.all(beta == 0.0) and np.all(alpha == 0.0) and np.all(degenerate)
+            d_t, d_theta = _grad_scale_se2_batch(alpha, contact, c, s)
+            assert not d_t.any() and not d_theta.any()
 
 
 def test_edge_parallel_to_a_body_facet_is_a_degenerate_tie():
@@ -233,8 +290,9 @@ def _golden_batches():
         yield (SQUARE._planar_gauge, hull, *quarter, np.zeros((4, 2)))
 
 
-# SHA-256 of _planar_scale's beta, degenerate flags, and alpha and contact where
-# beta > 0, over _golden_batches, as the kernel with the samples on the first axis gave
+# SHA-256 of _planar_scale's beta clamped to +0.0, degenerate flags, and alpha and
+# contact where beta > 0, over _golden_batches, as the kernel with the samples on the
+# first axis gave
 PLANAR_GOLDEN_DIGEST = "9929a4e60ecb2412822c24d7d7f1527f909338119acc448f0b3481df9df10d55"
 
 
@@ -243,6 +301,7 @@ def test_kernel_answers_match_the_golden_digest():
     ties = zeros = 0
     for gauge, hull, c, s, origin in _golden_batches():
         beta, alpha, contact, degenerate = _planar_scale(gauge, hull, c, s, origin)
+        beta = np.where(beta > 0.0, beta, 0.0)  # the LP's scale: the continuation reads +0.0
         touching = (beta > 0.0)[:, None]
         for out in (beta, np.where(touching, alpha, 0.0), np.where(touching, contact, 0.0),
                     degenerate):
