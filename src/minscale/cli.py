@@ -50,7 +50,7 @@ from .gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from .oracle import finite_diff, min_scale_bisection
 from .scale import ConvexSetV, is_colliding, min_scale_vrep, vrep_scale_lp
 from .sdlp import solve
-from .trajopt import MotionLimits, Scenario, _locate, _scale_at, _spline, plan
+from .trajopt import MotionLimits, Scenario, _locate, _min_scales, _spline, plan
 
 
 # ---------------------------------------------------------------- scene I/O
@@ -305,20 +305,15 @@ def cmd_grad(args):
         t0 = time.perf_counter_ns()
         result = min_scale_vrep(scene.body, obstacle.points, pose)
         try:
-            grad = _grad_vector(scene.body, result, pose)
-        except DegenerateActiveSetError:
-            elapsed = time.perf_counter_ns() - t0
-            row = [index, _format(result.beta), 1] + ["nan"] * len(columns)
-            if args.fd_check:
-                row += ["nan"] * (len(columns) + 1)
-            row.append(elapsed)
-            writer.writerow(row)
-            continue
+            grad, subgradient = _grad_vector(scene.body, result, pose), int(result.degenerate)
+        except DegenerateActiveSetError:  # no selection: nan cells, flagged as a subgradient
+            grad, subgradient = np.full(len(columns), np.nan), 1
         elapsed = time.perf_counter_ns() - t0
-        row = [index, _format(result.beta), int(result.degenerate)]
-        row += [_format(v) for v in grad]
+        row = [index, _format(result.beta), subgradient] + [_format(v) for v in grad]
         if args.fd_check:
-            reference = _fd_vector(scene.body, obstacle.points, pose)
+            # a nan gradient is not checked: its reference and error cells read nan too
+            reference = (_fd_vector(scene.body, obstacle.points, pose)
+                         if np.isfinite(grad).all() else grad)
             # same acceptance rule as max(1e-4 relative, 1e-7 absolute) at 1e-4
             rel = np.abs(grad - reference) / np.maximum(np.abs(reference), 1e-3)
             row += [_format(v) for v in reference] + [_format(float(rel.max()))]
@@ -412,12 +407,6 @@ def cmd_plan(args):
 
 # ------------------------------------------------------------ SVG rendering
 
-def _body_outlines(scenario, traj, taus):
-    p, v = _spline(traj, *_locate(traj, taus), order=1)
-    return [body_to_world(scenario.body.points, Pose2(math.atan2(vy, vx), pk))
-            for pk, (vx, vy) in zip(p, v)]
-
-
 def _polygon_path(points, to_px):
     return " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in points))
 
@@ -440,13 +429,12 @@ def _render_svg(path, traj, scenario):
     extent_points = list(curve)
     for window in windows:
         mid = 0.5 * (window[0] + window[1])
-        obstacles = [obs.points for obs in scenario.static_obstacles]
-        obstacles += [obs.points + mid * vel
-                      for obs, vel in scenario.moving_obstacles]
+        obstacles = [obs.points + mid * vel for obs, vel in scenario._obstacles]
         taus = np.linspace(window[0], window[1], samples_per_panel)
+        p, v = _spline(traj, *_locate(traj, taus), order=1)
         bodies = []
-        for outline, beta in zip(_body_outlines(scenario, traj, taus),
-                                 _scale_at(traj, scenario, taus)):
+        for pk, (vx, vy), beta in zip(p, v, _min_scales(scenario, taus, p, v)[0]):
+            outline = body_to_world(scenario.body.points, Pose2(math.atan2(vy, vx), pk))
             bodies.append((outline, beta >= scenario.beta_min))
             extent_points.append(outline)
         panels.append((mid, obstacles, bodies))

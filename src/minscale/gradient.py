@@ -13,13 +13,14 @@ rows move with the pose, and their weights w_o sum to 1, so
 is the body-frame point where the beta-scaled body touches the obstacle
 (not relative to the seed), and
 
-    d beta / d t   = -R alpha
-    d beta / d q_i = -x . ((dR/dq_i)^T R) alpha     (3D, raw quaternion)
-    d beta / d th  = cross(alpha, x)                (2D heading)
+    d beta / d t   = -R alpha / |q|^4
+    d beta / d q_i = -x . ((dR/dq_i)^T R) alpha / |q|^4     (3D, raw quaternion)
+    d beta / d th  = cross(alpha, x)                        (2D heading)
 
-The quaternion gradient differentiates the algebraic rotation form without
-normalization, matching the frame transforms in `geometry`; projection
-onto the unit sphere is the caller's business.
+The 3D terms differentiate the frame change R^-1 = R^T / |q|^4 of
+`geometry.world_to_body`, with R the algebraic rotation form of the raw
+quaternion, so they hold off the unit sphere too (|q| = 1 for a heading);
+projection onto the unit sphere is the caller's business.
 """
 
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
                      SubgradientOnlyError, _finite_array)
-from .geometry import Pose2, Pose3, _read_only, rotation_from_quaternion, rotation_partials
+from .geometry import Pose2, Pose3, _read_only, _rotation, rotation_partials
 from .scale import ConvexSetV, ScaleResult
 
 _COND_LIMIT = 1e10
@@ -172,8 +173,9 @@ def grad_scale_se3(system, pose):
     if not (isinstance(system, ActiveConstraintSystem) and system.dim == 3
             and isinstance(pose, Pose3)):
         raise InvalidArgumentError("grad_scale_se3 needs a 3D ActiveConstraintSystem and a Pose3")
-    dt = -rotation_from_quaternion(pose.rotation) @ system.alpha
-    # -x . (dR_i^T R) alpha = (dR_i x) . (-R alpha)
+    r, n2 = _rotation(pose)
+    dt = -(r @ system.alpha) / n2 / n2
+    # -x . (dR_i^T R) alpha / |q|^4 = (dR_i x) . dt
     dq = np.einsum("ikj,j,k->i", rotation_partials(pose.rotation), system.contact, dt)
     return ScaleGradient3(_read_only(dt), _read_only(dq))
 

@@ -16,7 +16,7 @@ they arbitrate.
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import InvalidArgumentError, NumericalError
+from .errors import InvalidArgumentError, NumericalError, _finite_array
 from .sdlp import LowDimLP, LpSolution, LpStatus, _params
 
 _CHUNK = 500_000
@@ -233,10 +233,18 @@ def _phase1_min(m_eq, g, max_pivots=20000):
 
 
 def _points(x, name):
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 2 or p.shape[0] == 0 or not np.all(np.isfinite(p)):
+    p = _finite_array(x, name)
+    if p.ndim != 2 or p.shape[0] == 0:
         raise InvalidArgumentError(f"{name} must be a nonempty finite (k, n) array")
     return p
+
+
+def _point(x, pts):
+    """``x`` as one finite point of the dimension of ``pts``."""
+    x = _finite_array(x, "point")
+    if x.shape != (pts.shape[1],):
+        raise InvalidArgumentError("point dimension mismatch")
+    return x
 
 
 def hulls_intersect(p, q, tol=1e-9):
@@ -262,9 +270,7 @@ def hulls_intersect(p, q, tol=1e-9):
 def point_in_hull(point, points, tol=1e-9):
     """Whether a point lies in conv(points), boundary included."""
     pts = _points(points, "points")
-    x = np.asarray(point, dtype=float)
-    if x.shape != (pts.shape[1],):
-        raise InvalidArgumentError("point dimension mismatch")
+    x = _point(point, pts)
     k = pts.shape[0]
     m_eq = np.zeros((pts.shape[1] + 1, k))
     m_eq[:-1] = (pts - x).T
@@ -280,7 +286,7 @@ def point_strictly_inside_hull(point, points, margin=1e-10):
     Flat point sets have empty interior and return False.
     """
     pts = _points(points, "points")
-    x = np.asarray(point, dtype=float)
+    x = _point(point, pts)
     try:
         hull = ConvexHull(pts)
     except (QhullError, ValueError):
@@ -301,7 +307,7 @@ def min_scale_bisection(body, obstacle, tol=1e-9):
     """
     bp = np.asarray(body.points, dtype=float)
     s = np.asarray(body.seed, dtype=float)
-    op = np.asarray(obstacle.points if hasattr(obstacle, "points") else obstacle, dtype=float)
+    op = _points(obstacle.points if hasattr(obstacle, "points") else obstacle, "obstacle")
     if point_in_hull(s, op):
         return 0.0
     span = bp - s

@@ -22,7 +22,6 @@ import math
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_
 from .scale import ConvexSetV, _planar_scale, min_scale_vrep
 
 
-@lru_cache(maxsize=128)
 def _coeff_map(duration):
     """6x6 map from one axis of (p0, v0, a0, p1, v1, a1) to quintic coefficients.
 
@@ -61,12 +59,11 @@ def _coeff_map(duration):
     w[1, 1] = 1.0
     w[2, 2] = 0.5
     w[3:] = np.linalg.solve(h, r)
-    w.setflags(write=False)
     return w
 
 
 def _coeff_maps(durations):
-    return np.stack([_coeff_map(float(t)) for t in durations])
+    return np.stack([_coeff_map(t) for t in durations])
 
 
 @dataclass(frozen=True)
@@ -185,7 +182,9 @@ class Scenario:
     obstacle translates at its constant velocity, so its vertex positions at
     time tau are ``points + tau * velocity``.  With any obstacle present the
     body must have a full-dimensional hull with its seed strictly inside,
-    or construction raises DegenerateBodyError.
+    or construction raises DegenerateBodyError.  ``_obstacles`` pairs every
+    obstacle with its velocity, static ones first at zero velocity; the
+    cost, the audit and :func:`scale_time_rate` read that one table.
     """
 
     body: ConvexSetV
@@ -201,7 +200,7 @@ class Scenario:
         for obs in statics:
             if not isinstance(obs, ConvexSetV) or obs.dim != 2:
                 raise InvalidArgumentError("static obstacles must be 2D ConvexSetV instances")
-        moving = []
+        moving = ()
         for pair in self.moving_obstacles:
             try:
                 obs, vel = pair
@@ -210,19 +209,21 @@ class Scenario:
                     "moving obstacles are (ConvexSetV, velocity) pairs") from exc
             if not isinstance(obs, ConvexSetV) or obs.dim != 2:
                 raise InvalidArgumentError("moving obstacles must be 2D ConvexSetV instances")
-            moving.append((obs, _read_only(_finite_array(vel, "obstacle velocity", (2,)))))
+            moving += ((obs, _read_only(_finite_array(vel, "obstacle velocity", (2,)))),)
         if not isinstance(self.bounds, MotionLimits):
             raise InvalidArgumentError("bounds must be a MotionLimits")
         beta_min = _number(self.beta_min, "beta_min", ">= 1", lambda x: x >= 1.0)
         if statics or moving:
             self.body._planar_gauge  # built here so that a body the kernel rejects fails now
         object.__setattr__(self, "static_obstacles", statics)
-        object.__setattr__(self, "moving_obstacles", tuple(moving))
+        object.__setattr__(self, "moving_obstacles", moving)
         object.__setattr__(self, "beta_min", beta_min)
+        still = _read_only(np.zeros(2))
+        object.__setattr__(self, "_obstacles", tuple((obs, still) for obs in statics) + moving)
 
     @property
     def obstacle_count(self):
-        return len(self.static_obstacles) + len(self.moving_obstacles)
+        return len(self._obstacles)
 
 
 @dataclass(frozen=True)
@@ -292,12 +293,6 @@ class OptimizationReport:
     degenerate_samples: int = 0
     success: bool = False
     cost_evaluations: int = 0
-
-
-def _obstacle_pairs(scenario):
-    """Every obstacle with its velocity, static ones first at zero velocity."""
-    still = np.zeros(2)
-    return [(obs, still) for obs in scenario.static_obstacles] + list(scenario.moving_obstacles)
 
 
 def _nodes(durations, samples, extra_times=None):
@@ -372,31 +367,21 @@ def _min_scales(scenario, tau, p, v):
     """Smallest scale of the obstacles at each node, clamped to +0.0, and the degenerate count."""
     here = np.full(len(tau), np.inf)
     degenerate = 0
-    for *_, beta, _, _, deg in _scales(scenario, tau, p, v, _obstacle_pairs(scenario)):
+    for *_, beta, _, _, deg in _scales(scenario, tau, p, v, scenario._obstacles):
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
     return np.where(here > 0.0, here, 0.0), degenerate
 
 
-def _scale_at(traj, scenario, taus):
-    """Smallest scale over the obstacles at each absolute time in ``taus``."""
-    taus = np.asarray(taus, dtype=float)
-    p, v = _spline(traj, *_locate(traj, taus), order=1)
-    return _min_scales(scenario, taus, p, v)[0]
-
-
-def _cost_terms(traj, scenario, config, extra_times=None):
+def _cost_terms(traj, scenario, config):
     """Sampled objective and its gradient w.r.t. every junction state.
 
     Returns ``(cost, grad)`` where ``grad`` has one row per junction
-    (endpoint rows included; callers freeze what they fix).  ``extra_times``
-    may hold one array of local times per segment; each adds a penalty node
-    at full interior weight on top of the uniform grid, which lets a caller
-    pin down moments the grid is too coarse to see without refining every
-    segment.  It runs on the trajectory's node map (:func:`_node_map`), as
-    :func:`plan` does with one map per optimization round.
+    (endpoint rows included; callers freeze what they fix), computed on the
+    trajectory's node map (:func:`_node_map`) as :func:`plan` does on each
+    round's map.
     """
-    node_map = _node_map(traj.durations, config.samples_per_segment, extra_times)
+    node_map = _node_map(traj.durations, config.samples_per_segment)
     return _state_cost(traj.states, node_map, scenario, config)
 
 
@@ -437,7 +422,7 @@ def _state_cost(states, node_map, scenario, config):
         if need_safety:
             threshold = scenario.beta_min
             d_theta_d_v = _heading_jacobian(v, config.heading_eps)
-            scales = _scales(scenario, node_map.tau, p, v, _obstacle_pairs(scenario))
+            scales = _scales(scenario, node_map.tau, p, v, scenario._obstacles)
             for cos, sin, beta, alpha, contact, _ in scales:
                 hinge = threshold - beta
                 touched = hinge > 0.0
@@ -506,7 +491,7 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
-    pairs = _obstacle_pairs(scenario)
+    pairs = scenario._obstacles
     index = _count(obstacle_index, "obstacle_index", 0)
     if index >= len(pairs):
         raise InvalidArgumentError(f"obstacle_index must be below {len(pairs)}, got {index}")
@@ -670,12 +655,11 @@ def _audit_samples(traj, scenario, config):
     samples stays a small fraction of the body's thinnest half-extent, so
     clips that fit between cost samples still show up in the report.
     """
-    if not (scenario.static_obstacles or scenario.moving_obstacles):
+    if not scenario._obstacles:
         return config.samples_per_segment
     extent = 0.5 * scenario.body._planar_hull.width
-    speed = scenario.bounds.v_max
-    for _, velocity in scenario.moving_obstacles:
-        speed = max(speed, scenario.bounds.v_max + float(np.linalg.norm(velocity)))
+    speed = scenario.bounds.v_max + max(float(np.linalg.norm(vel))
+                                        for _, vel in scenario._obstacles)
     needed = math.ceil(float(traj.durations.max()) * speed / (0.25 * extent))
     return int(np.clip(needed, config.samples_per_segment, 4096))
 
@@ -760,15 +744,13 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     # at the deepest moment of each dip and re-optimize warm-started; the
     # handful of targeted nodes is far cheaper than refining every segment
     while True:
+        node_map = _node_map(durations, config.samples_per_segment, extras)
         if segments == 1 or beyond_limits:
-            traj = PiecewiseTrajectory(states, durations)
-            cost, _ = _cost_terms(traj, optimize_scenario, config)
+            cost, _ = _state_cost(states, node_map, optimize_scenario, config)
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
             evaluations += 1
         else:
-            node_map = _node_map(durations, config.samples_per_segment, extras)
-
             def objective(x):
                 xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
                 cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
@@ -778,10 +760,10 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                                            callback=callback if rounds == 0 else None)
             states = np.vstack([s0[None, :], x_best.reshape(segments - 1, 6),
                                 s1[None, :]])
-            traj = PiecewiseTrajectory(states, durations)
             iterations += inner.iterations
             evaluations += inner.cost_evaluations
             status, final_cost = inner.status, inner.final_cost
+        traj = PiecewiseTrajectory(states, durations)
 
         audit = _audit_samples(traj, scenario, config)
         # keep refining until the audit grid clears beta_min with a little

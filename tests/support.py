@@ -231,15 +231,18 @@ def collect_se2(case, need, max_trials=40000, seed=None):
     return accepted
 
 
-def collect_se3(case, need, max_trials=40000, seed=None):
-    """Accepted (analytic, fd, context) gradient pairs for one 3D case."""
+def collect_se3(case, need, max_trials=40000, seed=None, q_norm=1.0):
+    """Accepted (analytic, fd, context) gradient pairs for one 3D case.
+
+    Each pose's raw quaternion has length ``q_norm``.
+    """
     spec = CASES_SE3[case]
     rng = np.random.default_rng(spec["seed"] if seed is None else seed)
     accepted = []
     for _ in range(max_trials):
         if len(accepted) >= need:
             break
-        quat = random_unit_quaternion(rng)
+        quat = q_norm * random_unit_quaternion(rng)
         translation = rng.normal(size=3)
         pose = Pose3(Quaternion.from_array(quat), translation)
         obstacle_world = body_to_world(spec["obstacle"](rng), pose)

@@ -130,6 +130,53 @@ def test_grad_without_any_selection_prints_nan_columns(tmp_path):
     _, rows = rows_of(out)
     assert rows[0][2] == "1"
     assert all(v == "nan" for v in rows[0][3:6])
+    # the check columns of such a row read nan as well
+    code, out, _ = run_cli(["grad", write_scene(tmp_path, doc), "--fd-check"])
+    assert code == 0
+    _, rows = rows_of(out)
+    assert rows[0][2] == "1"
+    assert all(v == "nan" for v in rows[0][3:-1])
+
+
+# an irregular body against two separated obstacles and one it overlaps
+CLOUD_DOC = {
+    "dim": 3,
+    "body": {"points": [[1.0, 0.1, -0.2], [-0.9, 0.8, 0.1], [-0.7, -0.9, 0.3],
+                        [0.2, 0.1, 1.1], [0.1, -0.2, -1.0], [0.3, 0.9, -0.4]],
+             "seed": [0.0, 0.0, 0.0]},
+    "obstacles": [{"points": [[4.0, 0.5, 0.3], [4.6, -0.7, 0.9], [5.1, 0.4, -0.8]]},
+                  {"points": [[-0.5, 3.2, 1.0], [0.4, 3.9, 0.2]]},
+                  {"points": [[0.1, 0.0, 0.0], [0.3, 0.2, 0.1], [0.0, 0.3, -0.2],
+                              [0.2, 0.1, 0.4]]}],
+}
+
+
+def test_eval_3d_scene_matches_the_bisection_oracle(tmp_path):
+    code, out, _ = run_cli(["eval", write_scene(tmp_path, CLOUD_DOC), "--q", "0.9,0.1,0.2,0.1",
+                            "--t", "0.3,-0.2,0.1", "--check-oracle"])
+    assert code == 0
+    header, rows = rows_of(out)
+    assert header[6:8] == ["beta_bisect", "abs_diff"]
+    assert len(rows) == 3
+    for row in rows:
+        beta = float(row[1])
+        assert float(row[7]) <= 1e-6 * max(1.0, beta)
+    assert [row[2] for row in rows] == ["0", "0", "1"]
+
+
+def test_grad_3d_scene_off_the_unit_sphere_matches_central_differences(tmp_path):
+    # |q| = 0.93: the gradient carries the 1 / |q|^4 of the frame change
+    code, out, _ = run_cli(["grad", write_scene(tmp_path, CLOUD_DOC), "--q", "0.9,0.1,0.2,0.1",
+                            "--fd-check"])
+    assert code == 0
+    header, rows = rows_of(out)
+    assert header[3:10] == ["d_beta_d_tx", "d_beta_d_ty", "d_beta_d_tz", "d_beta_d_qw",
+                            "d_beta_d_qx", "d_beta_d_qy", "d_beta_d_qz"]
+    assert header[-2] == "max_rel_err"
+    assert len(rows) == 3
+    for row in rows:
+        assert row[2] == "0"
+        assert float(row[-2]) <= 1e-4
 
 
 # --------------------------------------------------------------- validation

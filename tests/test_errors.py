@@ -10,7 +10,7 @@ from minscale import (ConvexSetH, ConvexSetV, CostConfig, InvalidArgumentError, 
                       ScaleGradient2, Scenario, SolverParams, active_set, eval_trajectory,
                       grad_scale_se2, grad_scale_se3, grad_scale_time, is_colliding,
                       lbfgs_minimize, min_scale_hrep, min_scale_vrep, min_scale_vrep_bodyframe,
-                      plan, rotation2, rotation2_partial, safety_penalty, solve, total_cost)
+                      oracle, plan, rotation2, rotation2_partial, safety_penalty, solve, total_cost)
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 EMPTY = Scenario(body=BODY)
@@ -88,6 +88,10 @@ CASES = {
     "lbfgs-gradient-ragged": lambda: lbfgs_minimize(lambda x: (1.0, RAGGED), np.ones(2)),
     "rotation-string": lambda: rotation2("x"),
     "rotation-partial-string": lambda: rotation2_partial("x"),
+    "oracle-hulls-string": lambda: oracle.hulls_intersect("ab", BODY.points),
+    "oracle-point-in-ragged": lambda: oracle.point_in_hull([0, 0], RAGGED),
+    "oracle-strict-point-string": lambda: oracle.point_strictly_inside_hull("ab", BODY.points),
+    "oracle-bisection-obstacle-string": lambda: oracle.min_scale_bisection(BODY, "x"),
 }
 
 

@@ -63,10 +63,13 @@ def test_gradients_match_finite_differences_2d():
 
 
 def test_gradients_match_finite_differences_3d():
-    for case in CASES_SE3:
-        pairs = collect_se3(case, 12)
-        assert len(pairs) == 12, f"case {case} starved"
-        assert grad_norm_err(pairs) <= 1e-4, case
+    # off the unit sphere too: world_to_body applies R^T / |q|^4, so both
+    # gradient terms carry 1 / |q|^4
+    for q_norm in (1.0, 0.5, 0.7, 1.6, 2.0):
+        for case in CASES_SE3:
+            pairs = collect_se3(case, 12, q_norm=q_norm)
+            assert len(pairs) == 12, f"case {case} starved"
+            assert grad_norm_err(pairs) <= 1e-4, (case, q_norm)
 
 
 def test_translation_gradient_shares_one_formula_across_body_cases():

@@ -14,8 +14,8 @@ from minscale.scale import ConvexSetV, min_scale_vrep
 from minscale.sdlp import LowDimLP, SolverParams
 from minscale import trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
-                              Scenario, _cost_terms, _heading_jacobian, _line_states,
-                              _node_map, _nodes, _obstacle_pairs, _spline, _state_cost,
+                              Scenario, _heading_jacobian, _line_states,
+                              _node_map, _nodes, _spline, _state_cost,
                               eval_trajectory, lbfgs_minimize, plan, safety_penalty,
                               scale_time_rate, total_cost)
 
@@ -278,7 +278,8 @@ def test_batched_cost_matches_the_per_sample_reference(case):
         traj = PiecewiseTrajectory.from_states(jitter, durations)
         if case == "pinned":
             extras = [np.sort(rng.uniform(0.0, d, size=trial % 3)) for d in durations]
-        cost, grad = _cost_terms(traj, scene, config, extra_times=extras)
+        node_map = _node_map(durations, config.samples_per_segment, extras)
+        cost, grad = _state_cost(traj.states, node_map, scene, config)
         ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
         assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
@@ -406,7 +407,7 @@ def test_scale_time_rate_matches_trajectory_finite_differences():
 
 def test_scale_time_rate_matches_the_lp_chain():
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
-    for index, (obs, vel) in enumerate(_obstacle_pairs(SCENE)):
+    for index, (obs, vel) in enumerate(SCENE._obstacles):
         answered = 0
         for tau in np.linspace(0.1, 5.9, 48):
             p, v, a, _ = eval_trajectory(traj, tau)
