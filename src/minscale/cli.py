@@ -44,6 +44,7 @@ from .errors import (
     _count,
     _finite_array,
     _number,
+    _points,
 )
 from .geometry import Pose2, Pose3, Quaternion, body_to_world, world_to_body
 from .gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
@@ -102,10 +103,7 @@ def _check_keys(obj, path, allowed):
 
 def _as_points(value, path, dim):
     with _at(f"scene field {path}"):
-        arr = _finite_array(value, "points")
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] != dim:
-        _fail(path, f"must be a non-empty array of length-{dim} points")
-    return arr
+        return _points(value, "points", (dim,))
 
 
 def parse_scene(doc):

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the argument checks.
 
-Every public entry point validates its arguments through the three private
+Every public entry point validates its arguments through the four private
 helpers at the end of this module, so malformed input (a string, a bool, a
 non-finite value, a ragged or misshapen array) raises InvalidArgumentError,
 a ValueError, and never numpy's own TypeError or ValueError.
@@ -84,3 +84,12 @@ def _finite_array(value, name, shape=None):
     if not np.isfinite(a).all():  # the method skips np.all's Python wrapper
         raise InvalidArgumentError(f"{name} contains non-finite values")
     return a
+
+
+def _points(value, name, dims=None):
+    """``value`` as a nonempty finite (k, n) float array, with n in ``dims`` when given."""
+    p = _finite_array(value, name)
+    if p.ndim != 2 or 0 in p.shape or (dims is not None and p.shape[1] not in dims):
+        shapes = "(k, n)" if dims is None else " or ".join(f"(k, {n})" for n in dims)
+        raise InvalidArgumentError(f"{name} must be a nonempty {shapes} array, got {p.shape}")
+    return p

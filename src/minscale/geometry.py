@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _finite_array, _number
+from .errors import InvalidArgumentError, _finite_array, _number, _points
 
 # below the smallest normal float, |q|^2 makes the inverse R / |q|^4 overflow
 _MIN_NORM2 = np.finfo(float).tiny
@@ -188,7 +188,4 @@ def body_to_world(points, pose):
 
 def centroid(points):
     """Arithmetic mean of a nonempty point set."""
-    p = _finite_array(points, "points")
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise InvalidArgumentError("points must be a nonempty (k, n) array")
-    return p.mean(axis=0)
+    return _points(points, "points").mean(axis=0)

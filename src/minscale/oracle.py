@@ -16,7 +16,7 @@ they arbitrate.
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .errors import InvalidArgumentError, NumericalError, _finite_array
+from .errors import InvalidArgumentError, NumericalError, _finite_array, _number, _points
 from .sdlp import LowDimLP, LpSolution, LpStatus, _params
 
 _CHUNK = 500_000
@@ -232,28 +232,12 @@ def _phase1_min(m_eq, g, max_pivots=20000):
     return max(0.0, -float(zrow[-1]))
 
 
-def _points(x, name):
-    p = _finite_array(x, name)
-    if p.ndim != 2 or p.shape[0] == 0:
-        raise InvalidArgumentError(f"{name} must be a nonempty finite (k, n) array")
-    return p
-
-
-def _point(x, pts):
-    """``x`` as one finite point of the dimension of ``pts``."""
-    x = _finite_array(x, "point")
-    if x.shape != (pts.shape[1],):
-        raise InvalidArgumentError("point dimension mismatch")
-    return x
-
-
 def hulls_intersect(p, q, tol=1e-9):
     """Whether conv(p) and conv(q) share a point (touching counts)."""
     p = _points(p, "p")
-    q = _points(q, "q")
-    if p.shape[1] != q.shape[1]:
-        raise InvalidArgumentError("point sets live in different dimensions")
     n = p.shape[1]
+    q = _points(q, "q", (n,))
+    tol = _number(tol, "tol", ">= 0", lambda x: x >= 0.0)
     shift = 0.5 * (p.mean(axis=0) + q.mean(axis=0))
     kp, kq = p.shape[0], q.shape[0]
     m_eq = np.zeros((n + 2, kp + kq))
@@ -270,7 +254,8 @@ def hulls_intersect(p, q, tol=1e-9):
 def point_in_hull(point, points, tol=1e-9):
     """Whether a point lies in conv(points), boundary included."""
     pts = _points(points, "points")
-    x = _point(point, pts)
+    x = _finite_array(point, "point", (pts.shape[1],))
+    tol = _number(tol, "tol", ">= 0", lambda x: x >= 0.0)
     k = pts.shape[0]
     m_eq = np.zeros((pts.shape[1] + 1, k))
     m_eq[:-1] = (pts - x).T
@@ -286,7 +271,8 @@ def point_strictly_inside_hull(point, points, margin=1e-10):
     Flat point sets have empty interior and return False.
     """
     pts = _points(points, "points")
-    x = _point(point, pts)
+    x = _finite_array(point, "point", (pts.shape[1],))
+    margin = _number(margin, "margin", ">= 0", lambda x: x >= 0.0)
     try:
         hull = ConvexHull(pts)
     except (QhullError, ValueError):
@@ -305,9 +291,14 @@ def min_scale_bisection(body, obstacle, tol=1e-9):
     Matches the LP notion of minimum scale for bodies whose seed is
     strictly interior.
     """
-    bp = np.asarray(body.points, dtype=float)
-    s = np.asarray(body.seed, dtype=float)
-    op = _points(obstacle.points if hasattr(obstacle, "points") else obstacle, "obstacle")
+    for attr in ("points", "seed"):
+        if not hasattr(body, attr):
+            raise InvalidArgumentError(f"body has no attribute {attr!r}")
+    bp = _points(body.points, "body points")
+    n = bp.shape[1]
+    s = _finite_array(body.seed, "body seed", (n,))
+    op = _points(getattr(obstacle, "points", obstacle), "obstacle", (n,))
+    tol = _number(tol, "tol", "> 0", lambda x: x > 0.0)
     if point_in_hull(s, op):
         return 0.0
     span = bp - s
@@ -331,11 +322,14 @@ def min_scale_bisection(body, obstacle, tol=1e-9):
 
 
 def finite_diff(f, x, h=1e-6):
-    """Central-difference gradient of a scalar function of a vector."""
-    x = np.asarray(x, dtype=float)
+    """Central-difference gradient of a scalar function of an array."""
+    if not callable(f):
+        raise InvalidArgumentError("f must be callable")
+    x = _finite_array(x, "x")
+    h = _number(h, "h", "> 0", lambda v: v > 0.0)
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        e.flat[i] = h
+        g.flat[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return g

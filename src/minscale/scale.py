@@ -36,7 +36,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateBodyError, InvalidArgumentError, NumericalError, _finite_array,
-                     _number)
+                     _number, _points)
 from .geometry import _read_only, world_to_body
 from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, _params, active_set, solve
 
@@ -60,9 +60,7 @@ class ConvexSetV:
     seed: np.ndarray = None
 
     def __post_init__(self):
-        p = _finite_array(self.points, "points")
-        if p.ndim != 2 or p.shape[0] < 1 or p.shape[1] not in (2, 3):
-            raise InvalidArgumentError(f"points must be (k, 2) or (k, 3), got {p.shape}")
+        p = _points(self.points, "points", (2, 3))
         s = p.mean(axis=0) if self.seed is None else _finite_array(self.seed, "seed", (p.shape[1],))
         object.__setattr__(self, "points", _read_only(p))
         object.__setattr__(self, "seed", _read_only(s))
@@ -96,9 +94,7 @@ class ConvexSetH:
     interior_point: np.ndarray
 
     def __post_init__(self):
-        a = _finite_array(self.normals, "normals")
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] not in (2, 3):
-            raise InvalidArgumentError(f"normals must be (k, 2) or (k, 3), got {a.shape}")
+        a = _points(self.normals, "normals", (2, 3))
         if np.any(np.abs(a).max(axis=1) == 0.0):
             raise InvalidArgumentError("normals contain a zero row")
         p = _finite_array(self.interior_point, "interior_point", (a.shape[1],))
@@ -117,9 +113,7 @@ class ConvexSetH:
         point; rows with slack <= 1e-12 are rejected, since the point must
         be strictly inside every halfspace for the normalization to exist.
         """
-        a = _finite_array(a, "a")
-        if a.ndim != 2:
-            raise InvalidArgumentError(f"a must be (k, n), got {a.shape}")
+        a = _points(a, "a")
         b = _finite_array(b, "b", (a.shape[0],))
         p = _finite_array(interior_point, "interior_point", (a.shape[1],))
         slack = b - a @ p
@@ -169,16 +163,6 @@ def _points_of(obstacle):
     return getattr(obstacle, "points", obstacle)
 
 
-def _obstacle_points(obstacle, n):
-    pts = _finite_array(_points_of(obstacle), "obstacle points")
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InvalidArgumentError("obstacle must be a nonempty (k, n) point array")
-    if pts.shape[1] != n:
-        raise InvalidArgumentError(
-            f"obstacle dimension {pts.shape[1]} does not match body dimension {n}")
-    return pts
-
-
 def vrep_scale_lp(body, obstacle_points):
     """The LP in z = (alpha, beta) whose maximum beta is the V-rep scale.
 
@@ -194,7 +178,7 @@ def vrep_scale_lp(body, obstacle_points):
     if not isinstance(body, ConvexSetV):
         raise InvalidArgumentError("body must be a ConvexSetV")
     n = body.dim
-    pts = _obstacle_points(obstacle_points, n)
+    pts = _points(_points_of(obstacle_points), "obstacle points", (n,))
     kb = body.points.shape[0]
     ko = pts.shape[0]
     a = np.zeros((kb + ko + 1, n + 1))

@@ -478,7 +478,7 @@ def total_cost(traj, scenario, config=None):
     return _cost_terms(traj, scenario, config)
 
 
-def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=1e-3):
+def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfig.heading_eps):
     """Instantaneous rate of change of the collision scale at time ``tau``.
 
     Combines the body's velocity and heading rate with the obstacle's drift:

@@ -202,7 +202,9 @@ def test_velocity_needs_two_components(tmp_path):
     doc["obstacles"] = [{"points": [[3.0, 0.0]], "velocity": [1.0, 0.0, 0.0]}]
     code, _, err = run_cli(["eval", write_scene(tmp_path, doc)])
     assert code == 2
-    assert "obstacles[0].velocity" in err
+    # the README quotes this message
+    assert err == ("error: scene field obstacles[0].velocity: "
+                   "velocity must have shape (2,), got (3,)\n")
 
 
 def test_velocity_is_rejected_in_3d_scenes(tmp_path):
@@ -252,6 +254,27 @@ def test_beta_min_below_one_is_rejected(tmp_path):
     code, _, err = run_cli(["eval", write_scene(tmp_path, doc)])
     assert code == 2
     assert "beta_min" in err
+
+
+# Each structural scene error, the field its message names, and how to make it.
+STRUCTURAL_ERRORS = {
+    "root-not-object": ("<root>", lambda doc: [doc]),
+    "dim-4": ("dim", lambda doc: dict(doc, dim=4)),
+    "body-not-object": ("body", lambda doc: dict(doc, body=[[0.0, 0.0]])),
+    "obstacles-not-array": ("obstacles", lambda doc: dict(doc, obstacles={})),
+    "obstacle-not-object": ("obstacles[0]", lambda doc: dict(doc, obstacles=[[[3.0, 0.0]]])),
+    "bounds-not-object": ("bounds", lambda doc: dict(doc, bounds=[8.0, 2.0])),
+    "body-points-width": ("body.points", lambda doc: dict(doc, body={
+        "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]})),
+}
+
+
+@pytest.mark.parametrize("case", STRUCTURAL_ERRORS)
+def test_malformed_scene_structure_exits_two_naming_the_field(tmp_path, case):
+    field, make = STRUCTURAL_ERRORS[case]
+    code, out, err = run_cli(["eval", write_scene(tmp_path, make(SQUARE_DOC))])
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: scene field {field}:")
 
 
 # Each numeric scene field, the text stderr must hold when it is malformed,
@@ -304,6 +327,17 @@ def test_pose_flag_dimension_mismatches():
     assert code == 2 and "--t" in err
     code, _, err = run_cli(["eval", SQUARE_POINT, "--t", "a,b"])
     assert code == 2
+
+
+def test_theta_is_rejected_on_a_3d_scene(tmp_path):
+    doc = {"dim": 3,
+           "body": {"points": [[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
+                               [-1.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                    "seed": [-0.2, 0.0, 0.2]},
+           "obstacles": [{"points": [[4.0, 0.0, 0.0]]}]}
+    code, out, err = run_cli(["eval", write_scene(tmp_path, doc), "--theta", "0.1"])
+    assert code == 2 and out == ""
+    assert "--theta" in err
 
 
 def test_plan_requires_a_2d_scene(tmp_path):

@@ -7,10 +7,12 @@ import pytest
 
 from minscale import (ConvexSetH, ConvexSetV, CostConfig, InvalidArgumentError, LowDimLP,
                       MotionLimits, PiecewiseTrajectory, Pose2, Pose3, Quaternion,
-                      ScaleGradient2, Scenario, SolverParams, active_set, eval_trajectory,
-                      grad_scale_se2, grad_scale_se3, grad_scale_time, is_colliding,
-                      lbfgs_minimize, min_scale_hrep, min_scale_vrep, min_scale_vrep_bodyframe,
-                      oracle, plan, rotation2, rotation2_partial, safety_penalty, solve, total_cost)
+                      ScaleGradient2, Scenario, SolverParams, active_set,
+                      assemble_active_system, eval_trajectory, grad_scale_se2, grad_scale_se3,
+                      grad_scale_time, is_colliding, lbfgs_minimize, min_scale_hrep,
+                      min_scale_vrep, min_scale_vrep_bodyframe, oracle, plan, rotation2,
+                      rotation2_partial, safety_penalty, scale_time_rate, solve, total_cost,
+                      vrep_scale_lp, world_to_body)
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 EMPTY = Scenario(body=BODY)
@@ -21,6 +23,8 @@ RAGGED = [[0.0, 0.0], [1.0, 0.0, 0.0]]
 LP = LowDimLP(2, [1.0, 1.0], np.eye(2), [1.0, 1.0])
 BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.zeros(2))
 FAR_BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 0.0]))
+CUBE_H = ConvexSetH(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(3))
+TETRA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def _bowl(x):
@@ -92,6 +96,33 @@ CASES = {
     "oracle-point-in-ragged": lambda: oracle.point_in_hull([0, 0], RAGGED),
     "oracle-strict-point-string": lambda: oracle.point_strictly_inside_hull("ab", BODY.points),
     "oracle-bisection-obstacle-string": lambda: oracle.min_scale_bisection(BODY, "x"),
+    "oracle-bisection-body-string": lambda: oracle.min_scale_bisection("x", [[3.0, 0.0]]),
+    "oracle-bisection-tol-string": lambda: oracle.min_scale_bisection(BODY, [[3.0, 0.0]],
+                                                                      tol="x"),
+    "oracle-hulls-tol-string": lambda: oracle.hulls_intersect(BODY.points, BODY.points, tol="x"),
+    "oracle-finite-diff-string": lambda: oracle.finite_diff(lambda x: float(x @ x), "ab"),
+    "oracle-enumeration-string": lambda: oracle.solve_lp_enumeration("x"),
+    "oracle-point-in-hull-3d-point": lambda: oracle.point_in_hull([0.0, 0.0, 0.0], BODY.points),
+    "oracle-hulls-2d-3d": lambda: oracle.hulls_intersect(BODY.points, TETRA),
+    "scenario-static-not-a-set": lambda: Scenario(body=BODY, static_obstacles=("x",)),
+    "scenario-moving-not-a-pair": lambda: Scenario(body=BODY, moving_obstacles=(5,)),
+    "scenario-moving-3d": lambda: Scenario(body=BODY,
+                                           moving_obstacles=((ConvexSetV(TETRA), [1.0, 0.0]),)),
+    "scenario-bounds-int": lambda: Scenario(body=BODY, bounds=5),
+    "eval-traj-string": lambda: eval_trajectory("x", 0.0),
+    "cost-traj-string": lambda: total_cost("x", EMPTY),
+    "rate-traj-string": lambda: scale_time_rate("x", EMPTY, 0.0),
+    "lbfgs-gradient-length": lambda: lbfgs_minimize(lambda x: (1.0, np.ones(3)), np.ones(2)),
+    "lbfgs-x0-empty": lambda: lbfgs_minimize(_bowl, []),
+    "lbfgs-cost-inf-at-x0": lambda: lbfgs_minimize(lambda x: (math.inf, 2.0 * x), np.ones(2)),
+    "assemble-result-string": lambda: assemble_active_system(BODY, "x", POSE),
+    "assemble-pose-string": lambda: assemble_active_system(BODY, RESULT, "x"),
+    "grad-time-string": lambda: grad_scale_time("x", np.zeros(2), 0.0),
+    "set-h-4d": lambda: ConvexSetH(np.eye(4), np.zeros(4)),
+    "inequalities-1d": lambda: ConvexSetH.from_inequalities([1.0, 1.0], [1.0], [0.0, 0.0]),
+    "vrep-lp-body-string": lambda: vrep_scale_lp("x", [[3.0, 0.0]]),
+    "hrep-2d-3d": lambda: min_scale_hrep(BOX_H, CUBE_H),
+    "world-to-body-pose-string": lambda: world_to_body(BODY.points, "pose"),
 }
 
 

@@ -476,6 +476,17 @@ def test_lbfgs_absolute_value_kink():
     assert abs(x[0]) <= 1e-5
 
 
+def test_lbfgs_reports_a_failed_line_search_and_returns_the_start():
+    def uphill(x):  # the gradient points the wrong way, so no step decreases the cost
+        return float(x @ x), -2.0 * x
+
+    x0 = np.ones(2)
+    x, report = lbfgs_minimize(uphill, x0)
+    assert report.status == "line-search-failed" and not report.success
+    assert report.iterations == 0 and report.cost_evaluations == 65
+    assert np.array_equal(x, x0) and report.final_cost == 2.0
+
+
 def test_lbfgs_rosenbrock():
     def rosen(x):
         a, b = x
