@@ -327,9 +327,17 @@ def finite_diff(f, x, h=1e-6):
         raise InvalidArgumentError("f must be callable")
     x = _finite_array(x, "x")
     h = _number(h, "h", "> 0", lambda v: v > 0.0)
+
+    def value(y):
+        out = f(y)
+        try:
+            return float(out)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidArgumentError(f"f must return a number, got {out!r}") from exc
+
     g = np.empty_like(x)
     for i in range(x.size):
         e = np.zeros_like(x)
         e.flat[i] = h
-        g.flat[i] = (f(x + e) - f(x - e)) / (2.0 * h)
+        g.flat[i] = (value(x + e) - value(x - e)) / (2.0 * h)
     return g

@@ -10,7 +10,8 @@ samples' position, velocity and acceleration are linear in the junction
 states and the jerk integral is a constant quadratic form in them, so each
 optimization round builds one linear node map for all its cost evaluations.
 Minimization is limited-memory BFGS with a weak Wolfe bisection line search,
-which tolerates the occasional nonsmooth scale sample.  Every sample of a
+which tolerates the occasional nonsmooth scale sample; :func:`plan` runs it
+on states whitened by the jerk Hessian.  Every sample of a
 cost evaluation or an audit pass is computed in one batch of array
 operations by the exact planar scale kernel in `scale`, with a fixed
 reduction order, so repeated runs are bit-identical.
@@ -348,6 +349,31 @@ def _node_map(durations, samples, extra_times=None):
     return _NodeMap(knots[seg] + t_loc, w_quad, matrix.reshape(3 * n, -1), hessian)
 
 
+@np.errstate(all="ignore")
+def _whitening(hessian, weight):
+    """``(w, l)`` for the interior junctions' smoothness Hessian ``P = l l^T``.
+
+    ``P = 2 weight hessian[3:-3, 3:-3]`` acts on each axis of the interior
+    states reshaped to ``(3 (k-1), 2)``, and ``w = l^-T``.  In the variables
+    ``z = l^T x``, so ``x = w z``, the smoothness term has the identity
+    Hessian: L-BFGS's scaled start ``gamma I`` there is ``gamma P^-1`` on
+    the states (Nocedal & Wright, 2006, sec. 7.2).  Both are the identity
+    when there is no curvature to use: a zero weight, or a factor that
+    fails or is not finite, as when a large weight meets the shortest
+    durations and ``P`` overflows.
+    """
+    if weight > 0.0:
+        try:
+            l = np.linalg.cholesky(2.0 * weight * hessian[3:-3, 3:-3])
+            w = np.linalg.inv(l).T
+            if np.isfinite(l).all() and np.isfinite(w).all():
+                return w, l
+        except np.linalg.LinAlgError:
+            pass
+    eye = np.eye(hessian.shape[0] - 6)
+    return eye, eye
+
+
 def _scales(scenario, tau, p, v, pairs):
     """Signed scale of every obstacle at every node, posed along the velocity.
 
@@ -507,18 +533,29 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfi
     return float(d_t[0] @ (v[0] - pair[1]) + d_theta[0] * heading_rate)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _dot(a, b):
+    """``a @ b`` as a float: an overflowing gradient gives inf or nan, and no warning."""
+    return float(a @ b)
+
+
+def _norm(a):
+    return math.sqrt(_dot(a, a))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _lbfgs_direction(g, pairs):
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
-        a = rho * float(s @ q)
+        a = rho * _dot(s, q)
         alphas.append(a)
         q -= a * y
     if pairs:
         _, y, rho = pairs[-1]
-        q *= 1.0 / (rho * float(y @ y))
+        q *= 1.0 / (rho * _dot(y, y))
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(y @ q)
+        b = rho * _dot(y, q)
         q += (a - b) * s
     return -q
 
@@ -556,6 +593,10 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     are NaN since a bare objective has none.
     """
     t_start = time.perf_counter()
+    if not callable(objective):
+        raise InvalidArgumentError("objective must be callable")
+    if callback is not None and not callable(callback):
+        raise InvalidArgumentError("callback must be callable or None")
     x = _finite_array(x0, "x0").flatten()
     if x.size == 0:
         raise InvalidArgumentError("x0 must contain at least one variable")
@@ -571,16 +612,16 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     status = "max-iterations"
     iterations = 0
     for _ in range(max_iterations):
-        if np.linalg.norm(g) <= grad_tolerance * max(1.0, float(np.linalg.norm(x))):
+        if _norm(g) <= grad_tolerance * max(1.0, _norm(x)):
             status = "converged"
             break
         d = _lbfgs_direction(g, pairs)
-        slope = float(g @ d)
+        slope = _dot(g, d)
         if not np.isfinite(slope) or slope >= 0.0:
             # stale curvature pairs can spoil the direction; restart from steepest descent
             pairs.clear()
             d = -g
-            slope = -float(g @ g)
+            slope = -_dot(g, g)
         step = None
         lo, hi = 0.0, math.inf
         alpha = 1.0
@@ -591,7 +632,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
             usable = np.isfinite(f_new) and bool(np.all(np.isfinite(g_new)))
             if not usable or f_new > f + 1e-4 * alpha * slope:
                 hi = alpha
-            elif float(g_new @ d) < 0.9 * slope:
+            elif _dot(g_new, d) < 0.9 * slope:
                 lo = alpha
             else:
                 step = (x_new, f_new, g_new)
@@ -603,8 +644,8 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         x_new, f_new, g_new = step
         s = x_new - x
         y = g_new - g
-        sty = float(s @ y)
-        if sty > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        sty = _dot(s, y)
+        if sty > 1e-10 * _norm(s) * _norm(y):
             pairs.append((s, y, 1.0 / sty))
         drop = f - f_new
         x, f, g = x_new, f_new, g_new
@@ -692,7 +733,9 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
 
     The initial guess is the mass-point quintic joining ``start`` to
     ``goal`` (shape ignored); the optimizer then moves the interior junction
-    states.  The safety target during optimization is ``beta_min +
+    states, in variables whitened by each round's jerk Hessian
+    (:func:`_whitening`), so its convergence test reads the whitened
+    gradient.  The safety target during optimization is ``beta_min +
     safety_margin`` so the result clears ``beta_min`` with slack, while the
     returned report judges the trajectory against the scenario's own
     ``beta_min`` and motion limits, on a sample grid dense enough for the
@@ -700,7 +743,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     cost grid missed (fast obstacles slipping between samples), a penalty
     node is pinned at the deepest moment of each dip and the optimization
     reruns warm-started, a few rounds at most.  ``callback`` observes the
-    first optimization round, where the objective is fixed.  If
+    first optimization round, where the objective is fixed, and is passed
+    the junction states and their gradient, not the whitened variables.  If
     ``total_time`` is omitted, a duration is chosen so the straight-line
     guess respects the limits with margin; ``total_time`` and each segment's
     share of it must lie in [1e-60, 1e60].  Boundary states are ``[px, py]``
@@ -751,15 +795,25 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             final_cost = float(cost)
             evaluations += 1
         else:
-            def objective(x):
-                xs = np.vstack([s0[None, :], x.reshape(segments - 1, 6), s1[None, :]])
-                cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
-                return cost, grad[1:-1].ravel()
+            w, l = _whitening(node_map.hessian, config.smoothness_weight)
 
-            x_best, inner = lbfgs_minimize(objective, states[1:-1].ravel(),
-                                           callback=callback if rounds == 0 else None)
-            states = np.vstack([s0[None, :], x_best.reshape(segments - 1, 6),
-                                s1[None, :]])
+            @np.errstate(all="ignore")  # a line-search trial can overflow, as in _state_cost
+            def interior(z):
+                return (w @ z.reshape(-1, 2)).reshape(segments - 1, 6)
+
+            def objective(z):
+                xs = np.vstack([s0[None, :], interior(z), s1[None, :]])
+                cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
+                with np.errstate(all="ignore"):
+                    return cost, (w.T @ grad[1:-1].reshape(-1, 2)).ravel()
+
+            def observe(i, z, f, g):  # callback sees junction states and their gradient
+                callback(i, interior(z).ravel(), f, (l @ g.reshape(-1, 2)).ravel())
+
+            z_best, inner = lbfgs_minimize(
+                objective, (l.T @ states[1:-1].reshape(-1, 2)).ravel(),
+                callback=observe if callback is not None and rounds == 0 else None)
+            states = np.vstack([s0[None, :], interior(z_best), s1[None, :]])
             iterations += inner.iterations
             evaluations += inner.cost_evaluations
             status, final_cost = inner.status, inner.final_cost

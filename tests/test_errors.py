@@ -115,6 +115,9 @@ CASES = {
     "lbfgs-gradient-length": lambda: lbfgs_minimize(lambda x: (1.0, np.ones(3)), np.ones(2)),
     "lbfgs-x0-empty": lambda: lbfgs_minimize(_bowl, []),
     "lbfgs-cost-inf-at-x0": lambda: lbfgs_minimize(lambda x: (math.inf, 2.0 * x), np.ones(2)),
+    "lbfgs-objective-int": lambda: lbfgs_minimize(5, np.ones(2)),
+    "lbfgs-callback-int": lambda: lbfgs_minimize(_bowl, np.ones(2), callback=5),
+    "oracle-finite-diff-string-value": lambda: oracle.finite_diff(lambda x: "a", np.ones(2)),
     "assemble-result-string": lambda: assemble_active_system(BODY, "x", POSE),
     "assemble-pose-string": lambda: assemble_active_system(BODY, RESULT, "x"),
     "grad-time-string": lambda: grad_scale_time("x", np.zeros(2), 0.0),

@@ -15,7 +15,7 @@ from minscale.sdlp import LowDimLP, SolverParams
 from minscale import trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _heading_jacobian, _line_states,
-                              _node_map, _nodes, _spline, _state_cost,
+                              _node_map, _nodes, _spline, _state_cost, _whitening,
                               eval_trajectory, lbfgs_minimize, plan, safety_penalty,
                               scale_time_rate, total_cost)
 
@@ -49,6 +49,13 @@ def blocking_scenario():
     block = ConvexSetV(corners @ rot.T + np.array([4.5, 0.15]))
     return Scenario(body=BODY, static_obstacles=(block,),
                     bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
+
+
+def optimized_scenario(scene, config):
+    """The targets plan optimizes against: beta_min raised, limits shrunk by the margins."""
+    margin = 1.0 - config.limit_margin
+    return replace(scene, beta_min=scene.beta_min + config.safety_margin,
+                   bounds=MotionLimits(scene.bounds.v_max * margin, scene.bounds.a_max * margin))
 
 
 # ------------------------------------------------------------ construction
@@ -311,7 +318,8 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
     assert np.array_equal(node_map.tau, traj.knots[seg] + t_loc)
     assert np.array_equal(node_map.w_quad, w_quad)
 
-    # plan's objective runs on the same map and path as total_cost
+    # plan's objective runs on the same map and path as total_cost, in the
+    # round's whitened variables: states w z, gradient w^T (state gradient)
     objectives = []
 
     def recording(objective, *args, **kwargs):
@@ -321,18 +329,22 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
     monkeypatch.setattr(trajopt, "lbfgs_minimize", recording)
     scene, config = blocking_scenario(), CostConfig()
     planned, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config)
-    margin = 1.0 - config.limit_margin
-    tightened = replace(scene, beta_min=scene.beta_min + config.safety_margin,
-                        bounds=MotionLimits(scene.bounds.v_max * margin,
-                                            scene.bounds.a_max * margin))
+    tightened = optimized_scenario(scene, config)
+    hessian = _node_map(planned.durations, config.samples_per_segment).hessian
+    w, l = _whitening(hessian, config.smoothness_weight)
+    # the smoothness term has the identity Hessian in the whitened variables
+    identity = w.T @ (2.0 * config.smoothness_weight * hessian[3:-3, 3:-3]) @ w
+    assert np.abs(identity - np.eye(w.shape[0])).max() <= 1e-12
     for jitter in (0.0, 0.2):
         states = planned.states.copy()
         states[1:-1] += jitter * rng.normal(size=states[1:-1].shape)
-        cost, grad = objectives[0](states[1:-1].ravel())
+        z = (l.T @ states[1:-1].reshape(-1, 2)).ravel()
+        states[1:-1] = (w @ z.reshape(-1, 2)).reshape(-1, 6)
+        cost, grad = objectives[0](z)
         ref_cost, ref_grad = total_cost(PiecewiseTrajectory(states, planned.durations),
                                         tightened, config)
         assert cost == ref_cost
-        assert np.array_equal(grad, ref_grad[1:-1].ravel())
+        assert np.array_equal(grad, (w.T @ ref_grad[1:-1].reshape(-1, 2)).ravel())
 
 
 @pytest.mark.parametrize("value", [math.inf, 1e300])
@@ -528,6 +540,18 @@ def test_lbfgs_accepted_costs_are_monotone():
     assert all(b <= a + 1e-15 for a, b in zip(costs, costs[1:]))
 
 
+def test_an_overflowing_gradient_fails_the_line_search_without_warnings():
+    # the norm and the slope of a gradient near the float limit overflow;
+    # the optimizer reports the failed search and the caller sees no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, report = lbfgs_minimize(lambda x: (1.0, np.full(2, 1e200)), np.ones(2))
+        _, planned = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=5,
+                          total_time=1e60)
+    assert report.status == "line-search-failed" and np.array_equal(x, np.ones(2))
+    assert planned.status == "line-search-failed" and planned.iterations == 0
+
+
 def test_cost_evaluations_count_every_objective_call():
     calls = []
 
@@ -639,6 +663,8 @@ def test_plan_around_a_blocking_box():
     scene = blocking_scenario()
     traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
     assert report.success, report
+    # whitened by the jerk Hessian, L-BFGS settles this plan in 36 iterations
+    assert report.status == "converged" and report.iterations <= 60
     assert report.min_beta >= 1.1 - 1e-6
     assert report.max_speed <= 8.0 + 1e-6
     assert report.max_accel <= 2.0 + 1e-6
@@ -648,6 +674,40 @@ def test_plan_around_a_blocking_box():
         right = eval_trajectory(traj, tau + 1e-12)
         for a, b in zip(left[:3], right[:3]):
             assert np.allclose(a, b, atol=1e-9)
+
+
+def test_whitening_is_the_identity_without_usable_curvature():
+    eye = np.eye(12)
+    for duration, weight in ((1.0, 0.0), (1e-60, 1e10)):  # no curvature; P overflows
+        hessian = _node_map(np.full(5, duration), 4).hessian
+        assert all(np.array_equal(m, eye) for m in _whitening(hessian, weight))
+    for duration in (1e-60, 1e60):  # the extreme durations still whiten at weight 1
+        w, l = _whitening(_node_map(np.full(5, duration), 4).hessian, 1.0)
+        assert np.isfinite(w).all() and not np.array_equal(w, eye)
+        assert np.abs(w.T @ l - eye).max() <= 1e-12
+
+
+def test_plan_without_smoothness_still_converges():
+    # no jerk curvature to whiten by, so L-BFGS runs on the states themselves
+    config = CostConfig(smoothness_weight=0.0)
+    _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=5, config=config)
+    assert report.status == "converged", report
+
+
+def test_plan_callback_sees_junction_states_and_their_gradient():
+    seen = []
+    scene, config = blocking_scenario(), CostConfig()
+    traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config,
+                        callback=lambda i, x, f, g: seen.append((i, x, f, g)))
+    assert [i for i, *_ in seen] == list(range(1, len(seen) + 1))
+    assert len(seen) <= report.iterations
+    i, x, f, g = seen[-1]
+    assert x.shape == g.shape == (18,)
+    assert np.array_equal(x, traj.states[1:-1].ravel())
+    tightened = optimized_scenario(scene, config)
+    cost, grad = total_cost(traj, tightened, config)
+    assert f == cost
+    assert np.abs(g - grad[1:-1].ravel()).max() <= 1e-9 * max(1.0, np.abs(grad).max())
 
 
 def test_plan_with_safety_off_reproduces_the_minimum_jerk_quintic():
