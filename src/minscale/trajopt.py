@@ -11,8 +11,8 @@ states and the jerk integral is a constant quadratic form in them, so each
 optimization round builds one linear node map for all its cost evaluations.
 Minimization is limited-memory BFGS with a weak Wolfe bisection line search,
 which tolerates the occasional nonsmooth scale sample; :func:`plan` runs it
-on states whitened by the jerk Hessian.  Every sample of a
-cost evaluation or an audit pass is computed in one batch of array
+on states whitened junction by junction by the jerk Hessian.  Every sample
+of a cost evaluation or an audit pass is computed in one batch of array
 operations by the exact planar scale kernel in `scale`, with a fixed
 reduction order, so repeated runs are bit-identical.
 """
@@ -351,20 +351,26 @@ def _node_map(durations, samples, extra_times=None):
 
 @np.errstate(all="ignore")
 def _whitening(hessian, weight):
-    """``(w, l)`` for the interior junctions' smoothness Hessian ``P = l l^T``.
+    """``(w, l)`` for the junction blocks of the interior smoothness Hessian.
 
     ``P = 2 weight hessian[3:-3, 3:-3]`` acts on each axis of the interior
-    states reshaped to ``(3 (k-1), 2)``, and ``w = l^-T``.  In the variables
-    ``z = l^T x``, so ``x = w z``, the smoothness term has the identity
-    Hessian: L-BFGS's scaled start ``gamma I`` there is ``gamma P^-1`` on
-    the states (Nocedal & Wright, 2006, sec. 7.2).  Both are the identity
-    when there is no curvature to use: a zero weight, or a factor that
-    fails or is not finite, as when a large weight meets the shortest
-    durations and ``P`` overflows.
+    states reshaped to ``(3 (k-1), 2)``.  ``l`` is block diagonal: the
+    Cholesky factor of each junction's own 3x3 [position, velocity,
+    acceleration] block of ``P``, and ``w = l^-T``.  In the variables
+    ``z = l^T x``, so ``x = w z``, every junction's smoothness curvature is
+    the identity: L-BFGS's scaled start ``gamma I`` there is the
+    block-Jacobi preconditioner ``gamma B^-1`` on the states, ``B = l l^T``
+    the block diagonal of ``P`` (Nocedal & Wright, 2006, sec. 7.2).
+    Both are the identity when there is no curvature to use: a zero weight,
+    or a factor that fails or is not finite, as when a large weight meets
+    the shortest durations and ``P`` overflows.
     """
     if weight > 0.0:
         try:
-            l = np.linalg.cholesky(2.0 * weight * hessian[3:-3, 3:-3])
+            p = 2.0 * weight * hessian[3:-3, 3:-3]
+            l = np.zeros_like(p)
+            for i in range(0, p.shape[0], 3):
+                l[i:i + 3, i:i + 3] = np.linalg.cholesky(p[i:i + 3, i:i + 3])
             w = np.linalg.inv(l).T
             if np.isfinite(l).all() and np.isfinite(w).all():
                 return w, l
@@ -533,10 +539,13 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfi
     return float(d_t[0] @ (v[0] - pair[1]) + d_theta[0] * heading_rate)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _dot(a, b):
-    """``a @ b`` as a float: an overflowing gradient gives inf or nan, and no warning."""
-    return float(a @ b)
+    """``a . b`` as a float: an overflowing gradient gives inf or nan, and no warning.
+
+    ``np.vdot`` does not test the floating-point flags, where ``a @ b``
+    would, and is cheaper than an ``errstate`` context around every product.
+    """
+    return float(np.vdot(a, b))
 
 
 def _norm(a):
@@ -733,9 +742,9 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
 
     The initial guess is the mass-point quintic joining ``start`` to
     ``goal`` (shape ignored); the optimizer then moves the interior junction
-    states, in variables whitened by each round's jerk Hessian
-    (:func:`_whitening`), so its convergence test reads the whitened
-    gradient.  The safety target during optimization is ``beta_min +
+    states, in variables whitened by each junction's block of the round's
+    jerk Hessian (:func:`_whitening`), so its convergence test reads the
+    whitened gradient.  The safety target during optimization is ``beta_min +
     safety_margin`` so the result clears ``beta_min`` with slack, while the
     returned report judges the trajectory against the scenario's own
     ``beta_min`` and motion limits, on a sample grid dense enough for the

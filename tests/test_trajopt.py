@@ -332,9 +332,12 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
     tightened = optimized_scenario(scene, config)
     hessian = _node_map(planned.durations, config.samples_per_segment).hessian
     w, l = _whitening(hessian, config.smoothness_weight)
-    # the smoothness term has the identity Hessian in the whitened variables
-    identity = w.T @ (2.0 * config.smoothness_weight * hessian[3:-3, 3:-3]) @ w
-    assert np.abs(identity - np.eye(w.shape[0])).max() <= 1e-12
+    # in the whitened variables every junction's own block of the smoothness
+    # Hessian is the identity, and the whitening does not mix junctions
+    whitened = w.T @ (2.0 * config.smoothness_weight * hessian[3:-3, 3:-3]) @ w
+    for i in range(0, w.shape[0], 3):
+        assert np.abs(whitened[i:i + 3, i:i + 3] - np.eye(3)).max() <= 1e-12
+        assert not w[i:i + 3, :i].any() and not w[i:i + 3, i + 3:].any()
     for jitter in (0.0, 0.2):
         states = planned.states.copy()
         states[1:-1] += jitter * rng.normal(size=states[1:-1].shape)
@@ -663,8 +666,9 @@ def test_plan_around_a_blocking_box():
     scene = blocking_scenario()
     traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
     assert report.success, report
-    # whitened by the jerk Hessian, L-BFGS settles this plan in 36 iterations
-    assert report.status == "converged" and report.iterations <= 60
+    # whitened by the jerk Hessian's junction blocks, L-BFGS settles this
+    # plan in 83 iterations (141 on the plain states)
+    assert report.status == "converged" and report.iterations <= 100
     assert report.min_beta >= 1.1 - 1e-6
     assert report.max_speed <= 8.0 + 1e-6
     assert report.max_accel <= 2.0 + 1e-6
