@@ -46,6 +46,10 @@ _TIE_EPS = SolverParams().act_eps
 # obstacle points in the first working set of a V-rep scale LP
 _WORKING_POINTS = 64
 
+# the other cause of a scale LP's verdict of no scale, and its remedy
+_PAST_BOX = ("or the answer lies outside the solver's box |z_j| <= big_m"
+             " (for a far obstacle, raise SolverParams.big_m)")
+
 
 @dataclass(frozen=True)
 class ConvexSetV:
@@ -267,7 +271,7 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     sol = _solve_on_working_set(lp, kb, params)
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
-            "no finite scale: the seed is not strictly inside the body hull")
+            f"no finite scale: the seed is not strictly inside the body hull, {_PAST_BOX}")
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalError("scale LP reported infeasible, yet it is feasible at zero")
     return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
@@ -458,10 +462,10 @@ def min_scale_hrep(body, obstacle, params=None):
     lp = hrep_scale_lp(body, obstacle)
     sol = solve(lp, params)
     if sol.status == LpStatus.INFEASIBLE:
-        raise InvalidArgumentError("obstacle halfspaces bound an empty region")
+        raise InvalidArgumentError(f"obstacle halfspaces bound an empty region, {_PAST_BOX}")
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
-            "scale unbounded below: body halfspaces leave a recession direction")
+            f"scale unbounded below: body halfspaces leave a recession direction, {_PAST_BOX}")
     return _scale_result(lp, sol, params, body.normals.shape[0], lp.m, sol.z[body.dim])
 
 

@@ -7,11 +7,13 @@ hyperplane and the problem recurses with one variable eliminated.
 Expected running time is linear in the number of constraints for fixed
 dimension.
 
-One unrolled level function per variable count (_solve_1d to _solve_4d)
+One unrolled level function per variable count (_solve_2d to _solve_4d)
 runs the recursion on plain Python floats: each level eliminates a variable
-at every violation and hands the prefix straight to the level below.  Numpy
-at the inner levels was faster at m = 1e5 but slower at m = 1e2, flattening
-the log-log slope of solve time over m = 1e2..1e5 to 0.59.
+at every violation and hands the prefix straight to the level below, and
+one- and two-variable LPs share _solve_2d, whose prefix scan is the
+one-variable step.  Numpy at the inner levels was faster at m = 1e5 but
+slower at m = 1e2, flattening the log-log slope of solve time over
+m = 1e2..1e5 to 0.59.
 
 Unboundedness is handled with a box |z_j| <= big_m around the origin.  A
 solution pressed against the box is re-solved with the box doubled; if the
@@ -102,34 +104,6 @@ class LowDimLP:
     @property
     def m(self):
         return self.constraints_b.shape[0]
-
-
-def _solve_1d(c0, rows, big_m, feas_eps):
-    """Closed-form base case: intersect the half-lines, pick the best end."""
-    lo, hi = -big_m, big_m
-    lo_id = hi_id = -1
-    for coeffs, bi, rid, _inf in rows:
-        a0 = coeffs[0]
-        if a0 >= _ZERO_ROW or a0 <= -_ZERO_ROW:
-            bound = bi / a0
-            if a0 > 0.0:
-                if bound < hi:
-                    hi, hi_id = bound, rid
-            elif bound > lo:
-                lo, lo_id = bound, rid
-        elif bi < -feas_eps * (abs(bi) if abs(bi) > 1.0 else 1.0):
-            return LpStatus.INFEASIBLE, None, None  # violated 0.z <= b row
-    if lo > hi + feas_eps * max(1.0, abs(lo), abs(hi)):
-        return LpStatus.INFEASIBLE, None, None
-    if c0 > 0.0:
-        return LpStatus.OPTIMAL, [hi], [hi_id]
-    if c0 < 0.0:
-        return LpStatus.OPTIMAL, [lo], [lo_id]
-    if lo > 0.0:
-        return LpStatus.OPTIMAL, [lo], [lo_id]
-    if hi < 0.0:
-        return LpStatus.OPTIMAL, [hi], [hi_id]
-    return LpStatus.OPTIMAL, [0.0], []
 
 
 def _solve_2d(c0, c1, rows, big_m, feas_eps):
@@ -347,19 +321,22 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
     return LpStatus.OPTIMAL, [x0, x1, x2, x3], basis
 
 
-# the Seidel level for each variable count, 1 to 4
-_LEVELS = (_solve_1d, _solve_2d, _solve_3d, _solve_4d)
+# the Seidel level for each variable count, 2 to 4
+_LEVELS = (_solve_2d, _solve_3d, _solve_4d)
 
 
 def _run(lp, params, big_m):
     order = np.random.default_rng(params.rng_seed).permutation(lp.m)
     a_o = lp.constraints_a[order]
+    c = lp.objective.tolist()
+    if lp.dim == 1:  # the two-variable level with a zero second column
+        a_o, c = np.pad(a_o, ((0, 0), (0, 1))), c + [0.0]
     # every level reads rows as (coeffs, b, id, inf_norm); the infinity norm
     # makes the cancellation filter one multiply per row
     rows = list(zip(a_o.tolist(), lp.constraints_b[order].tolist(), order.tolist(),
                     np.abs(a_o).max(axis=1).tolist()))
-    status, x, basis = _LEVELS[lp.dim - 1](*lp.objective.tolist(), rows, big_m, params.feas_eps)
-    return status, (None if x is None else np.array(x)), basis
+    status, x, basis = _LEVELS[len(c) - 2](*c, rows, big_m, params.feas_eps)
+    return status, (None if x is None else np.array(x[:lp.dim])), basis
 
 
 def solve(lp, params=None):

@@ -405,25 +405,14 @@ def _min_scales(scenario, tau, p, v):
     return np.where(here > 0.0, here, 0.0), degenerate
 
 
-def _cost_terms(traj, scenario, config):
-    """Sampled objective and its gradient w.r.t. every junction state.
-
-    Returns ``(cost, grad)`` where ``grad`` has one row per junction
-    (endpoint rows included; callers freeze what they fix), computed on the
-    trajectory's node map (:func:`_node_map`) as :func:`plan` does on each
-    round's map.
-    """
-    node_map = _node_map(traj.durations, config.samples_per_segment)
-    return _state_cost(traj.states, node_map, scenario, config)
-
-
 @np.errstate(all="ignore")
 def _state_cost(states, node_map, scenario, config):
-    """:func:`_cost_terms` on the junction states ``(k+1, 6)`` of a node map.
+    """Sampled objective and gradient at the junction states ``(k+1, 6)`` on a node map.
 
-    A state that overflows, as a line-search trial can, gives a non-finite
-    cost, which the line search rejects, and raises no floating-point
-    warning.
+    The gradient has one row per junction, endpoints included; callers
+    freeze what they fix.  A state that overflows, as a line-search trial
+    can, gives a non-finite cost, which the line search rejects, and raises
+    no floating-point warning.
     """
     y = states.reshape(-1, 2)
     cost = 0.0
@@ -479,12 +468,6 @@ def _check_problem(scenario, config):
     return config
 
 
-def _check_cost_args(traj, scenario, config):
-    if not isinstance(traj, PiecewiseTrajectory):
-        raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
-    return _check_problem(scenario, config)
-
-
 def safety_penalty(traj, scenario, config=None):
     """Scale-violation penalty and its gradient w.r.t. junction states.
 
@@ -495,9 +478,9 @@ def safety_penalty(traj, scenario, config=None):
     minus the seed's depth over the body's circumradius, so the penalty
     keeps a descent direction there instead of going flat.
     """
-    config = _check_cost_args(traj, scenario, config)
-    safety_only = replace(config, smoothness_weight=0.0, feasibility_weight=0.0)
-    return _cost_terms(traj, scenario, safety_only)
+    config = _check_problem(scenario, config)
+    return total_cost(traj, scenario,
+                      replace(config, smoothness_weight=0.0, feasibility_weight=0.0))
 
 
 def total_cost(traj, scenario, config=None):
@@ -506,8 +489,11 @@ def total_cost(traj, scenario, config=None):
     The gradient carries one row per junction, endpoints included; callers
     that hold the endpoints fixed simply ignore (or slice off) those rows.
     """
-    config = _check_cost_args(traj, scenario, config)
-    return _cost_terms(traj, scenario, config)
+    if not isinstance(traj, PiecewiseTrajectory):
+        raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
+    config = _check_problem(scenario, config)
+    node_map = _node_map(traj.durations, config.samples_per_segment)
+    return _state_cost(traj.states, node_map, scenario, config)
 
 
 def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfig.heading_eps):
@@ -708,10 +694,10 @@ def _audit_samples(traj, scenario, config):
     if not scenario._obstacles:
         return config.samples_per_segment
     extent = 0.5 * scenario.body._planar_hull.width
-    speed = scenario.bounds.v_max + max(float(np.linalg.norm(vel))
-                                        for _, vel in scenario._obstacles)
-    needed = math.ceil(float(traj.durations.max()) * speed / (0.25 * extent))
-    return int(np.clip(needed, config.samples_per_segment, 4096))
+    speed = scenario.bounds.v_max + max(math.hypot(*vel) for _, vel in scenario._obstacles)
+    # clipped in floats first: at extreme speeds or durations the density is inf
+    needed = float(traj.durations.max()) * speed / (0.25 * extent)
+    return math.ceil(min(max(needed, config.samples_per_segment), 4096))
 
 
 def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
@@ -767,7 +753,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     segments = _count(segments, "segments", 1)
     s0 = _full_state(start)
     s1 = _full_state(goal)
-    distance = float(np.linalg.norm(s1[:2] - s0[:2]))
+    distance = math.hypot(*(s1[:2] - s0[:2]))
     limits = scenario.bounds
     if total_time is None:
         total_time = max(2.5 * distance / limits.v_max,
@@ -841,16 +827,10 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         if (_audit_trajectory(traj, scenario, config.samples_per_segment)[0]
                 < scenario.beta_min - 1e-6):
             break  # the cost grid itself is blocked; more nodes will not help
-        guard = 0.5 * float(traj.durations.min()) / audit
-        added = 0
-        for seg in range(segments):
-            fresh = [t for t in dips[seg]
-                     if not extras[seg].size
-                     or float(np.abs(extras[seg] - t).min()) >= guard]
-            if fresh:
-                extras[seg] = np.sort(np.append(extras[seg], fresh))
-                added += len(fresh)
-        if added == 0:
+        # fixed durations audit on one grid, so a pinned dip recurs at its very time
+        pinned = sum(e.size for e in extras)
+        extras = [np.union1d(e, d) for e, d in zip(extras, dips)]
+        if sum(e.size for e in extras) == pinned:
             break  # every dip already carries a node; repeats would stall
 
     success = (not beyond_limits

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from minscale import cli
+from minscale.errors import NumericalError
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 SQUARE_POINT = str(SCENES / "square_point.json")
@@ -246,6 +247,24 @@ def test_scene_that_is_not_utf8_fails_with_exit_two(tmp_path):
 def test_missing_file_fails_with_exit_two(tmp_path):
     code, _, err = run_cli(["eval", str(tmp_path / "absent.json")])
     assert code == 2
+
+
+def test_a_numerical_failure_exits_three(monkeypatch):
+    def failing(*args, **kwargs):
+        raise NumericalError("scale LP reported infeasible, yet it is feasible at zero")
+
+    monkeypatch.setattr(cli, "min_scale_vrep", failing)
+    code, out, err = run_cli(["eval", SQUARE_POINT])
+    assert code == 3
+    assert err == "error: scale LP reported infeasible, yet it is feasible at zero\n"
+
+
+def test_a_scale_past_the_solver_box_exits_two_naming_big_m(tmp_path):
+    doc = dict(SQUARE_DOC, obstacles=[{"points": [[2e9, 0.0]]}])
+    code, out, err = run_cli(["eval", write_scene(tmp_path, doc)])
+    assert code == 2 and out.count("\n") <= 1  # at most the CSV header
+    assert "not strictly inside the body hull" in err
+    assert "raise SolverParams.big_m" in err
 
 
 def test_beta_min_below_one_is_rejected(tmp_path):

@@ -32,6 +32,23 @@ def test_square_against_far_point():
     assert not is_colliding(result)
 
 
+def test_a_scale_past_the_solver_box_names_big_m_as_the_remedy():
+    # beta = 2e9 passes the default box |z_j| <= 1e9: the verdict names both
+    # the body and the box, and a larger big_m gives the answer the planar
+    # kernel gives
+    far = np.array([[2e9, 0.0]])
+    with pytest.raises(DegenerateBodyError, match=r"not strictly inside the body hull, or "
+                       r"the answer lies outside the solver's box .* raise SolverParams\.big_m"):
+        min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)))
+    result = min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)), SolverParams(big_m=1e12))
+    assert abs(result.beta - 2e9) <= 1e-6
+    body, obstacle = box_h([0.0, 0.0], [1.0, 1.0]), box_h([2e9, 0.0], [1.0, 1.0])
+    with pytest.raises(InvalidArgumentError, match=r"empty region, or the answer lies "
+                       r"outside the solver's box .* raise SolverParams\.big_m"):
+        min_scale_hrep(body, obstacle)
+    assert min_scale_hrep(body, obstacle, SolverParams(big_m=1e12)).beta == 2e9 - 1.0
+
+
 def test_square_against_interior_point():
     result = min_scale_vrep_bodyframe(SQUARE, np.array([[0.5, 0.0]]))
     assert abs(result.beta - 0.5) < 1e-12
@@ -124,7 +141,7 @@ def test_hrep_unbounded_body_is_degenerate():
     # a single halfspace each: the witness can run off to -infinity
     body = ConvexSetH(np.array([[1.0, 0.0]]), np.zeros(2))
     obstacle = ConvexSetH(np.array([[0.1, 0.0]]), np.zeros(2))
-    with pytest.raises(DegenerateBodyError):
+    with pytest.raises(DegenerateBodyError, match=r"recession direction, or the answer"):
         min_scale_hrep(body, obstacle)
 
 

@@ -1,4 +1,8 @@
-"""Rare exits of the Seidel levels, each checked against the enumeration oracle."""
+"""Rare exits of the Seidel levels, each checked against the enumeration oracle.
+
+One- and two-variable LPs share the two-variable level, so the one-variable
+cases below exercise its interval scan.
+"""
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ def _agrees_with_oracle(problem, seed=0):
 
 
 def test_one_variable_violated_zero_row_is_infeasible():
-    # 0 x <= -1 after a real bound: the base case meets a violated 0.z <= b row
+    # 0 x <= -1 after a real bound; a one-variable LP runs on the two-variable
+    # level with a zero second column, whose prefix scan meets the violated
+    # 0.z <= b row
     problem = LowDimLP(1, [1.0], [[1.0], [0.0]], [3.0, -1.0])
     assert _agrees_with_oracle(problem).status is LpStatus.INFEASIBLE
 

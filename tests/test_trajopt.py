@@ -625,6 +625,22 @@ def test_audit_resolution_does_not_depend_on_how_the_body_is_drawn():
         assert trajopt._audit_samples(traj, scene, config) == expected, degrees
 
 
+def test_extreme_speeds_and_distances_give_a_report_or_a_package_error():
+    # each once overflowed: an infinite audit density reached math.ceil, or
+    # the straight-line distance overflowed numpy's norm and the inf it gave
+    # was blamed on total_time
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = Scenario(body=BODY, static_obstacles=(BOX,), bounds=MotionLimits(1e300, 1e300))
+        _, report = plan(fast, [0.0, 0.0], [9.0, 0.0], total_time=1e59)
+        assert isinstance(report.min_beta, float)
+        mover = Scenario(body=BODY, moving_obstacles=((TRI, (1e300, 0.0)),))
+        _, report = plan(mover, [0.0, 0.0], [9.0, 0.0])
+        assert isinstance(report.min_beta, float)
+        with pytest.raises(InvalidArgumentError, match=r"segment durations must lie in"):
+            plan(Scenario(body=BODY, static_obstacles=(BOX,)), [0.0, 0.0], [1e200, 0.0])
+
+
 def test_a_plan_that_fails_its_audit_does_not_report_converged():
     # the goal lies inside the box, so no trajectory can clear beta_min,
     # however well the optimizer settles
@@ -660,6 +676,29 @@ def test_plan_sums_cost_evaluations_over_its_rounds(monkeypatch):
         _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=segments,
                          total_time=total_time)
         assert report.cost_evaluations == 1
+
+
+def test_plan_stops_when_every_dip_already_carries_a_node(monkeypatch):
+    # an audit that reports the same shallow dip in every round: the first
+    # round pins it, the second finds nothing new to pin and the plan stops
+    # there rather than running all six rounds
+    real = trajopt._audit_trajectory
+
+    def same_dips(traj, scenario, samples, dip_threshold=None):
+        found = real(traj, scenario, samples, dip_threshold)
+        if dip_threshold is None:
+            return found
+        dips = [[0.25 * float(t)] for t in traj.durations]
+        return (scenario.beta_min,) + found[1:4] + (dips,)
+
+    pinned = []
+    monkeypatch.setattr(trajopt, "_audit_trajectory", same_dips)
+    monkeypatch.setattr(trajopt, "_node_map",
+                        lambda *a: pinned.append(list(a[2])) or _node_map(*a))
+    plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=3, total_time=6.0)
+    assert len(pinned) == 2
+    assert all(e.size == 0 for e in pinned[0])
+    assert [e.tolist() for e in pinned[1]] == [[0.5]] * 3
 
 
 def test_plan_around_a_blocking_box():
