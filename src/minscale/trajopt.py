@@ -1,20 +1,20 @@
 """Whole-body trajectory optimization in the plane.
 
 A trajectory is a chain of fixed-duration quintic segments stitched together
-with position, velocity and acceleration continuity; the decision variables
-are the interior junction states.  The objective blends the integral of
-squared jerk, cubic hinge penalties on the collision scale sampled along the
-motion (moving obstacles are advanced to each sample time), and hinge
-penalties on speed and acceleration limits.  For fixed durations the
-samples' position, velocity and acceleration are linear in the junction
-states and the jerk integral is a constant quadratic form in them, so each
-optimization round builds one linear node map for all its cost evaluations.
-Minimization is limited-memory BFGS with a weak Wolfe bisection line search,
-which tolerates the occasional nonsmooth scale sample; :func:`plan` runs it
-on states whitened junction by junction by the jerk Hessian.  Every sample
-of a cost evaluation or an audit pass is computed in one batch of array
-operations by the exact planar scale kernel in `scale`, with a fixed
-reduction order, so repeated runs are bit-identical.
+with position, velocity and acceleration continuity.  The objective blends
+the integral of squared jerk, cubic hinge penalties on the collision scale
+sampled along the motion (moving obstacles are advanced to each sample
+time), and hinge penalties on speed and acceleration limits.  For fixed
+durations the samples' position, velocity and acceleration are linear in
+the junction states, and the jerk integral is a constant quadratic form in
+them whose minimizing velocities and accelerations are linear in the
+waypoints, so each optimization round builds one linear map for all its
+cost evaluations.  :func:`plan` minimizes over the interior waypoints,
+whitened by the reduced jerk Hessian, by limited-memory BFGS with a weak
+Wolfe bisection line search, which tolerates the occasional nonsmooth scale
+sample.  Every sample of a cost evaluation or an audit pass is computed in
+one batch of array operations by the exact planar scale kernel in `scale`,
+with a fixed reduction order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -222,10 +222,6 @@ class Scenario:
         still = _read_only(np.zeros(2))
         object.__setattr__(self, "_obstacles", tuple((obs, still) for obs in statics) + moving)
 
-    @property
-    def obstacle_count(self):
-        return len(self._obstacles)
-
 
 @dataclass(frozen=True)
 class CostConfig:
@@ -350,34 +346,40 @@ def _node_map(durations, samples, extra_times=None):
 
 
 @np.errstate(all="ignore")
-def _whitening(hessian, weight):
-    """``(w, l)`` for the junction blocks of the interior smoothness Hessian.
+def _waypoint_map(hessian, weight):
+    """``(m, n, w, l)``: the minimum-jerk map of the waypoints, and its whitening.
 
-    ``P = 2 weight hessian[3:-3, 3:-3]`` acts on each axis of the interior
-    states reshaped to ``(3 (k-1), 2)``.  ``l`` is block diagonal: the
-    Cholesky factor of each junction's own 3x3 [position, velocity,
-    acceleration] block of ``P``, and ``w = l^-T``.  In the variables
-    ``z = l^T x``, so ``x = w z``, every junction's smoothness curvature is
-    the identity: L-BFGS's scaled start ``gamma I`` there is the
-    block-Jacobi preconditioner ``gamma B^-1`` on the states, ``B = l l^T``
-    the block diagonal of ``P`` (Nocedal & Wright, 2006, sec. 7.2).
+    With junction states ``y`` as in :func:`_node_map`, the interior
+    velocities and accelerations ``y_Q`` that minimize ``sum(y * (hessian @
+    y))`` for waypoints ``x`` ``(k-1, 2)`` and endpoint rows ``e`` ``(6, 2)``
+    are ``-H_QQ^-1 (H_QP x + H_QE e)``, so ``y = m @ x + n @ e`` (MINCO with
+    fixed durations; Wang, Zhou, Xu & Gao, T-RO 2022).  ``w = l^-T``, ``l``
+    the Cholesky factor of the reduced smoothness Hessian ``S = 2 weight m^T
+    hessian m``: in ``z = l^T x`` L-BFGS's scaled start ``gamma I`` is
+    ``gamma S^-1`` on the waypoints (Nocedal & Wright, 2006, sec. 7.2).
     Both are the identity when there is no curvature to use: a zero weight,
-    or a factor that fails or is not finite, as when a large weight meets
-    the shortest durations and ``P`` overflows.
+    or a factor that fails or is not finite, as when ``S`` overflows.
     """
+    rows = np.arange(hessian.shape[0])
+    q = (rows % 3 != 0) & (rows >= 3) & (rows < rows.size - 3)
+    # columns: the start's three rows, the k-1 waypoints, the goal's three rows
+    g = np.zeros((rows.size, rows.size - int(q.sum())))
+    g[~q] = np.eye(g.shape[1])
+    # scaled by the diagonal, the solve does not see the powers of the durations
+    d = hessian[q, q] ** -0.5
+    g[q] = -d[:, None] * np.linalg.solve(d[:, None] * hessian[np.ix_(q, q)] * d,
+                                         d[:, None] * hessian[np.ix_(q, ~q)])
+    m, n = g[:, 3:-3], np.delete(g, np.s_[3:-3], axis=1)
     if weight > 0.0:
         try:
-            p = 2.0 * weight * hessian[3:-3, 3:-3]
-            l = np.zeros_like(p)
-            for i in range(0, p.shape[0], 3):
-                l[i:i + 3, i:i + 3] = np.linalg.cholesky(p[i:i + 3, i:i + 3])
+            l = np.linalg.cholesky(2.0 * weight * (m.T @ hessian @ m))
             w = np.linalg.inv(l).T
             if np.isfinite(l).all() and np.isfinite(w).all():
-                return w, l
+                return m, n, w, l
         except np.linalg.LinAlgError:
             pass
-    eye = np.eye(hessian.shape[0] - 6)
-    return eye, eye
+    eye = np.eye(m.shape[1])
+    return m, n, eye, eye
 
 
 def _scales(scenario, tau, p, v, pairs):
@@ -424,7 +426,7 @@ def _state_cost(states, node_map, scenario, config):
 
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
-    need_safety = w_safety > 0.0 and scenario.obstacle_count > 0
+    need_safety = w_safety > 0.0 and bool(scenario._obstacles)
     need_limits = w_limits > 0.0
     if need_safety or need_limits:
         w_quad = node_map.w_quad
@@ -650,7 +652,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         if drop <= cost_tolerance * max(1.0, abs(f)):
             status = "converged"
             break
-    report = OptimizationReport(
+    return x, OptimizationReport(
         iterations=iterations,
         final_cost=float(f),
         min_beta=float("nan"),
@@ -662,7 +664,6 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         success=status == "converged",
         cost_evaluations=evaluations,
     )
-    return x, report
 
 
 def _full_state(state):
@@ -727,32 +728,32 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     """Plan a collision-safe trajectory between two boundary states.
 
     The initial guess is the mass-point quintic joining ``start`` to
-    ``goal`` (shape ignored); the optimizer then moves the interior junction
-    states, in variables whitened by each junction's block of the round's
-    jerk Hessian (:func:`_whitening`), so its convergence test reads the
-    whitened gradient.  The safety target during optimization is ``beta_min +
-    safety_margin`` so the result clears ``beta_min`` with slack, while the
-    returned report judges the trajectory against the scenario's own
-    ``beta_min`` and motion limits, on a sample grid dense enough for the
-    scene's fastest relative motion.  When that audit catches a clip the
-    cost grid missed (fast obstacles slipping between samples), a penalty
-    node is pinned at the deepest moment of each dip and the optimization
-    reruns warm-started, a few rounds at most.  ``callback`` observes the
-    first optimization round, where the objective is fixed, and is passed
-    the junction states and their gradient, not the whitened variables.  If
-    ``total_time`` is omitted, a duration is chosen so the straight-line
-    guess respects the limits with margin; ``total_time`` and each segment's
-    share of it must lie in [1e-60, 1e60].  Boundary states are ``[px, py]``
-    (at rest), ``[px, py, vx, vy]`` or the full 6-vector.  A request whose
-    mean speed exceeds ``v_max``, or that goes from rest to rest faster than
-    ``a_max`` allows, returns at once with status ``"infeasible-limits"``,
+    ``goal`` (shape ignored); the optimizer then moves the interior
+    waypoints, with the junction velocities and accelerations of least jerk,
+    whitened by the reduced jerk Hessian (:func:`_waypoint_map`), so its
+    convergence test reads the whitened gradient.  The safety target during
+    optimization is ``beta_min + safety_margin`` so the result clears
+    ``beta_min`` with slack, while the returned report judges the trajectory
+    against the scenario's own ``beta_min`` and motion limits, on a sample
+    grid dense enough for the scene's fastest relative motion.  When that
+    audit catches a clip the cost grid missed (fast obstacles slipping
+    between samples), a penalty node is pinned at the deepest moment of each
+    dip and the optimization reruns warm-started, a few rounds at most.
+    ``callback`` observes the first optimization round, where the objective
+    is fixed, and is passed the interior junction states and their
+    full-state gradient, not the whitened waypoints.  If ``total_time`` is
+    omitted, a duration is chosen so the straight-line guess respects the
+    limits with margin; ``total_time`` and each segment's share of it must
+    lie in [1e-60, 1e60].  Boundary states are ``[px, py]`` (at rest),
+    ``[px, py, vx, vy]`` or the full 6-vector.  A request whose mean speed
+    exceeds ``v_max``, or that goes from rest to rest faster than ``a_max``
+    allows, returns at once with status ``"infeasible-limits"``,
     0 iterations and the report of the straight-line guess.
     """
     t_start = time.perf_counter()
     config = _check_problem(scenario, config)
     segments = _count(segments, "segments", 1)
-    s0 = _full_state(start)
-    s1 = _full_state(goal)
+    s0, s1 = _full_state(start), _full_state(goal)
     distance = math.hypot(*(s1[:2] - s0[:2]))
     limits = scenario.bounds
     if total_time is None:
@@ -760,21 +761,17 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                          2.8 * math.sqrt(distance / limits.a_max), 1.0)
     total_time = _number(total_time, "total_time", "> 0", lambda x: x > 0.0)
     durations = np.full(segments, total_time / segments)
-    init_states = _line_states(s0, s1, total_time, segments)
+    states = _line_states(s0, s1, total_time, segments)
     # necessary for any trajectory: the mean speed D/T, and from rest to rest
     # the bang-bang bound 4D/T^2 on the peak acceleration; no optimization
     # can succeed past them, so the plan stops at the straight-line guess
     at_rest = not (np.any(s0[2:4]) or np.any(s1[2:4]))
     beyond_limits = (distance / total_time > limits.v_max + 1e-6
                      or (at_rest and 4.0 * distance / total_time ** 2 > limits.a_max + 1e-6))
-    optimize_scenario = replace(
-        scenario,
-        beta_min=scenario.beta_min + config.safety_margin,
-        bounds=MotionLimits(scenario.bounds.v_max * (1.0 - config.limit_margin),
-                            scenario.bounds.a_max * (1.0 - config.limit_margin)),
-    )
+    shrink = 1.0 - config.limit_margin
+    optimize_scenario = replace(scenario, beta_min=scenario.beta_min + config.safety_margin,
+                                bounds=MotionLimits(limits.v_max * shrink, limits.a_max * shrink))
 
-    states = init_states
     iterations = evaluations = 0
     extras = [np.empty(0) for _ in range(segments)]
     rounds = 0
@@ -790,25 +787,29 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             final_cost = float(cost)
             evaluations += 1
         else:
-            w, l = _whitening(node_map.hessian, config.smoothness_weight)
+            m, n, w, l = _waypoint_map(node_map.hessian, config.smoothness_weight)
+            mw, ends = m @ w, n @ np.concatenate([s0, s1]).reshape(6, 2)
+            last = None  # the states and state gradient of the latest evaluation
 
             @np.errstate(all="ignore")  # a line-search trial can overflow, as in _state_cost
-            def interior(z):
-                return (w @ z.reshape(-1, 2)).reshape(segments - 1, 6)
+            def junctions(z):
+                return (mw @ z.reshape(-1, 2) + ends).reshape(-1, 6)
 
             def objective(z):
-                xs = np.vstack([s0[None, :], interior(z), s1[None, :]])
+                nonlocal last
+                xs = junctions(z)
                 cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
+                last = xs, grad
                 with np.errstate(all="ignore"):
-                    return cost, (w.T @ grad[1:-1].reshape(-1, 2)).ravel()
+                    return cost, (mw.T @ grad.reshape(-1, 2)).ravel()
 
-            def observe(i, z, f, g):  # callback sees junction states and their gradient
-                callback(i, interior(z).ravel(), f, (l @ g.reshape(-1, 2)).ravel())
+            def observe(i, z, f, g):  # the accepted step is the latest evaluation
+                callback(i, last[0][1:-1].ravel(), f, last[1][1:-1].ravel())
 
             z_best, inner = lbfgs_minimize(
-                objective, (l.T @ states[1:-1].reshape(-1, 2)).ravel(),
+                objective, (l.T @ states[1:-1, :2]).ravel(),
                 callback=observe if callback is not None and rounds == 0 else None)
-            states = np.vstack([s0[None, :], interior(z_best), s1[None, :]])
+            states = junctions(z_best)
             iterations += inner.iterations
             evaluations += inner.cost_evaluations
             status, final_cost = inner.status, inner.final_cost
@@ -839,7 +840,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                and max_accel <= limits.a_max + 1e-6)
     if status == "converged" and not success:
         status = "unsafe"  # the optimizer settled, but on a trajectory that fails the audit
-    report = OptimizationReport(
+    return traj, OptimizationReport(
         iterations=iterations,
         final_cost=final_cost,
         min_beta=float(min_beta),
@@ -851,4 +852,3 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         success=bool(success),
         cost_evaluations=evaluations,
     )
-    return traj, report

@@ -19,7 +19,7 @@ from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
 from minscale.sdlp import SolverParams
-from minscale.trajopt import _coeff_map
+from minscale.trajopt import MotionLimits, Scenario, _coeff_map
 
 FD_H = 1e-6
 PARAMS = SolverParams()
@@ -72,6 +72,22 @@ def box_h(center, half, rot=None):
     a = np.vstack([axes.T, -axes.T])
     b = a @ center + np.concatenate([half, half])
     return ConvexSetH.from_inequalities(a, b, center)
+
+
+def blocking_scenario(angle_deg=25.0, offset=0.15, centre=4.5):
+    """``scenes/blocking_box.json``'s problem, planned from (0, 0) to (9, 0).
+
+    Its body, limits and beta_min, with its 2x2 box turned by ``angle_deg``
+    and centred at ``(centre, offset)``; the defaults are the scene's box.
+    """
+    angle = math.radians(angle_deg)
+    rot = np.array([[math.cos(angle), -math.sin(angle)],
+                    [math.sin(angle), math.cos(angle)]])
+    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    block = ConvexSetV(corners @ rot.T + np.array([centre, offset]))
+    body = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
+    return Scenario(body=body, static_obstacles=(block,), bounds=MotionLimits(8.0, 2.0),
+                    beta_min=1.1)
 
 
 def rotation_nd(rng, n):

@@ -21,11 +21,10 @@ from minscale.oracle import hulls_intersect, min_scale_bisection, solve_lp_enume
 from minscale.scale import (ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep,
                             min_scale_vrep_bodyframe)
 from minscale.sdlp import LowDimLP, LpStatus, SolverParams, solve
-from minscale.trajopt import (MotionLimits, Scenario, eval_trajectory,
-                              lbfgs_minimize, plan)
+from minscale.trajopt import eval_trajectory, lbfgs_minimize, plan
 
-from support import (box_corners, box_h, collect_se2, collect_se3, grad_norm_err,
-                     hull_h, random_pair, rotation_nd)
+from support import (blocking_scenario, box_corners, box_h, collect_se2, collect_se3,
+                     grad_norm_err, hull_h, random_pair, rotation_nd)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -259,19 +258,6 @@ def test_criterion_07_solve_time_scales_linearly_in_m():
 
 
 # --------------------------------------------------------------- criterion 8
-
-BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
-
-
-def blocking_scenario():
-    angle = math.radians(25)
-    rot = np.array([[math.cos(angle), -math.sin(angle)],
-                    [math.sin(angle), math.cos(angle)]])
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    block = ConvexSetV(corners @ rot.T + np.array([4.5, 0.15]))
-    return Scenario(body=BODY, static_obstacles=(block,),
-                    bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
-
 
 def _audit(traj, scenario, samples=600):
     """Independent dense resample: worst scale, speed, acceleration."""

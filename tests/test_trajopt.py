@@ -15,11 +15,11 @@ from minscale.sdlp import LowDimLP, SolverParams
 from minscale import trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _heading_jacobian, _line_states,
-                              _node_map, _nodes, _spline, _state_cost, _whitening,
+                              _node_map, _nodes, _spline, _state_cost, _waypoint_map,
                               eval_trajectory, lbfgs_minimize, plan, safety_penalty,
                               scale_time_rate, total_cost)
 
-from support import reference_cost
+from support import blocking_scenario, reference_cost
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 BOX = ConvexSetV(np.array([[3.0, -1.0], [5.0, -1.0], [5.0, 1.0], [3.0, 1.0]]))
@@ -39,16 +39,6 @@ PENETRATING = np.array([
     [4.5, 0.0, 1.8, 0.0, 0.0, 0.0],
     [9.0, 0.0, 1.8, 0.0, 0.0, 0.0],
 ])
-
-
-def blocking_scenario():
-    angle = math.radians(25)
-    rot = np.array([[math.cos(angle), -math.sin(angle)],
-                    [math.sin(angle), math.cos(angle)]])
-    corners = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
-    block = ConvexSetV(corners @ rot.T + np.array([4.5, 0.15]))
-    return Scenario(body=BODY, static_obstacles=(block,),
-                    bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
 
 
 def optimized_scenario(scene, config):
@@ -318,36 +308,70 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
     assert np.array_equal(node_map.tau, traj.knots[seg] + t_loc)
     assert np.array_equal(node_map.w_quad, w_quad)
 
-    # plan's objective runs on the same map and path as total_cost, in the
-    # round's whitened variables: states w z, gradient w^T (state gradient)
-    objectives = []
+    # plan's objective runs total_cost's path on the junction states that the
+    # round's minimum-jerk map gives its whitened waypoints z: states
+    # m w z + n e, gradient w^T m^T (state gradient)
+    objectives, evaluated = [], []
 
     def recording(objective, *args, **kwargs):
         objectives.append(objective)
         return lbfgs_minimize(objective, *args, **kwargs)
 
+    def state_cost(states, *args):
+        evaluated.append(states)
+        return _state_cost(states, *args)
+
     monkeypatch.setattr(trajopt, "lbfgs_minimize", recording)
+    monkeypatch.setattr(trajopt, "_state_cost", state_cost)
     scene, config = blocking_scenario(), CostConfig()
     planned, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config)
     tightened = optimized_scenario(scene, config)
     hessian = _node_map(planned.durations, config.samples_per_segment).hessian
-    w, l = _whitening(hessian, config.smoothness_weight)
-    # in the whitened variables every junction's own block of the smoothness
-    # Hessian is the identity, and the whitening does not mix junctions
-    whitened = w.T @ (2.0 * config.smoothness_weight * hessian[3:-3, 3:-3]) @ w
-    for i in range(0, w.shape[0], 3):
-        assert np.abs(whitened[i:i + 3, i:i + 3] - np.eye(3)).max() <= 1e-12
-        assert not w[i:i + 3, :i].any() and not w[i:i + 3, i + 3:].any()
+    m, n, w, l = _waypoint_map(hessian, config.smoothness_weight)
+    ends = np.concatenate([planned.states[0], planned.states[-1]]).reshape(6, 2)
     for jitter in (0.0, 0.2):
-        states = planned.states.copy()
-        states[1:-1] += jitter * rng.normal(size=states[1:-1].shape)
-        z = (l.T @ states[1:-1].reshape(-1, 2)).ravel()
-        states[1:-1] = (w @ z.reshape(-1, 2)).reshape(-1, 6)
+        x = planned.states[1:-1, :2] + jitter * rng.normal(size=(3, 2))
+        z = (l.T @ x).ravel()
         cost, grad = objectives[0](z)
+        states = evaluated[-1]
+        mapped = m @ (w @ z.reshape(-1, 2)) + n @ ends
+        assert np.abs(states.reshape(-1, 2) - mapped).max() <= 1e-12 * np.abs(mapped).max()
         ref_cost, ref_grad = total_cost(PiecewiseTrajectory(states, planned.durations),
                                         tightened, config)
         assert cost == ref_cost
-        assert np.array_equal(grad, (w.T @ ref_grad[1:-1].reshape(-1, 2)).ravel())
+        assert np.array_equal(grad, ((m @ w).T @ ref_grad.reshape(-1, 2)).ravel())
+
+
+@pytest.mark.parametrize("duration", [1e-60, 1.0, 1e60])
+def test_waypoint_map_is_the_minimum_jerk_map_and_whitens_it(duration):
+    rng = np.random.default_rng(5)
+    hessian = _node_map(np.full(5, duration), 4).hessian
+    m, n, w, l = _waypoint_map(hessian, 1.0)
+    x, ends = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
+    y = m @ x + n @ ends
+    # the waypoints and endpoints come through exactly
+    assert np.array_equal(y[3:-3:3], x)
+    assert np.array_equal(np.concatenate([y[:3], y[-3:]]), ends)
+    # the free velocity and acceleration rows are stationary points of the jerk integral
+    rows = np.arange(hessian.shape[0])
+    free = (rows % 3 != 0) & (rows >= 3) & (rows < rows.size - 3)
+    residual = np.abs(2.0 * hessian[free] @ y)
+    assert (residual <= 1e-9 * (2.0 * np.abs(hessian[free]) @ np.abs(y))).all()
+    # in the whitened waypoints the reduced smoothness Hessian is the identity
+    reduced = 2.0 * m.T @ hessian @ m
+    assert np.isfinite(w).all() and not np.array_equal(w, np.eye(4))
+    assert np.abs(w.T @ reduced @ w - np.eye(4)).max() <= 1e-12
+    assert np.abs(w.T @ l - np.eye(4)).max() <= 1e-12
+
+
+def test_waypoint_map_whitening_is_the_identity_without_usable_curvature():
+    eye = np.eye(4)
+    for duration, weight in ((1.0, 0.0), (1e-60, 1e10)):  # no curvature; S overflows
+        hessian = _node_map(np.full(5, duration), 4).hessian
+        m, n, w, l = _waypoint_map(hessian, weight)
+        assert np.array_equal(w, eye) and np.array_equal(l, eye)
+        # the map itself does not depend on the weight
+        assert all(np.array_equal(a, b) for a, b in zip((m, n), _waypoint_map(hessian, 1.0)))
 
 
 @pytest.mark.parametrize("value", [math.inf, 1e300])
@@ -705,9 +729,10 @@ def test_plan_around_a_blocking_box():
     scene = blocking_scenario()
     traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
     assert report.success, report
-    # whitened by the jerk Hessian's junction blocks, L-BFGS settles this
-    # plan in 83 iterations (141 on the plain states)
-    assert report.status == "converged" and report.iterations <= 100
+    # on the waypoints whitened by the reduced jerk Hessian, L-BFGS settles
+    # this plan in 34 iterations (83 on the states whitened junction by
+    # junction, 141 on the plain states)
+    assert report.status == "converged" and report.iterations <= 50
     assert report.min_beta >= 1.1 - 1e-6
     assert report.max_speed <= 8.0 + 1e-6
     assert report.max_accel <= 2.0 + 1e-6
@@ -719,19 +744,19 @@ def test_plan_around_a_blocking_box():
             assert np.allclose(a, b, atol=1e-9)
 
 
-def test_whitening_is_the_identity_without_usable_curvature():
-    eye = np.eye(12)
-    for duration, weight in ((1.0, 0.0), (1e-60, 1e10)):  # no curvature; P overflows
-        hessian = _node_map(np.full(5, duration), 4).hessian
-        assert all(np.array_equal(m, eye) for m in _whitening(hessian, weight))
-    for duration in (1e-60, 1e60):  # the extreme durations still whiten at weight 1
-        w, l = _whitening(_node_map(np.full(5, duration), 4).hessian, 1.0)
-        assert np.isfinite(w).all() and not np.array_equal(w, eye)
-        assert np.abs(w.T @ l - eye).max() <= 1e-12
+@pytest.mark.parametrize("offset", [0.02, 0.04, 0.08])
+def test_plan_around_boxes_just_off_the_path(offset):
+    # the waypoints alone would push straight through a box this close to the
+    # path; whitened by the reduced jerk Hessian they detour smoothly
+    for angle in (0.0, 15.0, 30.0, 45.0):
+        for centre in (4.0, 4.5, 5.0):
+            scene = blocking_scenario(angle, offset, centre)
+            _, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
+            assert report.success, (angle, centre, report)
 
 
 def test_plan_without_smoothness_still_converges():
-    # no jerk curvature to whiten by, so L-BFGS runs on the states themselves
+    # no jerk curvature to whiten by, so L-BFGS runs on the waypoints themselves
     config = CostConfig(smoothness_weight=0.0)
     _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=5, config=config)
     assert report.status == "converged", report
