@@ -162,11 +162,6 @@ class ScaleResult:
     tight_obstacle_points_body: np.ndarray = None
 
 
-def _points_of(obstacle):
-    """The points of a ConvexSetV, or the obstacle itself (a point array)."""
-    return getattr(obstacle, "points", obstacle)
-
-
 def vrep_scale_lp(body, obstacle_points):
     """The LP in z = (alpha, beta) whose maximum beta is the V-rep scale.
 
@@ -182,7 +177,7 @@ def vrep_scale_lp(body, obstacle_points):
     if not isinstance(body, ConvexSetV):
         raise InvalidArgumentError("body must be a ConvexSetV")
     n = body.dim
-    pts = _points(_points_of(obstacle_points), "obstacle points", (n,))
+    pts = _points(obstacle_points, "obstacle points", (n,))
     kb = body.points.shape[0]
     ko = pts.shape[0]
     a = np.zeros((kb + ko + 1, n + 1))
@@ -266,7 +261,7 @@ def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
     """
     params = _params(params)
     lp = vrep_scale_lp(body, obstacle_points)
-    pts = np.asarray(_points_of(obstacle_points), dtype=float)  # checked by vrep_scale_lp
+    pts = np.asarray(obstacle_points, dtype=float)  # checked by vrep_scale_lp
     kb = body.points.shape[0]
     sol = _solve_on_working_set(lp, kb, params)
     if sol.status == LpStatus.UNBOUNDED:
@@ -283,7 +278,7 @@ def min_scale_vrep(body, obstacle_world, pose, params=None):
     Obstacle points are pulled into the body frame (the exact inverse
     transform) and the body-frame LP is solved there.
     """
-    pts = world_to_body(_points_of(obstacle_world), pose)
+    pts = world_to_body(obstacle_world, pose)
     return min_scale_vrep_bodyframe(body, pts, params)
 
 

@@ -340,7 +340,10 @@ def _run(lp, params, big_m):
 
 
 def solve(lp, params=None):
-    """Solve a LowDimLP.  Two calls with equal rng_seed give identical output."""
+    """Solve a LowDimLP.  Two calls with equal rng_seed give identical output.
+
+    A feasible set lying wholly outside the box |z_j| <= big_m reads infeasible.
+    """
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve expects a LowDimLP")
     params = _params(params)

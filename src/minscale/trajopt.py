@@ -23,6 +23,7 @@ import math
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -225,7 +226,7 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CostConfig:
-    """Weights and sampling densities for the trajectory objective.
+    """Settable weights of the trajectory objective, and its fixed constants.
 
     ``safety_margin`` is the amount :func:`plan` raises the scale target
     above ``beta_min`` during optimization, and ``limit_margin`` the
@@ -237,23 +238,17 @@ class CostConfig:
     """
 
     smoothness_weight: float = 1.0
-    safety_weight: float = 1e4
     feasibility_weight: float = 1e3
-    samples_per_segment: int = 16
-    heading_eps: float = 1e-3
-    safety_margin: float = 0.05
-    limit_margin: float = 0.02
+    safety_weight: ClassVar[float] = 1e4
+    samples_per_segment: ClassVar[int] = 16
+    heading_eps: ClassVar[float] = 1e-3
+    safety_margin: ClassVar[float] = 0.05
+    limit_margin: ClassVar[float] = 0.02
 
     def __post_init__(self):
-        for name, rule, ok in (("smoothness_weight", ">= 0", lambda x: x >= 0.0),
-                               ("safety_weight", ">= 0", lambda x: x >= 0.0),
-                               ("feasibility_weight", ">= 0", lambda x: x >= 0.0),
-                               ("heading_eps", "> 0", lambda x: x > 0.0),
-                               ("safety_margin", ">= 0", lambda x: x >= 0.0),
-                               ("limit_margin", "in [0, 1)", lambda x: 0.0 <= x < 1.0)):
-            object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
-        object.__setattr__(self, "samples_per_segment",
-                           _count(self.samples_per_segment, "samples_per_segment", 2))
+        for name in ("smoothness_weight", "feasibility_weight"):
+            object.__setattr__(self, name,
+                               _number(getattr(self, name), name, ">= 0", lambda x: x >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -426,7 +421,7 @@ def _state_cost(states, node_map, scenario, config):
 
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
-    need_safety = w_safety > 0.0 and bool(scenario._obstacles)
+    need_safety = bool(scenario._obstacles)
     need_limits = w_limits > 0.0
     if need_safety or need_limits:
         w_quad = node_map.w_quad
@@ -498,16 +493,16 @@ def total_cost(traj, scenario, config=None):
     return _state_cost(traj.states, node_map, scenario, config)
 
 
-def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfig.heading_eps):
+def scale_time_rate(traj, scenario, tau, obstacle_index=0):
     """Instantaneous rate of change of the collision scale at time ``tau``.
 
     Combines the body's velocity and heading rate with the obstacle's drift:
     translating the obstacle changes the scale exactly like the body
     counter-translating, so the chain rule runs on the relative velocity.
     Obstacles are indexed static-first, then moving.  The heading follows
-    the velocity, with the cost's regularized heading rate (``heading_eps``
-    as in CostConfig).  The planar kernel gives the scale and its gradient;
-    beta <= 0 (the seed in the obstacle) raises DegenerateActiveSetError.
+    the velocity, at the cost's regularized rate (``CostConfig.heading_eps``).
+    The planar kernel gives the scale and its gradient; beta <= 0 (the seed
+    in the obstacle) raises DegenerateActiveSetError.
     """
     if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
         raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
@@ -515,7 +510,6 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfi
     index = _count(obstacle_index, "obstacle_index", 0)
     if index >= len(pairs):
         raise InvalidArgumentError(f"obstacle_index must be below {len(pairs)}, got {index}")
-    eps = _number(heading_eps, "heading_eps", "> 0", lambda x: x > 0.0)
     p, v, a, _ = (x[None] for x in eval_trajectory(traj, tau))  # one sample
     pair = pairs[index]
     cos, sin, beta, alpha, contact, _ = next(
@@ -523,7 +517,7 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0, heading_eps=CostConfi
     if beta[0] <= 0.0:
         raise DegenerateActiveSetError("no body row can be tight at beta = 0")
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
-    heading_rate = float(_heading_jacobian(v, eps)[0] @ a[0])
+    heading_rate = float(_heading_jacobian(v, CostConfig.heading_eps)[0] @ a[0])
     return float(d_t[0] @ (v[0] - pair[1]) + d_theta[0] * heading_rate)
 
 

@@ -48,6 +48,7 @@ CASES = {
     "vrep-obstacle-string": lambda: min_scale_vrep(BODY, "x", POSE),
     "vrep-obstacle-ragged": lambda: min_scale_vrep(BODY, RAGGED, POSE),
     "vrep-obstacle-huge-int": lambda: min_scale_vrep(BODY, [[10 ** 400, 0]], POSE),
+    "vrep-obstacle-set": lambda: min_scale_vrep(BODY, ConvexSetV([[3.0, 0.0]]), POSE),
     "bodyframe-obstacle-string": lambda: min_scale_vrep_bodyframe(BODY, "x"),
     "lp-objective-string": lambda: LowDimLP(2, "ab"),
     "lp-constraints-0d": lambda: LowDimLP(2, [1.0, 0.0], np.array(1.0), [1.0]),
@@ -66,7 +67,7 @@ CASES = {
     "scenario-beta-bool": lambda: Scenario(body=BODY, beta_min=True),
     "scenario-velocity-string": lambda: Scenario(body=BODY,
                                                  moving_obstacles=((BODY, "ab"),)),
-    "config-eps-string": lambda: CostConfig(heading_eps="1"),
+    "config-weight-string": lambda: CostConfig(feasibility_weight="1"),
     "cost-config-int": lambda: total_cost(TRAJ, EMPTY, config=5),
     "penalty-config-int": lambda: safety_penalty(TRAJ, EMPTY, config=5),
     "plan-time-string": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time="x"),
@@ -143,8 +144,8 @@ def test_numpy_scalars_and_0d_arrays_are_numbers():
     assert is_colliding(RESULT, np.array(10.0))
     assert MotionLimits(np.int64(8), np.float64(2.0)) == MotionLimits(8.0, 2.0)
     assert SolverParams(rng_seed=np.int64(3), big_m=np.array(1e9)).big_m == 1e9
-    config = CostConfig(samples_per_segment=np.int64(8), heading_eps=np.float64(1e-3))
-    assert config.samples_per_segment == 8
+    config = CostConfig(smoothness_weight=np.int64(2), feasibility_weight=np.array(1e3))
+    assert config == CostConfig(2.0, 1e3)
     _, report = plan(EMPTY, [0.0, 0.0], [3.0, 0.0], segments=1, total_time=np.int64(4))
     assert report.status == "converged"
     _, report = lbfgs_minimize(_bowl, np.ones(2), grad_tolerance=np.float64(1e-6))

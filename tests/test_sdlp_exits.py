@@ -1,7 +1,9 @@
 """Rare exits of the Seidel levels, each checked against the enumeration oracle.
 
 One- and two-variable LPs share the two-variable level, so the one-variable
-cases below exercise its interval scan.
+cases below exercise its interval scan.  The oracle shares the solver's box
+|z_j| <= big_m, so a case the box decides is checked against it under a box
+that holds the answer.
 """
 
 import numpy as np
@@ -38,6 +40,18 @@ def test_one_variable_zero_objective_takes_the_point_nearest_zero(a, b, x):
     assert sol.status is LpStatus.OPTIMAL and sol.value == 0.0
     assert sol.z.tolist() == [x]
     assert sol.active_basis == ([] if x == 0.0 else [0 if x > 0.0 else 1])
+
+
+def test_a_feasible_set_wholly_outside_the_box_reads_infeasible():
+    # min x subject to x >= 5e9: eliminating x on that row turns the box row
+    # x <= big_m into 0 <= big_m - 5e9, false at the default big_m = 1e9; a
+    # box of 1e10 reaches the set
+    problem = LowDimLP(1, [-1.0], [[-1.0]], [-5e9])
+    assert solve(problem).status is LpStatus.INFEASIBLE
+    wide = SolverParams(big_m=1e10)
+    sol = solve(problem, wide)
+    assert sol.status is LpStatus.OPTIMAL and sol.z.tolist() == [5e9]
+    assert sol.value == solve_lp_enumeration(problem, wide).value == -5e9
 
 
 @pytest.mark.parametrize("seed", range(4))
