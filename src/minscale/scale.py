@@ -29,7 +29,7 @@ an explicit -beta <= 0 row, so active-set indices map mechanically back to
 input points and halfspaces; the gradient module relies on that layout.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -321,7 +321,9 @@ class _PlanarHull:
     along the widest axis (in input order), one edge; when they coincide
     it is one point and no edge.  Points that lie on the hull but are not
     its vertices are dropped, so the kernel's ties are ties among hull
-    vertices, where the LP also counts those points.
+    vertices, where the LP also counts those points.  The disc of
+    ``radius`` about ``centre``, the middle of the vertices' bounding box,
+    holds the hull; :func:`_planar_bound` reads it.
     """
 
     points: np.ndarray
@@ -329,6 +331,14 @@ class _PlanarHull:
     ends: np.ndarray
     normals: np.ndarray = None
     offsets: np.ndarray = None
+    centre: np.ndarray = field(init=False)
+    radius: float = field(init=False)
+
+    def __post_init__(self):
+        centre = 0.5 * (self.points.min(axis=0) + self.points.max(axis=0))
+        object.__setattr__(self, "centre", centre)
+        object.__setattr__(self, "radius",
+                           float(np.hypot(*(self.points - centre).T).max()))
 
     @classmethod
     def of(cls, points):
@@ -347,6 +357,21 @@ class _PlanarHull:
     def width(self):
         """Least width of a full hull: a polygon is thinnest across one of its edges."""
         return float((self.offsets - (self.points @ self.normals.T).min(axis=0)).min())
+
+
+def _planar_bound(gauge, hull, origin):
+    """A lower bound on :func:`_planar_scale`'s beta at each pose origin, whatever the heading.
+
+    ``origin`` (N, 2) is given in the obstacle's frame, as there.  The body
+    dilated by beta lies in the disc of radius beta * ``gauge.radius`` about
+    its placed seed, which lies within |``gauge.seed``| of the origin, and
+    the hull lies in its disc, so beta >= (|origin - hull.centre| -
+    hull.radius - |seed|) / ``gauge.radius``.  Below zero too: a seed at
+    depth d in the hull has the disc of radius d about it inside the hull's
+    disc.  An origin that overflows gives an inf or NaN bound.
+    """
+    gap = np.hypot(origin[:, 0] - hull.centre[0], origin[:, 1] - hull.centre[1])
+    return (gap - (hull.radius + float(np.hypot(*gauge.seed)))) / gauge.radius
 
 
 def _planar_scale(gauge, hull, cos, sin, origin):

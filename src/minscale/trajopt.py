@@ -12,9 +12,11 @@ waypoints, so each optimization round builds one linear map for all its
 cost evaluations.  :func:`plan` minimizes over the interior waypoints,
 whitened by the reduced jerk Hessian, by limited-memory BFGS with a weak
 Wolfe bisection line search, which tolerates the occasional nonsmooth scale
-sample.  Every sample of a cost evaluation or an audit pass is computed in
-one batch of array operations by the exact planar scale kernel in `scale`,
-with a fixed reduction order, so repeated runs are bit-identical.
+sample.  The scale at every sample of an audit pass, and at every sample of
+a cost evaluation whose disc bound does not already clear the safety
+threshold, is computed in one batch of array operations by the exact planar
+scale kernel in `scale`, with a fixed reduction order, so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from .geometry import _read_only
 # assemble_active_system, grad_scale_se2 and min_scale_vrep go unused here;
 # perfbench/tracing.py still looks them up on this module
 from .gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_se2
-from .scale import ConvexSetV, _planar_scale, min_scale_vrep
+from .scale import ConvexSetV, _planar_bound, _planar_scale, min_scale_vrep
+
+# a cost node skips the kernel where its disc bound clears the threshold by this factor
+_CULL = 1.0 + 1e-9
 
 
 def _coeff_map(duration):
@@ -272,7 +277,14 @@ class OptimizationReport:
 
     ``cost_evaluations`` counts the objective calls, line-search trials and
     the call at the starting point included, summed over every
-    optimization round of a plan.
+    optimization round of a plan.  Over the same calls, ``kernel_pairs``
+    counts the (node, obstacle) pairs that ran the planar kernel and
+    ``skipped_pairs`` those whose disc bound cleared the safety threshold.
+
+    ``min_beta_time`` and ``min_beta_obstacle`` place ``min_beta`` on the
+    audit grid: the first sample at the minimum, and the obstacle with the
+    smallest scale there, indexed static-first as in
+    :func:`scale_time_rate`; NaN and None without obstacles.
     """
 
     iterations: int
@@ -285,6 +297,10 @@ class OptimizationReport:
     degenerate_samples: int = 0
     success: bool = False
     cost_evaluations: int = 0
+    kernel_pairs: int = 0
+    skipped_pairs: int = 0
+    min_beta_time: float = float("nan")
+    min_beta_obstacle: int = None
 
 
 def _nodes(durations, samples, extra_times=None):
@@ -393,13 +409,16 @@ def _scales(scenario, tau, p, v, pairs):
 
 
 def _min_scales(scenario, tau, p, v):
-    """Smallest scale of the obstacles at each node, clamped to +0.0, and the degenerate count."""
+    """Smallest scale of the obstacles at each node, clamped to +0.0, the index
+    of the first obstacle that gives it, and the degenerate count."""
     here = np.full(len(tau), np.inf)
+    which = np.zeros(len(tau), dtype=int)
     degenerate = 0
-    for *_, beta, _, _, deg in _scales(scenario, tau, p, v, scenario._obstacles):
+    for i, (*_, beta, _, _, deg) in enumerate(_scales(scenario, tau, p, v, scenario._obstacles)):
+        which[beta < here] = i
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
-    return np.where(here > 0.0, here, 0.0), degenerate
+    return np.where(here > 0.0, here, 0.0), which, degenerate
 
 
 @np.errstate(all="ignore")
@@ -409,7 +428,10 @@ def _state_cost(states, node_map, scenario, config):
     The gradient has one row per junction, endpoints included; callers
     freeze what they fix.  A state that overflows, as a line-search trial
     can, gives a non-finite cost, which the line search rejects, and raises
-    no floating-point warning.
+    no floating-point warning.  The third value counts the (node, obstacle)
+    pairs that ran the planar kernel: a pair whose :func:`_planar_bound`
+    clears the threshold has a hinge, cost and gradient of exactly 0 and
+    skips it, so culled and unculled paths agree bit for bit.
     """
     y = states.reshape(-1, 2)
     cost = 0.0
@@ -421,6 +443,7 @@ def _state_cost(states, node_map, scenario, config):
 
     w_safety = config.safety_weight
     w_limits = config.feasibility_weight
+    kernel_pairs = 0
     need_safety = bool(scenario._obstacles)
     need_limits = w_limits > 0.0
     if need_safety or need_limits:
@@ -439,20 +462,30 @@ def _state_cost(states, node_map, scenario, config):
 
         if need_safety:
             threshold = scenario.beta_min
-            d_theta_d_v = _heading_jacobian(v, config.heading_eps)
-            scales = _scales(scenario, node_map.tau, p, v, scenario._obstacles)
-            for cos, sin, beta, alpha, contact, _ in scales:
+            tau = node_map.tau
+            gauge = scenario.body._planar_gauge
+            for obs, vel in scenario._obstacles:
+                bound = _planar_bound(gauge, obs._planar_hull, p - tau[:, None] * vel)
+                # an inf or NaN bound, from an overflowing trial, never skips
+                near = np.flatnonzero(~((bound >= _CULL * threshold) & (bound < np.inf)))
+                if near.size == 0:
+                    continue
+                kernel_pairs += near.size
+                cos, sin, beta, alpha, contact, _ = next(
+                    _scales(scenario, tau[near], p[near], v[near], [(obs, vel)]))
                 hinge = threshold - beta
                 touched = hinge > 0.0
-                cost += w_safety * float((w_quad[touched] * hinge[touched] ** 3).sum())
-                # every node takes the gradient, weighted 0 off the hinge
-                d_pen = np.where(touched, -3.0 * w_safety * w_quad * hinge ** 2, 0.0)
+                w_near = w_quad[near]
+                cost += w_safety * float((w_near[touched] * hinge[touched] ** 3).sum())
+                # every node near the obstacle takes the gradient, weighted 0 off the hinge
+                d_pen = np.where(touched, -3.0 * w_safety * w_near * hinge ** 2, 0.0)
                 d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
-                d_pva[0] += d_pen[:, None] * d_t
-                d_pva[1] += (d_pen * d_theta)[:, None] * d_theta_d_v
+                d_pva[0, near] += d_pen[:, None] * d_t
+                d_pva[1, near] += ((d_pen * d_theta)[:, None]
+                                   * _heading_jacobian(v[near], config.heading_eps))
 
         grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
-    return cost, grad.reshape(-1, 6)
+    return cost, grad.reshape(-1, 6), kernel_pairs
 
 
 def _check_problem(scenario, config):
@@ -490,7 +523,7 @@ def total_cost(traj, scenario, config=None):
         raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
     config = _check_problem(scenario, config)
     node_map = _node_map(traj.durations, config.samples_per_segment)
-    return _state_cost(traj.states, node_map, scenario, config)
+    return _state_cost(traj.states, node_map, scenario, config)[:2]
 
 
 def scale_time_rate(traj, scenario, tau, obstacle_index=0):
@@ -698,24 +731,31 @@ def _audit_samples(traj, scenario, config):
 def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
     """Sampled extremes plus, on request, the deepest time of every scale dip.
 
-    Returns ``(min_beta, max_speed, max_accel, degenerate, dips)``.  When
-    ``dip_threshold`` is given, ``dips`` holds one list per segment with the
-    local time of the deepest sample of each maximal run of consecutive
-    samples whose scale sits below the threshold.
+    Returns ``(min_beta, max_speed, max_accel, degenerate, dips, worst)``.
+    When ``dip_threshold`` is given, ``dips`` holds one list per segment
+    with the local time of the deepest sample of each maximal run of
+    consecutive samples whose scale sits below the threshold.  ``worst`` is
+    the time and obstacle index of the first sample at ``min_beta``, or
+    ``(nan, None)`` without obstacles.
     """
     seg, t_loc, _ = _nodes(traj.durations, samples)
     p, v, a = _spline(traj, seg, t_loc)
     max_speed = float(np.sqrt((v * v).sum(axis=1)).max())
     max_accel = float(np.sqrt((a * a).sum(axis=1)).max())
     dips = [[] for _ in range(traj.segment_count)]
-    here, degenerate = _min_scales(scenario, traj.knots[seg] + t_loc, p, v)
+    tau = traj.knots[seg] + t_loc
+    here, which, degenerate = _min_scales(scenario, tau, p, v)
+    worst = (math.nan, None)
+    if scenario._obstacles:
+        i = int(here.argmin())
+        worst = (float(tau[i]), int(which[i]))
     if dip_threshold is not None:
         grid = (x.reshape(traj.segment_count, samples + 1) for x in (here, t_loc))
         for (row, t_row), dips_k in zip(zip(*grid), dips):
             below = np.concatenate([[False], row < dip_threshold, [False]])
             for lo, hi in np.flatnonzero(below[1:] != below[:-1]).reshape(-1, 2):
                 dips_k.append(float(t_row[lo + row[lo:hi].argmin()]))
-    return float(here.min()), max_speed, max_accel, degenerate, dips
+    return float(here.min()), max_speed, max_accel, degenerate, dips, worst
 
 
 def plan(scenario, start, goal, segments=5, config=None, total_time=None, callback=None):
@@ -766,7 +806,7 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     optimize_scenario = replace(scenario, beta_min=scenario.beta_min + config.safety_margin,
                                 bounds=MotionLimits(limits.v_max * shrink, limits.a_max * shrink))
 
-    iterations = evaluations = 0
+    iterations = evaluations = kernel_pairs = all_pairs = 0
     extras = [np.empty(0) for _ in range(segments)]
     rounds = 0
     # when the dense audit catches a clip between cost samples (a fast mover
@@ -775,8 +815,10 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     # handful of targeted nodes is far cheaper than refining every segment
     while True:
         node_map = _node_map(durations, config.samples_per_segment, extras)
+        round_evaluations = evaluations
         if segments == 1 or beyond_limits:
-            cost, _ = _state_cost(states, node_map, optimize_scenario, config)
+            cost, _, pairs = _state_cost(states, node_map, optimize_scenario, config)
+            kernel_pairs += pairs
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
             evaluations += 1
@@ -790,9 +832,10 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                 return (mw @ z.reshape(-1, 2) + ends).reshape(-1, 6)
 
             def objective(z):
-                nonlocal last
+                nonlocal last, kernel_pairs
                 xs = junctions(z)
-                cost, grad = _state_cost(xs, node_map, optimize_scenario, config)
+                cost, grad, pairs = _state_cost(xs, node_map, optimize_scenario, config)
+                kernel_pairs += pairs
                 last = xs, grad
                 with np.errstate(all="ignore"):
                     return cost, (mw.T @ grad.reshape(-1, 2)).ravel()
@@ -807,13 +850,15 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             iterations += inner.iterations
             evaluations += inner.cost_evaluations
             status, final_cost = inner.status, inner.final_cost
+        all_pairs += ((evaluations - round_evaluations) * node_map.tau.size
+                      * len(scenario._obstacles))
         traj = PiecewiseTrajectory(states, durations)
 
         audit = _audit_samples(traj, scenario, config)
         # keep refining until the audit grid clears beta_min with a little
         # slack, so the continuum between audit samples clears beta_min too
         target = scenario.beta_min + 0.4 * config.safety_margin
-        min_beta, max_speed, max_accel, degenerate, dips = _audit_trajectory(
+        min_beta, max_speed, max_accel, degenerate, dips, worst = _audit_trajectory(
             traj, scenario, audit,
             dip_threshold=scenario.beta_min + 0.5 * config.safety_margin)
         rounds += 1
@@ -845,4 +890,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
         degenerate_samples=degenerate,
         success=bool(success),
         cost_evaluations=evaluations,
+        kernel_pairs=kernel_pairs,
+        skipped_pairs=all_pairs - kernel_pairs,
+        min_beta_time=worst[0],
+        min_beta_obstacle=worst[1],
     )

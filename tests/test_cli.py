@@ -452,6 +452,8 @@ def test_plan_blocking_scene_writes_report_trajectory_and_svg(tmp_path):
     assert report["max_speed"] <= 8.0 + 1e-6
     assert report["max_accel"] <= 2.0 + 1e-6
     assert report["cost_evaluations"] > report["iterations"] > 0
+    assert report["kernel_pairs"] > 0 and report["skipped_pairs"] > 0
+    assert report["min_beta_obstacle"] == 0 and report["min_beta_time"] >= 0.0
 
     doc = json.loads(out_json.read_text(encoding="utf-8"))
     assert len(doc["segments"]) == 5
@@ -495,6 +497,23 @@ def test_plan_reports_infeasible_limits_as_data_not_failure():
     assert report["status"] == "infeasible-limits"
     assert report["iterations"] == 0
     assert report["max_speed"] > 8.0
+
+
+def test_plan_without_obstacles_places_no_worst_scale(tmp_path):
+    doc = json.loads(Path(BLOCKING).read_text(encoding="utf-8"))
+    doc["obstacles"] = []
+    scene = tmp_path / "open.json"
+    scene.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, _ = run_cli(["plan", str(scene), "--start", "0,0", "--goal", "9,0"])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["min_beta"] == "inf" and report["min_beta_time"] == "nan"
+    assert report["min_beta_obstacle"] is None
+    assert report["kernel_pairs"] == report["skipped_pairs"] == 0
 
 
 def test_plan_prints_strict_json_when_the_cost_overflows():

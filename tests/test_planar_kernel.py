@@ -21,7 +21,8 @@ from minscale.geometry import Pose2, world_to_body
 from minscale.gradient import _grad_scale_se2_batch, assemble_active_system, grad_scale_se2
 from minscale.oracle import finite_diff, min_scale_bisection
 from minscale import scale
-from minscale.scale import ConvexSetV, _planar_scale, min_scale_vrep
+from minscale.scale import ConvexSetV, _planar_bound, _planar_scale, min_scale_vrep
+from minscale.trajopt import _CULL
 
 from support import random_body
 
@@ -249,6 +250,66 @@ def test_one_qhull_run_serves_a_set_as_body_and_as_obstacle(monkeypatch):
     offsets = -own.equations[:, 2] - normals @ both.seed
     assert np.array_equal(gauge.rows, normals / offsets[:, None])
     assert np.array_equal(gauge.rays, both.points[own.vertices] - both.seed)
+
+
+# ------------------------------------------------------------ the disc bound
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["full", "flat", "point"]),
+       points=st.integers(1, 6), threshold=st.floats(1.0, 3.0))
+def test_the_disc_bound_never_exceeds_the_kernel_scale(seed, shape, points, threshold):
+    # the plan cost skips a pair whose bound clears its threshold, so no
+    # skipped pair may have a scale below it; checked on a posed batch with
+    # seeds on hull vertices, inside the hull, overlapping it and far off
+    rng = np.random.default_rng(seed)
+    drawn = random_body(rng, 2)
+    off = rng.normal(size=2) * 2.0  # the seed well off the body frame's origin
+    body = ConvexSetV(drawn.points + off, drawn.seed + off)
+    gauge = body._planar_gauge
+    centre = rng.normal(size=2) * 3.0
+    if shape == "full":
+        obstacle = centre + rng.normal(size=(points + 2, 2))
+    elif shape == "flat":
+        obstacle = centre + np.outer(rng.normal(size=points + 1), rng.normal(size=2))
+    else:
+        obstacle = np.tile(centre, (points, 1))
+    hull = ConvexSetV(obstacle)._planar_hull
+    n = 256
+    theta = rng.uniform(-math.pi, math.pi, n)
+    c, s = np.cos(theta), np.sin(theta)
+    seeds = centre + rng.uniform(-1.0, 1.0, (n, 2)) * (hull.radius + 4.0 * gauge.radius)
+    seeds[:32] = hull.points[rng.integers(len(hull.points), size=32)]  # touching
+    seeds[32:64] = hull.points.mean(axis=0)  # inside a full hull
+    seeds[64:96] += (seeds[64:96] - centre) * -0.8  # overlapping
+    # the origins that put the seeds there, shifted as a moving obstacle's are
+    drift = rng.normal(size=(n, 2))
+    placed = body.seed[0] * np.stack([c, s], axis=1) + body.seed[1] * np.stack([-s, c], axis=1)
+    origin = (seeds - placed + drift) - drift
+    beta = _planar_scale(gauge, hull, c, s, origin)[0]
+    bound = _planar_bound(gauge, hull, origin)
+    assert np.all(bound <= beta + 1e-9 * np.maximum(1.0, np.abs(beta)))
+    skipped = (bound >= _CULL * threshold) & (bound < np.inf)
+    assert np.all(beta[skipped] >= threshold)
+
+
+def test_the_disc_bound_is_tight_for_a_point_on_a_corner_ray():
+    # the body's farthest corner (1, 1) reaches the point (2, 2) at scale 2:
+    # there the disc of the body is tight, and the bound is the scale
+    for theta in (0.0, 0.5 * math.pi, math.pi):
+        c, s = np.array([math.cos(theta)]), np.array([math.sin(theta)])
+        hull = ConvexSetV(np.array([[2.0, 2.0]]))._planar_hull
+        origin = np.array([[2.0, 2.0]]) - 2.0 * np.array([[c[0] - s[0], s[0] + c[0]]])
+        beta = _planar_scale(SQUARE._planar_gauge, hull, c, s, origin)[0]
+        bound = _planar_bound(SQUARE._planar_gauge, hull, origin)
+        assert beta[0] == pytest.approx(2.0, rel=1e-15)
+        assert bound[0] == pytest.approx(2.0, rel=1e-15)
+
+
+def test_an_overflowing_origin_gives_a_non_finite_bound():
+    hull = ConvexSetV(np.array([[3.0, 0.0], [4.0, 1.0], [3.0, 1.0]]))._planar_hull
+    origin = np.array([[np.inf, 0.0], [np.nan, 0.0], [np.inf, -np.inf]])
+    bound = _planar_bound(SQUARE._planar_gauge, hull, origin)
+    assert not np.isfinite(bound).any()
 
 
 # ----------------------------------------------------------- golden answers

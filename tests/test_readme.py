@@ -66,7 +66,7 @@ def test_readme_cli_examples_print_the_values_shown(command, tmp_path, monkeypat
                 key, value = field.groups()
                 assert _shown(value, json.dumps(report[key])), (key, value, report[key])
                 checked += 1
-        assert checked == 5
+        assert checked == 9
         return
     header, *rows = list(csv.reader(io.StringIO(out.getvalue())))
     shown_header, *shown_rows = list(csv.reader(shown))

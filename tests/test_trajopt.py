@@ -274,10 +274,84 @@ def test_batched_cost_matches_the_per_sample_reference(case):
         if case == "pinned":
             extras = [np.sort(rng.uniform(0.0, d, size=trial % 3)) for d in durations]
         node_map = _node_map(durations, config.samples_per_segment, extras)
-        cost, grad = _state_cost(traj.states, node_map, scene, config)
+        cost, grad, _ = _state_cost(traj.states, node_map, scene, config)
         ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
         assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
+
+
+def _crossing_scenario():
+    """A fast mover that crosses the (0, 0) -> (9, 0) path about x = 4.5 at t = 3.3."""
+    square = np.array([[-0.3, -0.3], [0.3, -0.3], [0.3, 0.3], [-0.3, 0.3]])
+    return Scenario(body=BODY, moving_obstacles=((ConvexSetV(square + [4.5, -39.6]),
+                                                  (0.0, 12.0)),),
+                    bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
+
+
+def _unculled(monkeypatch):
+    """Send every (node, obstacle) pair of the cost to the kernel: no bound clears."""
+    monkeypatch.setattr(trajopt, "_planar_bound",
+                        lambda gauge, hull, origin: np.full(len(origin), -np.inf))
+
+
+@pytest.mark.parametrize("case", ["scene", "blocking", "penetrating", "moving", "pinned"])
+def test_the_culled_cost_is_the_unculled_cost_bit_for_bit(case, monkeypatch):
+    # a skipped pair's hinge, cost and gradient are exactly 0, so skipping
+    # it changes no bit of the cost or of the gradient
+    rng = np.random.default_rng(23)
+    config = CostConfig()
+    scene, states, durations = SCENE, STATES, DURATIONS
+    if case == "blocking":
+        scene = blocking_scenario()
+        states = STATES * np.array([1.0, 0.2, 1.0, 0.2, 1.0, 0.2])
+    elif case == "penetrating":
+        scene, states, durations = blocking_scenario(), PENETRATING, np.array([2.5, 2.5])
+    elif case == "moving":
+        scene = _crossing_scenario()
+    calls = []
+    for trial in range(8):
+        jitter = states.copy()
+        jitter[1:-1] += 0.3 * rng.normal(size=jitter[1:-1].shape)
+        extras = None
+        if case == "pinned":
+            extras = [np.sort(rng.uniform(0.0, d, size=1 + trial % 3)) for d in durations]
+        node_map = _node_map(durations, config.samples_per_segment, extras)
+        calls.append((jitter, node_map, _state_cost(jitter, node_map, scene, config)))
+    _unculled(monkeypatch)
+    skipped = 0
+    for jitter, node_map, (cost, grad, pairs) in calls:
+        ref_cost, ref_grad, all_pairs = _state_cost(jitter, node_map, scene, config)
+        assert all_pairs == node_map.tau.size * len(scene._obstacles)
+        assert cost == ref_cost
+        assert np.array_equal(grad, ref_grad)
+        skipped += all_pairs - pairs
+    assert skipped > 0
+
+
+def test_overflowing_states_keep_the_unculled_non_finite_values(monkeypatch):
+    # a node whose bound is inf or NaN goes to the kernel, so a line-search
+    # trial that overflows gets the same non-finite cost and gradient; the
+    # safety term alone shows it, as the other terms overflow too
+    node_map = _node_map(DURATIONS, 16)
+    row = STATES.copy()
+    row[1] = math.inf
+    trials = [(STATES * 1e300, CostConfig()), (row, CostConfig()),
+              (row, CostConfig(smoothness_weight=0.0, feasibility_weight=0.0))]
+    culled = [_state_cost(states, node_map, SCENE, config) for states, config in trials]
+    _unculled(monkeypatch)
+    for (states, config), (cost, grad, _) in zip(trials, culled):
+        ref_cost, ref_grad, _ = _state_cost(states, node_map, SCENE, config)
+        assert np.array_equal([cost], [ref_cost], equal_nan=True)
+        assert not np.isfinite(grad).all()
+        assert np.array_equal(grad, ref_grad, equal_nan=True)
+    # nodes whose position overflows to inf, not NaN, still reach the kernel
+    far = STATES.copy()
+    far[1, :4] = 1.5e308
+    safety = CostConfig(smoothness_weight=0.0, feasibility_weight=0.0)
+    monkeypatch.undo()
+    with np.errstate(over="ignore"):
+        assert np.isinf(node_map.matrix @ far.reshape(-1, 2)).any()
+    assert not np.isfinite(_state_cost(far, node_map, SCENE, safety)[1]).all()
 
 
 @pytest.mark.parametrize("segments", [1, 3, 5])
@@ -385,7 +459,7 @@ def test_an_overflowing_trial_state_gives_a_non_finite_cost_without_warnings(val
     states[1] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cost, _ = _state_cost(states, _node_map(DURATIONS, 16), SCENE, CostConfig())
+        cost, _, _ = _state_cost(states, _node_map(DURATIONS, 16), SCENE, CostConfig())
     assert not math.isfinite(cost)
 
 
@@ -691,10 +765,7 @@ def test_plan_sums_cost_evaluations_over_its_rounds(monkeypatch):
     monkeypatch.setattr(trajopt, "lbfgs_minimize", counting)
     # a fast mover crosses the path between cost samples: the audit pins a
     # node at the clip and a second round runs
-    square = np.array([[-0.3, -0.3], [0.3, -0.3], [0.3, 0.3], [-0.3, 0.3]])
-    crossing = Scenario(body=BODY, moving_obstacles=((ConvexSetV(square + [4.5, -39.6]),
-                                                      (0.0, 12.0)),),
-                        bounds=MotionLimits(8.0, 2.0), beta_min=1.1)
+    crossing = _crossing_scenario()
     rounds = []
     monkeypatch.setattr(trajopt, "_node_map", lambda *a: rounds.append(1) or _node_map(*a))
     _, report = plan(crossing, [0.0, 0.0], [9.0, 0.0], segments=3)
@@ -704,6 +775,39 @@ def test_plan_sums_cost_evaluations_over_its_rounds(monkeypatch):
         _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=segments,
                          total_time=total_time)
         assert report.cost_evaluations == 1
+
+
+@pytest.mark.parametrize("segments", [1, 5])
+def test_plan_counts_the_pairs_its_cost_sends_to_the_kernel(segments, monkeypatch):
+    nodes = []
+
+    def counting(states, node_map, *args):
+        nodes.append(node_map.tau.size)
+        return _state_cost(states, node_map, *args)
+
+    monkeypatch.setattr(trajopt, "_state_cost", counting)
+    scene = cli._scene_scenario(cli.load_scene(str(SCENES / "blocking_box.json")))
+    _, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=segments)
+    assert len(nodes) == report.cost_evaluations
+    assert report.kernel_pairs + report.skipped_pairs == sum(nodes) * len(scene._obstacles)
+    assert report.kernel_pairs > 0 and report.skipped_pairs > 0
+
+
+def test_the_report_places_the_worst_scale_of_an_unsafe_plan():
+    scenario = cli._scene_scenario(cli.load_scene(str(SCENES / "dynamic_traffic.json")))
+    traj, report = plan(scenario, [0.0, 0.0], [18.0, 0.0], segments=5)
+    assert report.status == "unsafe" and 0.0 < report.min_beta < scenario.beta_min
+    tau, index = report.min_beta_time, report.min_beta_obstacle
+    assert 0.0 <= tau <= traj.total_duration
+    # static obstacles first, then the movers, advanced to the time
+    obstacles = [(obs, np.zeros(2)) for obs in scenario.static_obstacles]
+    obstacles += list(scenario.moving_obstacles)
+    p, v, _, _ = eval_trajectory(traj, tau)
+    pose = Pose2(math.atan2(v[1], v[0]), p)
+    betas = [min_scale_vrep(scenario.body, obs.points + tau * vel, pose).beta
+             for obs, vel in obstacles]
+    assert abs(betas[index] - report.min_beta) <= 1e-9 * report.min_beta
+    assert min(betas) == betas[index]
 
 
 def test_plan_stops_when_every_dip_already_carries_a_node(monkeypatch):
@@ -717,7 +821,7 @@ def test_plan_stops_when_every_dip_already_carries_a_node(monkeypatch):
         if dip_threshold is None:
             return found
         dips = [[0.25 * float(t)] for t in traj.durations]
-        return (scenario.beta_min,) + found[1:4] + (dips,)
+        return (scenario.beta_min,) + found[1:4] + (dips,) + found[5:]
 
     pinned = []
     monkeypatch.setattr(trajopt, "_audit_trajectory", same_dips)
