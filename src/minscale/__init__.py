@@ -58,7 +58,6 @@ from .trajopt import (
     eval_trajectory,
     lbfgs_minimize,
     plan,
-    safety_penalty,
     scale_time_rate,
     total_cost,
 )
@@ -110,7 +109,6 @@ __all__ = [
     "rotation2_partial",
     "rotation_from_quaternion",
     "rotation_partials",
-    "safety_penalty",
     "scale_time_rate",
     "solve",
     "total_cost",

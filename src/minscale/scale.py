@@ -435,6 +435,9 @@ def _planar_scale(gauge, hull, cos, sin, origin):
     if hull.normals is None:
         alpha[:, beta <= 0.0] = 0.0  # a flat hull through the seed: flat at 0
     elif (inside := idx[(num >= 0.0).all(axis=0)]).size:
+        # a seed in a full hull has some cross > 0; where all are 0, the hull
+        # lies so far off that its vertices rounded to one point
+        inside = inside[num[:, inside].any(axis=0)]
         # the seed's depth across an edge is cross(a, e) / |e|; here over the radius
         reach = np.hypot(*e[:, :, inside]) * gauge.radius
         depth = num[:, inside] / reach

@@ -25,7 +25,6 @@ import math
 import time
 from collections import deque, namedtuple
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .scale import ConvexSetV, _planar_bound, _planar_scale, min_scale_vrep
 
 # a cost node skips the kernel where its disc bound clears the threshold by this factor
 _CULL = 1.0 + 1e-9
+_MAX_ITERATIONS = 5000
 
 
 def _coeff_map(duration):
@@ -229,9 +229,8 @@ class Scenario:
         object.__setattr__(self, "_obstacles", tuple((obs, still) for obs in statics) + moving)
 
 
-@dataclass(frozen=True)
 class CostConfig:
-    """Settable weights of the trajectory objective, and its fixed constants.
+    """The fixed weights and constants of the trajectory objective.
 
     ``safety_margin`` is the amount :func:`plan` raises the scale target
     above ``beta_min`` during optimization, and ``limit_margin`` the
@@ -242,18 +241,13 @@ class CostConfig:
     the success test always use the scenario's own values.
     """
 
-    smoothness_weight: float = 1.0
-    feasibility_weight: float = 1e3
-    safety_weight: ClassVar[float] = 1e4
-    samples_per_segment: ClassVar[int] = 16
-    heading_eps: ClassVar[float] = 1e-3
-    safety_margin: ClassVar[float] = 0.05
-    limit_margin: ClassVar[float] = 0.02
-
-    def __post_init__(self):
-        for name in ("smoothness_weight", "feasibility_weight"):
-            object.__setattr__(self, name,
-                               _number(getattr(self, name), name, ">= 0", lambda x: x >= 0.0))
+    smoothness_weight = 1.0
+    feasibility_weight = 1e3
+    safety_weight = 1e4
+    samples_per_segment = 16
+    heading_eps = 1e-3
+    safety_margin = 0.05
+    limit_margin = 0.02
 
 
 @dataclass(frozen=True)
@@ -357,7 +351,7 @@ def _node_map(durations, samples, extra_times=None):
 
 
 @np.errstate(all="ignore")
-def _waypoint_map(hessian, weight):
+def _waypoint_map(hessian):
     """``(m, n, w, l)``: the minimum-jerk map of the waypoints, and its whitening.
 
     With junction states ``y`` as in :func:`_node_map`, the interior
@@ -365,11 +359,11 @@ def _waypoint_map(hessian, weight):
     y))`` for waypoints ``x`` ``(k-1, 2)`` and endpoint rows ``e`` ``(6, 2)``
     are ``-H_QQ^-1 (H_QP x + H_QE e)``, so ``y = m @ x + n @ e`` (MINCO with
     fixed durations; Wang, Zhou, Xu & Gao, T-RO 2022).  ``w = l^-T``, ``l``
-    the Cholesky factor of the reduced smoothness Hessian ``S = 2 weight m^T
-    hessian m``: in ``z = l^T x`` L-BFGS's scaled start ``gamma I`` is
-    ``gamma S^-1`` on the waypoints (Nocedal & Wright, 2006, sec. 7.2).
-    Both are the identity when there is no curvature to use: a zero weight,
-    or a factor that fails or is not finite, as when ``S`` overflows.
+    the Cholesky factor of the reduced smoothness Hessian ``S = 2
+    smoothness_weight m^T hessian m``: in ``z = l^T x`` L-BFGS's scaled
+    start ``gamma I`` is ``gamma S^-1`` on the waypoints (Nocedal & Wright,
+    2006, sec. 7.2).  Both are the identity when the factor fails or is not
+    finite, as when ``S`` overflows.
     """
     rows = np.arange(hessian.shape[0])
     q = (rows % 3 != 0) & (rows >= 3) & (rows < rows.size - 3)
@@ -381,14 +375,13 @@ def _waypoint_map(hessian, weight):
     g[q] = -d[:, None] * np.linalg.solve(d[:, None] * hessian[np.ix_(q, q)] * d,
                                          d[:, None] * hessian[np.ix_(q, ~q)])
     m, n = g[:, 3:-3], np.delete(g, np.s_[3:-3], axis=1)
-    if weight > 0.0:
-        try:
-            l = np.linalg.cholesky(2.0 * weight * (m.T @ hessian @ m))
-            w = np.linalg.inv(l).T
-            if np.isfinite(l).all() and np.isfinite(w).all():
-                return m, n, w, l
-        except np.linalg.LinAlgError:
-            pass
+    try:
+        l = np.linalg.cholesky(2.0 * CostConfig.smoothness_weight * (m.T @ hessian @ m))
+        w = np.linalg.inv(l).T
+        if np.isfinite(l).all() and np.isfinite(w).all():
+            return m, n, w, l
+    except np.linalg.LinAlgError:
+        pass
     eye = np.eye(m.shape[1])
     return m, n, eye, eye
 
@@ -422,7 +415,7 @@ def _min_scales(scenario, tau, p, v):
 
 
 @np.errstate(all="ignore")
-def _state_cost(states, node_map, scenario, config):
+def _state_cost(states, node_map, scenario):
     """Sampled objective and gradient at the junction states ``(k+1, 6)`` on a node map.
 
     The gradient has one row per junction, endpoints included; callers
@@ -434,96 +427,62 @@ def _state_cost(states, node_map, scenario, config):
     skips it, so culled and unculled paths agree bit for bit.
     """
     y = states.reshape(-1, 2)
-    cost = 0.0
-    grad = np.zeros_like(y)
-    if config.smoothness_weight > 0.0:
-        hy = node_map.hessian @ y
-        cost += config.smoothness_weight * float((y * hy).sum())
-        grad += 2.0 * config.smoothness_weight * hy
+    hy = node_map.hessian @ y
+    cost = CostConfig.smoothness_weight * float((y * hy).sum())
+    grad = 2.0 * CostConfig.smoothness_weight * hy
 
-    w_safety = config.safety_weight
-    w_limits = config.feasibility_weight
+    w_safety = CostConfig.safety_weight
+    w_limits = CostConfig.feasibility_weight
     kernel_pairs = 0
-    need_safety = bool(scenario._obstacles)
-    need_limits = w_limits > 0.0
-    if need_safety or need_limits:
-        w_quad = node_map.w_quad
-        p, v, a = (node_map.matrix @ y).reshape(3, -1, 2)
-        # cost derivatives w.r.t. position, velocity and acceleration per node
-        d_pva = np.zeros((3,) + p.shape)
+    w_quad = node_map.w_quad
+    p, v, a = (node_map.matrix @ y).reshape(3, -1, 2)
+    # cost derivatives w.r.t. position, velocity and acceleration per node
+    d_pva = np.zeros((3,) + p.shape)
 
-        if need_limits:
-            limits = scenario.bounds
-            for which, x, limit in ((1, v, limits.v_max), (2, a, limits.a_max)):
-                over = np.maximum(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] - limit * limit, 0.0)
-                if over.any():  # an idle hinge adds zeros
-                    cost += w_limits * float((w_quad * over ** 3).sum())
-                    d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
+    limits = scenario.bounds
+    for which, x, limit in ((1, v, limits.v_max), (2, a, limits.a_max)):
+        over = np.maximum(x[:, 0] * x[:, 0] + x[:, 1] * x[:, 1] - limit * limit, 0.0)
+        if over.any():  # an idle hinge adds zeros
+            cost += w_limits * float((w_quad * over ** 3).sum())
+            d_pva[which] += (w_limits * w_quad * 6.0 * over * over)[:, None] * x
 
-        if need_safety:
-            threshold = scenario.beta_min
-            tau = node_map.tau
-            gauge = scenario.body._planar_gauge
-            for obs, vel in scenario._obstacles:
-                bound = _planar_bound(gauge, obs._planar_hull, p - tau[:, None] * vel)
-                # an inf or NaN bound, from an overflowing trial, never skips
-                near = np.flatnonzero(~((bound >= _CULL * threshold) & (bound < np.inf)))
-                if near.size == 0:
-                    continue
-                kernel_pairs += near.size
-                cos, sin, beta, alpha, contact, _ = next(
-                    _scales(scenario, tau[near], p[near], v[near], [(obs, vel)]))
-                hinge = threshold - beta
-                touched = hinge > 0.0
-                w_near = w_quad[near]
-                cost += w_safety * float((w_near[touched] * hinge[touched] ** 3).sum())
-                # every node near the obstacle takes the gradient, weighted 0 off the hinge
-                d_pen = np.where(touched, -3.0 * w_safety * w_near * hinge ** 2, 0.0)
-                d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
-                d_pva[0, near] += d_pen[:, None] * d_t
-                d_pva[1, near] += ((d_pen * d_theta)[:, None]
-                                   * _heading_jacobian(v[near], config.heading_eps))
+    threshold = scenario.beta_min
+    tau = node_map.tau
+    for obs, vel in scenario._obstacles:
+        bound = _planar_bound(scenario.body._planar_gauge, obs._planar_hull,
+                              p - tau[:, None] * vel)
+        # an inf or NaN bound, from an overflowing trial, never skips
+        near = np.flatnonzero(~((bound >= _CULL * threshold) & (bound < np.inf)))
+        if near.size == 0:
+            continue
+        kernel_pairs += near.size
+        cos, sin, beta, alpha, contact, _ = next(
+            _scales(scenario, tau[near], p[near], v[near], [(obs, vel)]))
+        hinge = threshold - beta
+        touched = hinge > 0.0
+        w_near = w_quad[near]
+        cost += w_safety * float((w_near[touched] * hinge[touched] ** 3).sum())
+        # every node near the obstacle takes the gradient, weighted 0 off the hinge
+        d_pen = np.where(touched, -3.0 * w_safety * w_near * hinge ** 2, 0.0)
+        d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
+        d_pva[0, near] += d_pen[:, None] * d_t
+        d_pva[1, near] += ((d_pen * d_theta)[:, None]
+                           * _heading_jacobian(v[near], CostConfig.heading_eps))
 
-        grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
+    grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
     return cost, grad.reshape(-1, 6), kernel_pairs
 
 
-def _check_problem(scenario, config):
-    """The config, defaulted when None, once both arguments have their types."""
-    if not isinstance(scenario, Scenario):
-        raise InvalidArgumentError("scenario must be a Scenario")
-    config = CostConfig() if config is None else config
-    if not isinstance(config, CostConfig):
-        raise InvalidArgumentError("config must be a CostConfig")
-    return config
-
-
-def safety_penalty(traj, scenario, config=None):
-    """Scale-violation penalty and its gradient w.r.t. junction states.
-
-    Each segment is sampled on a uniform grid; every obstacle (moving ones
-    advanced to the sample time) contributes ``max(0, beta_min - beta)^3``
-    under trapezoid quadrature weights and the safety weight.  beta is the
-    planar kernel's signed scale: with the body seed inside the obstacle,
-    minus the seed's depth over the body's circumradius, so the penalty
-    keeps a descent direction there instead of going flat.
-    """
-    config = _check_problem(scenario, config)
-    return total_cost(traj, scenario,
-                      replace(config, smoothness_weight=0.0, feasibility_weight=0.0))
-
-
-def total_cost(traj, scenario, config=None):
+def total_cost(traj, scenario):
     """Smoothness + safety + limit objective and gradient w.r.t. junction states.
 
     The gradient carries one row per junction, endpoints included; callers
     that hold the endpoints fixed simply ignore (or slice off) those rows.
     """
-    if not isinstance(traj, PiecewiseTrajectory):
-        raise InvalidArgumentError("traj must be a PiecewiseTrajectory")
-    config = _check_problem(scenario, config)
-    node_map = _node_map(traj.durations, config.samples_per_segment)
-    return _state_cost(traj.states, node_map, scenario, config)[:2]
+    if not isinstance(traj, PiecewiseTrajectory) or not isinstance(scenario, Scenario):
+        raise InvalidArgumentError("need a PiecewiseTrajectory and a Scenario")
+    node_map = _node_map(traj.durations, CostConfig.samples_per_segment)
+    return _state_cost(traj.states, node_map, scenario)[:2]
 
 
 def scale_time_rate(traj, scenario, tau, obstacle_index=0):
@@ -598,20 +557,20 @@ def _evaluated(objective, x):
     return f, g
 
 
-def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
-                   grad_tolerance=1e-6, cost_tolerance=1e-10, callback=None):
+def lbfgs_minimize(objective, x0, callback=None):
     """Limited-memory BFGS with a weak Wolfe bisection line search.
 
-    ``objective(x)`` returns ``(cost, gradient)``.  The line search accepts a
-    step satisfying the Armijo condition (c1 = 1e-4) and the weak curvature
+    ``objective(x)`` returns ``(cost, gradient)``.  The search direction
+    uses the last 8 curvature pairs.  The line search accepts a step
+    satisfying the Armijo condition (c1 = 1e-4) and the weak curvature
     condition (c2 = 0.9), locating one by bisection; because only the weak
     form is required, descent survives objectives with nonsmooth kinks.
-    Terminates when the gradient norm falls below ``grad_tolerance *
-    max(1, |x|)``, when an accepted step decreases the cost by less than
-    ``cost_tolerance * max(1, |cost|)``, or at ``max_iterations``; both
-    tolerances are finite numbers >= 0.  If the line search exhausts 64
-    bisections, the best iterate found so far is returned with status
-    ``"line-search-failed"``.
+    Terminates when the gradient norm falls below ``1e-6 * max(1, |x|)``,
+    when an accepted step decreases the cost by less than ``1e-10 * max(1,
+    |cost|)``, or at 5000 iterations (status ``"max-iterations"``).  If the
+    line search exhausts 64 bisections, the best iterate found so far is
+    returned with status ``"line-search-failed"``.  ``callback(i, x, f, g)``,
+    if given, sees every accepted iterate.
 
     Returns ``(x, OptimizationReport)``; the report's trajectory statistics
     are NaN since a bare objective has none.
@@ -624,19 +583,15 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
     x = _finite_array(x0, "x0").flatten()
     if x.size == 0:
         raise InvalidArgumentError("x0 must contain at least one variable")
-    memory = _count(memory, "memory", 1)
-    max_iterations = _count(max_iterations, "max_iterations", 1)
-    grad_tolerance = _number(grad_tolerance, "grad_tolerance", ">= 0", lambda x: x >= 0.0)
-    cost_tolerance = _number(cost_tolerance, "cost_tolerance", ">= 0", lambda x: x >= 0.0)
     f, g = _evaluated(objective, x)
     evaluations = 1
     if not np.isfinite(f):
         raise InvalidArgumentError("objective is not finite at x0")
-    pairs = deque(maxlen=memory)  # (s, y, rho), oldest first
+    pairs = deque(maxlen=8)  # (s, y, rho), oldest first
     status = "max-iterations"
     iterations = 0
-    for _ in range(max_iterations):
-        if _norm(g) <= grad_tolerance * max(1.0, _norm(x)):
+    for _ in range(_MAX_ITERATIONS):
+        if _norm(g) <= 1e-6 * max(1.0, _norm(x)):
             status = "converged"
             break
         d = _lbfgs_direction(g, pairs)
@@ -676,7 +631,7 @@ def lbfgs_minimize(objective, x0, memory=8, max_iterations=5000,
         iterations += 1
         if callback is not None:
             callback(iterations, x, f, g)
-        if drop <= cost_tolerance * max(1.0, abs(f)):
+        if drop <= 1e-10 * max(1.0, abs(f)):
             status = "converged"
             break
     return x, OptimizationReport(
@@ -712,7 +667,7 @@ def _line_states(start, goal, total_time, segments):
     return states
 
 
-def _audit_samples(traj, scenario, config):
+def _audit_samples(traj, scenario):
     """Per-segment audit resolution for _audit_trajectory.
 
     Dense enough that the worst-case relative motion between consecutive
@@ -720,12 +675,12 @@ def _audit_samples(traj, scenario, config):
     clips that fit between cost samples still show up in the report.
     """
     if not scenario._obstacles:
-        return config.samples_per_segment
+        return CostConfig.samples_per_segment
     extent = 0.5 * scenario.body._planar_hull.width
     speed = scenario.bounds.v_max + max(math.hypot(*vel) for _, vel in scenario._obstacles)
     # clipped in floats first: at extreme speeds or durations the density is inf
     needed = float(traj.durations.max()) * speed / (0.25 * extent)
-    return math.ceil(min(max(needed, config.samples_per_segment), 4096))
+    return math.ceil(min(max(needed, CostConfig.samples_per_segment), 4096))
 
 
 def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
@@ -758,7 +713,7 @@ def _audit_trajectory(traj, scenario, samples, dip_threshold=None):
     return float(here.min()), max_speed, max_accel, degenerate, dips, worst
 
 
-def plan(scenario, start, goal, segments=5, config=None, total_time=None, callback=None):
+def plan(scenario, start, goal, segments=5, total_time=None, callback=None):
     """Plan a collision-safe trajectory between two boundary states.
 
     The initial guess is the mass-point quintic joining ``start`` to
@@ -782,10 +737,13 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     ``[px, py, vx, vy]`` or the full 6-vector.  A request whose mean speed
     exceeds ``v_max``, or that goes from rest to rest faster than ``a_max``
     allows, returns at once with status ``"infeasible-limits"``,
-    0 iterations and the report of the straight-line guess.
+    0 iterations and the report of the straight-line guess.  The plan is
+    computed about the start position, so moving the whole scene moves the
+    plan with it and changes nothing else.
     """
     t_start = time.perf_counter()
-    config = _check_problem(scenario, config)
+    if not isinstance(scenario, Scenario):
+        raise InvalidArgumentError("scenario must be a Scenario")
     segments = _count(segments, "segments", 1)
     s0, s1 = _full_state(start), _full_state(goal)
     distance = math.hypot(*(s1[:2] - s0[:2]))
@@ -795,6 +753,15 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                          2.8 * math.sqrt(distance / limits.a_max), 1.0)
     total_time = _number(total_time, "total_time", "> 0", lambda x: x > 0.0)
     durations = np.full(segments, total_time / segments)
+    # planned about the start: L-BFGS's gradient test is relative to |x| and
+    # the jerk form rounds with |x|, so about a far origin plans stop early
+    origin = s0[:2].copy()
+    s0[:2] -= origin
+    s1[:2] -= origin
+    scenario = replace(scenario, static_obstacles=tuple(
+        ConvexSetV(obs.points - origin) for obs in scenario.static_obstacles),
+        moving_obstacles=tuple((ConvexSetV(obs.points - origin), vel)
+                               for obs, vel in scenario.moving_obstacles))
     states = _line_states(s0, s1, total_time, segments)
     # necessary for any trajectory: the mean speed D/T, and from rest to rest
     # the bang-bang bound 4D/T^2 on the peak acceleration; no optimization
@@ -802,8 +769,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     at_rest = not (np.any(s0[2:4]) or np.any(s1[2:4]))
     beyond_limits = (distance / total_time > limits.v_max + 1e-6
                      or (at_rest and 4.0 * distance / total_time ** 2 > limits.a_max + 1e-6))
-    shrink = 1.0 - config.limit_margin
-    optimize_scenario = replace(scenario, beta_min=scenario.beta_min + config.safety_margin,
+    shrink = 1.0 - CostConfig.limit_margin
+    optimize_scenario = replace(scenario, beta_min=scenario.beta_min + CostConfig.safety_margin,
                                 bounds=MotionLimits(limits.v_max * shrink, limits.a_max * shrink))
 
     iterations = evaluations = kernel_pairs = all_pairs = 0
@@ -814,16 +781,16 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
     # at the deepest moment of each dip and re-optimize warm-started; the
     # handful of targeted nodes is far cheaper than refining every segment
     while True:
-        node_map = _node_map(durations, config.samples_per_segment, extras)
+        node_map = _node_map(durations, CostConfig.samples_per_segment, extras)
         round_evaluations = evaluations
         if segments == 1 or beyond_limits:
-            cost, _, pairs = _state_cost(states, node_map, optimize_scenario, config)
+            cost, _, pairs = _state_cost(states, node_map, optimize_scenario)
             kernel_pairs += pairs
             status = "infeasible-limits" if beyond_limits else "converged"
             final_cost = float(cost)
             evaluations += 1
         else:
-            m, n, w, l = _waypoint_map(node_map.hessian, config.smoothness_weight)
+            m, n, w, l = _waypoint_map(node_map.hessian)
             mw, ends = m @ w, n @ np.concatenate([s0, s1]).reshape(6, 2)
             last = None  # the states and state gradient of the latest evaluation
 
@@ -834,14 +801,16 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
             def objective(z):
                 nonlocal last, kernel_pairs
                 xs = junctions(z)
-                cost, grad, pairs = _state_cost(xs, node_map, optimize_scenario, config)
+                cost, grad, pairs = _state_cost(xs, node_map, optimize_scenario)
                 kernel_pairs += pairs
                 last = xs, grad
                 with np.errstate(all="ignore"):
                     return cost, (mw.T @ grad.reshape(-1, 2)).ravel()
 
             def observe(i, z, f, g):  # the accepted step is the latest evaluation
-                callback(i, last[0][1:-1].ravel(), f, last[1][1:-1].ravel())
+                xs = last[0][1:-1].copy()
+                xs[:, :2] += origin
+                callback(i, xs.ravel(), f, last[1][1:-1].ravel())
 
             z_best, inner = lbfgs_minimize(
                 objective, (l.T @ states[1:-1, :2]).ravel(),
@@ -854,17 +823,17 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                       * len(scenario._obstacles))
         traj = PiecewiseTrajectory(states, durations)
 
-        audit = _audit_samples(traj, scenario, config)
+        audit = _audit_samples(traj, scenario)
         # keep refining until the audit grid clears beta_min with a little
         # slack, so the continuum between audit samples clears beta_min too
-        target = scenario.beta_min + 0.4 * config.safety_margin
+        target = scenario.beta_min + 0.4 * CostConfig.safety_margin
         min_beta, max_speed, max_accel, degenerate, dips, worst = _audit_trajectory(
             traj, scenario, audit,
-            dip_threshold=scenario.beta_min + 0.5 * config.safety_margin)
+            dip_threshold=scenario.beta_min + 0.5 * CostConfig.safety_margin)
         rounds += 1
         if (min_beta >= target - 1e-6 or segments == 1 or status != "converged" or rounds >= 6):
             break
-        if (_audit_trajectory(traj, scenario, config.samples_per_segment)[0]
+        if (_audit_trajectory(traj, scenario, CostConfig.samples_per_segment)[0]
                 < scenario.beta_min - 1e-6):
             break  # the cost grid itself is blocked; more nodes will not help
         # fixed durations audit on one grid, so a pinned dip recurs at its very time
@@ -879,7 +848,8 @@ def plan(scenario, start, goal, segments=5, config=None, total_time=None, callba
                and max_accel <= limits.a_max + 1e-6)
     if status == "converged" and not success:
         status = "unsafe"  # the optimizer settled, but on a trajectory that fails the audit
-    return traj, OptimizationReport(
+    states[:, :2] += origin
+    return PiecewiseTrajectory(states, durations), OptimizationReport(
         iterations=iterations,
         final_cost=final_cost,
         min_beta=float(min_beta),

@@ -19,7 +19,7 @@ from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
 from minscale.sdlp import SolverParams
-from minscale.trajopt import MotionLimits, Scenario, _coeff_map
+from minscale.trajopt import CostConfig, MotionLimits, Scenario, _coeff_map
 
 FD_H = 1e-6
 PARAMS = SolverParams()
@@ -292,7 +292,7 @@ def grad_norm_err(pairs):
 
 # ------------------------------------------- per-sample reference objective
 
-def reference_cost(traj, scenario, config, extra_times=None):
+def reference_cost(traj, scenario, extra_times=None):
     """The trajectory objective and its junction gradient, one sample at a time.
 
     The planner's objective evaluated the slow way: a scale LP
@@ -313,9 +313,9 @@ def reference_cost(traj, scenario, config, extra_times=None):
             facets.append((hull.equations[:, :2], -hull.equations[:, 2]))
         except (scipy.spatial.QhullError, ValueError):
             facets.append(None)
-    w_safety = config.safety_weight
-    w_limits = config.feasibility_weight
-    samples = config.samples_per_segment
+    w_safety = CostConfig.safety_weight
+    w_limits = CostConfig.feasibility_weight
+    samples = CostConfig.samples_per_segment
     k = traj.segment_count
     grad = np.zeros((k + 1, 6))
     cost = 0.0
@@ -326,11 +326,11 @@ def reference_cost(traj, scenario, config, extra_times=None):
         tp = [t_seg ** e for e in range(6)]
         for axis in range(2):
             c3, c4, c5 = coeffs[axis, 3], coeffs[axis, 4], coeffs[axis, 5]
-            cost += config.smoothness_weight * (
+            cost += CostConfig.smoothness_weight * (
                 36 * c3 * c3 * tp[1] + 144 * c3 * c4 * tp[2]
                 + (192 * c4 * c4 + 240 * c3 * c5) * tp[3]
                 + 720 * c4 * c5 * tp[4] + 720 * c5 * c5 * tp[5])
-            g_coeff[axis, 3:] += config.smoothness_weight * np.array([
+            g_coeff[axis, 3:] += CostConfig.smoothness_weight * np.array([
                 72 * c3 * tp[1] + 144 * c4 * tp[2] + 240 * c5 * tp[3],
                 144 * c3 * tp[2] + 384 * c4 * tp[3] + 720 * c5 * tp[4],
                 240 * c3 * tp[3] + 720 * c4 * tp[4] + 1440 * c5 * tp[5]])
@@ -354,7 +354,7 @@ def reference_cost(traj, scenario, config, extra_times=None):
             tau = float(traj.knots[seg]) + t_loc
             theta = math.atan2(v[1], v[0])
             d_theta_d_v = np.array([-v[1], v[0]]) / (v[0] * v[0] + v[1] * v[1]
-                                                     + config.heading_eps ** 2)
+                                                     + CostConfig.heading_eps ** 2)
             pose = Pose2(theta, p)
             for (points, vel), edges in zip(obstacles, facets):
                 result = min_scale_vrep(body, points + tau * vel, pose)

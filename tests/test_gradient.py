@@ -200,6 +200,29 @@ def test_subgradient_search_selects_the_first_working_rows_of_the_full_order():
     assert past_the_basis > 0
 
 
+def test_subgradient_search_skips_a_selection_that_pairs_a_duplicated_point():
+    square = ConvexSetV(np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]),
+                        np.zeros(2))
+    pose = Pose2(0.5 * np.pi, np.zeros(2))
+    result = min_scale_vrep(square, np.array([[3.0, 3.0], [3.0, 3.0], [5.0, 3.0], [3.0, 5.0]]),
+                            pose)
+    assert result.degenerate and result.beta == pytest.approx(3.0, rel=1e-12)
+    assert (result.active_body, result.active_obstacle) == ((1,), (0,))
+    assert result.tight_obstacle == (0, 1, 2)
+    with pytest.raises(SubgradientOnlyError):
+        assemble_active_system(square, result, pose)
+    # the first candidate, body row 1 with obstacle rows (0, 1), is singular
+    obs_map = dict(zip(result.tight_obstacle, result.tight_obstacle_points_body))
+    with pytest.raises(DegenerateActiveSetError):
+        _system_from_rows(square, result, (1,), (0, 1), obs_map)
+    system = assemble_active_system(square, result, pose, allow_subgradient=True)
+    assert system.split == (1, 2)
+    assert np.array_equal(system.body_points, square.points[[1]])
+    assert np.array_equal(system.obstacle_points_body, np.array([obs_map[0], obs_map[2]]))
+    assert np.allclose(system.alpha, [1.0, 0.0], rtol=0.0, atol=1e-12)
+    assert np.allclose(system.contact, [3.0, -3.0], rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("side", [10, 14])
 def test_subgradient_search_on_a_face_to_grid_contact_is_fast(side):
     # 4 tight body corners against 100 or 196 tight grid points; the full

@@ -22,9 +22,9 @@ from minscale.gradient import _grad_scale_se2_batch, assemble_active_system, gra
 from minscale.oracle import finite_diff, min_scale_bisection
 from minscale import scale
 from minscale.scale import ConvexSetV, _planar_bound, _planar_scale, min_scale_vrep
-from minscale.trajopt import _CULL
+from minscale.trajopt import _CULL, PiecewiseTrajectory, _audit_trajectory
 
-from support import random_body
+from support import blocking_scenario, random_body
 
 BETA_RTOL = 1e-12
 GRAD_RTOL = 1e-10
@@ -310,6 +310,21 @@ def test_an_overflowing_origin_gives_a_non_finite_bound():
     origin = np.array([[np.inf, 0.0], [np.nan, 0.0], [np.inf, -np.inf]])
     bound = _planar_bound(SQUARE._planar_gauge, hull, origin)
     assert not np.isfinite(bound).any()
+
+
+def test_a_far_obstacle_reads_as_far_not_as_inside():
+    # this far off, the hull's vertices relative to the pose round to one
+    # point, where every edge's cross product is 0: the seed once read as
+    # inside, at depth 0 / 0
+    scene = blocking_scenario()
+    gauge, hull = scene.body._planar_gauge, scene.static_obstacles[0]._planar_hull
+    for far in (1e17, 1e19):
+        origin = np.array([[far, far]])
+        beta = _planar_scale(gauge, hull, np.array([1.0]), np.array([0.0]), origin)[0]
+        assert np.isfinite(beta[0]) and beta[0] >= _planar_bound(gauge, hull, origin)[0]
+    line = PiecewiseTrajectory([[1e17, 1e17, 2.0, 0.0, 0.0, 0.0],
+                                [1e17 + 64.0, 1e17, 2.0, 0.0, 0.0, 0.0]], [32.0])
+    assert np.isfinite(_audit_trajectory(line, scene, 16)[0])
 
 
 # ----------------------------------------------------------- golden answers

@@ -11,14 +11,14 @@ import pytest
 from minscale.errors import DegenerateActiveSetError, DegenerateBodyError, InvalidArgumentError
 from minscale.geometry import Pose2
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_time
-from minscale.scale import ConvexSetV, min_scale_vrep
+from minscale.scale import ConvexSetV, _planar_scale, min_scale_vrep
 from minscale.sdlp import LowDimLP, SolverParams
 from minscale import cli, trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _heading_jacobian, _line_states,
                               _node_map, _nodes, _spline, _state_cost, _waypoint_map,
-                              eval_trajectory, lbfgs_minimize, plan, safety_penalty,
-                              scale_time_rate, total_cost)
+                              eval_trajectory, lbfgs_minimize, plan, scale_time_rate,
+                              total_cost)
 
 from support import blocking_scenario, reference_cost
 
@@ -44,10 +44,10 @@ PENETRATING = np.array([
 ])
 
 
-def optimized_scenario(scene, config):
+def optimized_scenario(scene):
     """The targets plan optimizes against: beta_min raised, limits shrunk by the margins."""
-    margin = 1.0 - config.limit_margin
-    return replace(scene, beta_min=scene.beta_min + config.safety_margin,
+    margin = 1.0 - CostConfig.limit_margin
+    return replace(scene, beta_min=scene.beta_min + CostConfig.safety_margin,
                    bounds=MotionLimits(scene.bounds.v_max * margin, scene.bounds.a_max * margin))
 
 
@@ -149,11 +149,6 @@ def test_scenario_validation():
         Scenario(body=BODY, moving_obstacles=((TRI, (1.0, 2.0, 3.0)),))
     with pytest.raises(InvalidArgumentError):
         Scenario(body=BODY, bounds=MotionLimits(-1.0, 2.0))
-    for bad in (-1.0, math.nan, math.inf, "1"):
-        with pytest.raises(InvalidArgumentError):
-            CostConfig(smoothness_weight=bad)
-        with pytest.raises(InvalidArgumentError):
-            CostConfig(feasibility_weight=bad)
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
     for index in (0.9, -0.5, -1, 2, "0"):
         with pytest.raises(InvalidArgumentError):
@@ -185,15 +180,17 @@ def test_far_trajectory_has_zero_safety_cost_and_gradient():
     far = Scenario(body=BODY, static_obstacles=(
         ConvexSetV(BOX.points + np.array([0.0, 80.0])),))
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
-    cost, grad = safety_penalty(traj, far)
-    assert cost == 0.0
-    assert np.all(grad == 0.0)
+    cost, grad = total_cost(traj, far)
+    free_cost, free_grad = total_cost(traj, Scenario(body=BODY))
+    assert cost == free_cost
+    assert np.array_equal(grad, free_grad)
 
 
 def test_stationary_violation_costs_the_cubic_hinge_exactly():
     # body square resting at the origin, obstacle point at x = 1: beta = 1
     # at every sample, so the deficit (beta_min - 1) is constant and the
-    # quadrature weights sum to the duration
+    # quadrature weights sum to the duration; at rest there is no jerk and
+    # the limit hinges are idle, so the hinge integral is the whole cost
     square = ConvexSetV(np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
                                   [-1.0, -1.0]]), np.zeros(2))
     scene = Scenario(body=square,
@@ -202,16 +199,14 @@ def test_stationary_violation_costs_the_cubic_hinge_exactly():
     duration = 2.0
     rest = PiecewiseTrajectory.from_states(
         np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 0.0], (2, 1)), [duration])
-    config = CostConfig()
-    cost, _ = safety_penalty(rest, scene, config)
-    expected = config.safety_weight * duration * (1.1 - 1.0) ** 3
+    cost, _ = total_cost(rest, scene)
+    expected = CostConfig.safety_weight * duration * (1.1 - 1.0) ** 3
     assert abs(cost - expected) < 1e-9 * expected
 
 
 def test_total_cost_gradient_matches_finite_differences():
-    config = CostConfig()
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
-    _, grad = total_cost(traj, SCENE, config)
+    _, grad = total_cost(traj, SCENE)
     h = 1e-6
     numeric = np.zeros_like(STATES)
     for r in range(STATES.shape[0]):
@@ -220,9 +215,9 @@ def test_total_cost_gradient_matches_finite_differences():
             sp[r, c] += h
             sm[r, c] -= h
             fp, _ = total_cost(PiecewiseTrajectory.from_states(sp, DURATIONS),
-                               SCENE, config)
+                               SCENE)
             fm, _ = total_cost(PiecewiseTrajectory.from_states(sm, DURATIONS),
-                               SCENE, config)
+                               SCENE)
             numeric[r, c] = (fp - fm) / (2.0 * h)
     rel = np.abs(numeric - grad) / np.maximum(1e-7, np.abs(numeric))
     assert rel.max() < 1e-3
@@ -234,9 +229,8 @@ def test_total_cost_gradient_through_a_penetrating_trajectory():
     scene = blocking_scenario()
     states = PENETRATING
     durations = np.array([2.5, 2.5])
-    config = CostConfig()
     traj = PiecewiseTrajectory.from_states(states, durations)
-    cost, grad = total_cost(traj, scene, config)
+    cost, grad = total_cost(traj, scene)
     assert np.isfinite(cost) and cost > 0.0
     h = 1e-6
     numeric = np.zeros_like(states)
@@ -246,9 +240,9 @@ def test_total_cost_gradient_through_a_penetrating_trajectory():
             sp[r, c] += h
             sm[r, c] -= h
             fp, _ = total_cost(PiecewiseTrajectory.from_states(sp, durations),
-                               scene, config)
+                               scene)
             fm, _ = total_cost(PiecewiseTrajectory.from_states(sm, durations),
-                               scene, config)
+                               scene)
             numeric[r, c] = (fp - fm) / (2.0 * h)
     rel = np.abs(numeric - grad) / np.maximum(1e-7, np.abs(numeric))
     assert rel.max() < 1e-3
@@ -259,7 +253,6 @@ def test_batched_cost_matches_the_per_sample_reference(case):
     # the batched objective sums in another order than the per-sample loop,
     # so agreement is to a relative 1e-12, fixed before comparing
     rng = np.random.default_rng(3)
-    config = CostConfig()
     scene, states, durations = SCENE, STATES, DURATIONS
     if case == "blocking":
         scene = blocking_scenario()
@@ -273,9 +266,9 @@ def test_batched_cost_matches_the_per_sample_reference(case):
         traj = PiecewiseTrajectory.from_states(jitter, durations)
         if case == "pinned":
             extras = [np.sort(rng.uniform(0.0, d, size=trial % 3)) for d in durations]
-        node_map = _node_map(durations, config.samples_per_segment, extras)
-        cost, grad, _ = _state_cost(traj.states, node_map, scene, config)
-        ref_cost, ref_grad = reference_cost(traj, scene, config, extras)
+        node_map = _node_map(durations, CostConfig.samples_per_segment, extras)
+        cost, grad, _ = _state_cost(traj.states, node_map, scene)
+        ref_cost, ref_grad = reference_cost(traj, scene, extras)
         assert abs(cost - ref_cost) <= 1e-12 * abs(ref_cost)
         assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
@@ -299,7 +292,6 @@ def test_the_culled_cost_is_the_unculled_cost_bit_for_bit(case, monkeypatch):
     # a skipped pair's hinge, cost and gradient are exactly 0, so skipping
     # it changes no bit of the cost or of the gradient
     rng = np.random.default_rng(23)
-    config = CostConfig()
     scene, states, durations = SCENE, STATES, DURATIONS
     if case == "blocking":
         scene = blocking_scenario()
@@ -315,12 +307,12 @@ def test_the_culled_cost_is_the_unculled_cost_bit_for_bit(case, monkeypatch):
         extras = None
         if case == "pinned":
             extras = [np.sort(rng.uniform(0.0, d, size=1 + trial % 3)) for d in durations]
-        node_map = _node_map(durations, config.samples_per_segment, extras)
-        calls.append((jitter, node_map, _state_cost(jitter, node_map, scene, config)))
+        node_map = _node_map(durations, CostConfig.samples_per_segment, extras)
+        calls.append((jitter, node_map, _state_cost(jitter, node_map, scene)))
     _unculled(monkeypatch)
     skipped = 0
     for jitter, node_map, (cost, grad, pairs) in calls:
-        ref_cost, ref_grad, all_pairs = _state_cost(jitter, node_map, scene, config)
+        ref_cost, ref_grad, all_pairs = _state_cost(jitter, node_map, scene)
         assert all_pairs == node_map.tau.size * len(scene._obstacles)
         assert cost == ref_cost
         assert np.array_equal(grad, ref_grad)
@@ -330,28 +322,29 @@ def test_the_culled_cost_is_the_unculled_cost_bit_for_bit(case, monkeypatch):
 
 def test_overflowing_states_keep_the_unculled_non_finite_values(monkeypatch):
     # a node whose bound is inf or NaN goes to the kernel, so a line-search
-    # trial that overflows gets the same non-finite cost and gradient; the
-    # safety term alone shows it, as the other terms overflow too
+    # trial that overflows gets the same non-finite cost and gradient
     node_map = _node_map(DURATIONS, 16)
     row = STATES.copy()
     row[1] = math.inf
-    trials = [(STATES * 1e300, CostConfig()), (row, CostConfig()),
-              (row, CostConfig(smoothness_weight=0.0, feasibility_weight=0.0))]
-    culled = [_state_cost(states, node_map, SCENE, config) for states, config in trials]
+    trials = [STATES * 1e300, row]
+    culled = [_state_cost(states, node_map, SCENE) for states in trials]
     _unculled(monkeypatch)
-    for (states, config), (cost, grad, _) in zip(trials, culled):
-        ref_cost, ref_grad, _ = _state_cost(states, node_map, SCENE, config)
+    for states, (cost, grad, _) in zip(trials, culled):
+        ref_cost, ref_grad, _ = _state_cost(states, node_map, SCENE)
         assert np.array_equal([cost], [ref_cost], equal_nan=True)
         assert not np.isfinite(grad).all()
         assert np.array_equal(grad, ref_grad, equal_nan=True)
     # nodes whose position overflows to inf, not NaN, still reach the kernel
     far = STATES.copy()
     far[1, :4] = 1.5e308
-    safety = CostConfig(smoothness_weight=0.0, feasibility_weight=0.0)
     monkeypatch.undo()
     with np.errstate(over="ignore"):
         assert np.isinf(node_map.matrix @ far.reshape(-1, 2)).any()
-    assert not np.isfinite(_state_cost(far, node_map, SCENE, safety)[1]).all()
+    origins = []
+    monkeypatch.setattr(trajopt, "_planar_scale",
+                        lambda *args: origins.append(args[-1]) or _planar_scale(*args))
+    _state_cost(far, node_map, SCENE)
+    assert any(np.isinf(origin).any() for origin in origins)
 
 
 @pytest.mark.parametrize("segments", [1, 3, 5])
@@ -395,11 +388,11 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
 
     monkeypatch.setattr(trajopt, "lbfgs_minimize", recording)
     monkeypatch.setattr(trajopt, "_state_cost", state_cost)
-    scene, config = blocking_scenario(), CostConfig()
-    planned, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config)
-    tightened = optimized_scenario(scene, config)
-    hessian = _node_map(planned.durations, config.samples_per_segment).hessian
-    m, n, w, l = _waypoint_map(hessian, config.smoothness_weight)
+    scene = blocking_scenario()
+    planned, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4)
+    tightened = optimized_scenario(scene)
+    hessian = _node_map(planned.durations, CostConfig.samples_per_segment).hessian
+    m, n, w, l = _waypoint_map(hessian)
     ends = np.concatenate([planned.states[0], planned.states[-1]]).reshape(6, 2)
     for jitter in (0.0, 0.2):
         x = planned.states[1:-1, :2] + jitter * rng.normal(size=(3, 2))
@@ -409,7 +402,7 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
         mapped = m @ (w @ z.reshape(-1, 2)) + n @ ends
         assert np.abs(states.reshape(-1, 2) - mapped).max() <= 1e-12 * np.abs(mapped).max()
         ref_cost, ref_grad = total_cost(PiecewiseTrajectory(states, planned.durations),
-                                        tightened, config)
+                                        tightened)
         assert cost == ref_cost
         assert np.array_equal(grad, ((m @ w).T @ ref_grad.reshape(-1, 2)).ravel())
 
@@ -418,7 +411,7 @@ def test_node_map_matches_the_spline_and_plans_objective_matches_total_cost(monk
 def test_waypoint_map_is_the_minimum_jerk_map_and_whitens_it(duration):
     rng = np.random.default_rng(5)
     hessian = _node_map(np.full(5, duration), 4).hessian
-    m, n, w, l = _waypoint_map(hessian, 1.0)
+    m, n, w, l = _waypoint_map(hessian)
     x, ends = rng.normal(size=(4, 2)), rng.normal(size=(6, 2))
     y = m @ x + n @ ends
     # the waypoints and endpoints come through exactly
@@ -437,19 +430,21 @@ def test_waypoint_map_is_the_minimum_jerk_map_and_whitens_it(duration):
 
 
 def test_waypoint_map_whitening_is_the_identity_without_usable_curvature():
-    eye = np.eye(4)
-    # the waypoint rows' diagonal lowered by 1e6 makes S indefinite
-    lowered = np.diag(np.isin(np.arange(18), (3, 6, 9, 12)) * 1e6)
-    # no curvature; S overflows; S's Cholesky factor fails
-    for duration, weight, drop in ((1.0, 0.0, 0.0), (1e-60, 1e10, 0.0), (1.0, 1.0, lowered)):
-        hessian = _node_map(np.full(5, duration), 4).hessian
-        m, n, w, l = _waypoint_map(hessian - drop, weight)
-        if drop is lowered:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(2.0 * weight * (m.T @ (hessian - drop) @ m))
-        assert np.array_equal(w, eye) and np.array_equal(l, eye)
-        # the map depends neither on the weight nor on the waypoint rows' diagonal
-        assert all(np.array_equal(a, b) for a, b in zip((m, n), _waypoint_map(hessian, 1.0)))
+    hessian = _node_map(np.full(5, 1.0), 4).hessian
+    m, n, _, _ = _waypoint_map(hessian)
+    # a waypoint row's diagonal at 1e308 overflows S, whose Cholesky factor
+    # is then not finite; the waypoint rows' diagonal lowered by 1e6 makes S
+    # indefinite, so the factor fails
+    huge = hessian.copy()
+    huge[3, 3] = 1e308
+    lowered = hessian - np.diag(np.isin(np.arange(18), (3, 6, 9, 12)) * 1e6)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(2.0 * (m.T @ lowered @ m))
+    for changed in (huge, lowered):
+        m_changed, n_changed, w, l = _waypoint_map(changed)
+        assert np.array_equal(w, np.eye(4)) and np.array_equal(l, np.eye(4))
+        # the map does not depend on the waypoint rows' diagonal
+        assert np.array_equal(m_changed, m) and np.array_equal(n_changed, n)
 
 
 @pytest.mark.parametrize("value", [math.inf, 1e300])
@@ -459,15 +454,16 @@ def test_an_overflowing_trial_state_gives_a_non_finite_cost_without_warnings(val
     states[1] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cost, _, _ = _state_cost(states, _node_map(DURATIONS, 16), SCENE, CostConfig())
+        cost, _, _ = _state_cost(states, _node_map(DURATIONS, 16), SCENE)
     assert not math.isfinite(cost)
 
 
 def test_smoothness_only_gradient_is_tight():
-    scene = replace(SCENE, static_obstacles=(), moving_obstacles=())
-    config = CostConfig(feasibility_weight=0.0)
+    # no obstacles, and limits so wide that their hinges stay idle
+    scene = replace(SCENE, static_obstacles=(), moving_obstacles=(),
+                    bounds=MotionLimits(1e6, 1e6))
     traj = PiecewiseTrajectory.from_states(STATES, DURATIONS)
-    _, grad = total_cost(traj, scene, config)
+    _, grad = total_cost(traj, scene)
     h = 1e-6
     numeric = np.zeros_like(STATES)
     for r in range(STATES.shape[0]):
@@ -476,9 +472,9 @@ def test_smoothness_only_gradient_is_tight():
             sp[r, c] += h
             sm[r, c] -= h
             fp, _ = total_cost(PiecewiseTrajectory.from_states(sp, DURATIONS),
-                               scene, config)
+                               scene)
             fm, _ = total_cost(PiecewiseTrajectory.from_states(sm, DURATIONS),
-                               scene, config)
+                               scene)
             numeric[r, c] = (fp - fm) / (2.0 * h)
     rel = np.abs(numeric - grad) / np.maximum(1.0, np.abs(numeric))
     assert rel.max() < 1e-6
@@ -552,20 +548,13 @@ def test_scale_time_rate_raises_where_the_seed_is_inside():
         scale_time_rate(line, scene, 2.5)
 
 
-def _bowl(x):
-    return float(x @ x), 2.0 * x
-
-
 @pytest.mark.parametrize("call", [
     lambda: plan(Scenario(body=BODY), [0.0, 0.0], [9.0, 0.0], segments=True),
     lambda: LowDimLP(True, [1.0], [[1.0]], [2.0]),
     lambda: SolverParams(rng_seed=True),
-    lambda: lbfgs_minimize(_bowl, np.ones(2), memory=True),
-    lambda: lbfgs_minimize(_bowl, np.ones(2), max_iterations=True),
     lambda: scale_time_rate(PiecewiseTrajectory.from_states(STATES, DURATIONS), SCENE, 1.0,
                             obstacle_index=True),
-], ids=["plan-segments", "lp-dim", "rng-seed", "lbfgs-memory", "lbfgs-iterations",
-        "obstacle-index"])
+], ids=["plan-segments", "lp-dim", "rng-seed", "obstacle-index"])
 def test_bools_are_not_integer_arguments(call):
     with pytest.raises(InvalidArgumentError):
         call()
@@ -616,18 +605,13 @@ def test_lbfgs_rosenbrock():
     assert np.linalg.norm(x - 1.0) < 1e-5
 
 
-def test_lbfgs_counts_must_be_integers():
-    def bowl(x):
-        return float(x @ x), 2.0 * x
-
-    for value in (2.5, "3", math.nan, math.inf, 0):
-        with pytest.raises(InvalidArgumentError):
-            lbfgs_minimize(bowl, np.ones(2), memory=value)
-    for value in (1.5, "3", math.nan, math.inf, 0):
-        with pytest.raises(InvalidArgumentError):
-            lbfgs_minimize(bowl, np.ones(2), max_iterations=value)
-    _, report = lbfgs_minimize(bowl, np.ones(2), memory=np.int64(3), max_iterations=np.int32(1))
+def test_lbfgs_stops_at_its_iteration_cap(monkeypatch):
+    weights = np.array([1.0, 10.0])
+    monkeypatch.setattr(trajopt, "_MAX_ITERATIONS", 1)
+    _, report = lbfgs_minimize(lambda x: (float(x @ (weights * x)), 2.0 * weights * x),
+                               np.ones(2))
     assert report.iterations == 1
+    assert report.status == "max-iterations" and not report.success
 
 
 def test_lbfgs_accepted_costs_are_monotone():
@@ -715,7 +699,6 @@ def test_audit_resolution_does_not_depend_on_how_the_body_is_drawn():
     # a 3.0 x 0.2 bar is 0.1 thick across however it is rotated about its seed
     bar = np.array([[-1.5, -0.1], [1.5, -0.1], [1.5, 0.1], [-1.5, 0.1]])
     traj = PiecewiseTrajectory(STATES, DURATIONS)
-    config = CostConfig()
     # fastest relative motion v_max + |(-0.4, -0.5)| over 2 s, per quarter extent
     expected = math.ceil(2.0 * (8.0 + math.hypot(0.4, 0.5)) / (0.25 * 0.1))
     for degrees in (0.0, 17.0, 45.0, 90.0, 123.0):
@@ -724,7 +707,7 @@ def test_audit_resolution_does_not_depend_on_how_the_body_is_drawn():
                         [math.sin(angle), math.cos(angle)]])
         body = ConvexSetV(bar @ rot.T, np.zeros(2))
         scene = replace(SCENE, body=body)
-        assert trajopt._audit_samples(traj, scene, config) == expected, degrees
+        assert trajopt._audit_samples(traj, scene) == expected, degrees
 
 
 def test_extreme_speeds_and_distances_give_a_report_or_a_package_error():
@@ -852,6 +835,25 @@ def test_plan_around_a_blocking_box():
             assert np.allclose(a, b, atol=1e-9)
 
 
+def test_a_plan_does_not_depend_on_where_the_scene_sits():
+    # L-BFGS's gradient test is relative to |x|, so planned about the world
+    # origin this scene stopped after 1 iteration at cost 22.6 and min beta 2.95
+    scene = blocking_scenario()
+    _, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5)
+    shift = np.array([1e6, -1e6])
+    far = replace(scene, static_obstacles=tuple(ConvexSetV(obs.points + shift)
+                                                for obs in scene.static_obstacles))
+    seen = []
+    traj, moved = plan(far, shift, shift + [9.0, 0.0], segments=5,
+                       callback=lambda i, x, f, g: seen.append(x))
+    assert moved.status == "converged" and moved.success
+    assert abs(moved.final_cost - report.final_cost) <= 1e-6 * report.final_cost
+    assert abs(moved.min_beta - report.min_beta) <= 1e-5
+    # the trajectory and the callback are in the scene's own coordinates
+    assert np.array_equal(traj.states[[0, -1], :2], [shift, shift + [9.0, 0.0]])
+    assert np.array_equal(seen[-1], traj.states[1:-1].ravel())
+
+
 @pytest.mark.parametrize("offset", [0.02, 0.04, 0.08])
 def test_plan_around_boxes_just_off_the_path(offset):
     # the waypoints alone would push straight through a box this close to the
@@ -879,33 +881,28 @@ def test_pinned_nodes_carry_traffic_plans_to_the_rounds_target(goal, segments, m
     assert report.min_beta >= scenario.beta_min + 0.4 * CostConfig.safety_margin - 1e-6
 
 
-def test_plan_without_smoothness_still_converges():
-    # no jerk curvature to whiten by, so L-BFGS runs on the waypoints themselves
-    config = CostConfig(smoothness_weight=0.0)
-    _, report = plan(blocking_scenario(), [0.0, 0.0], [9.0, 0.0], segments=5, config=config)
-    assert report.status == "converged", report
-
-
 def test_plan_callback_sees_junction_states_and_their_gradient():
     seen = []
-    scene, config = blocking_scenario(), CostConfig()
-    traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4, config=config,
+    scene = blocking_scenario()
+    traj, report = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=4,
                         callback=lambda i, x, f, g: seen.append((i, x, f, g)))
     assert [i for i, *_ in seen] == list(range(1, len(seen) + 1))
     assert len(seen) <= report.iterations
     i, x, f, g = seen[-1]
     assert x.shape == g.shape == (18,)
     assert np.array_equal(x, traj.states[1:-1].ravel())
-    tightened = optimized_scenario(scene, config)
-    cost, grad = total_cost(traj, tightened, config)
+    tightened = optimized_scenario(scene)
+    cost, grad = total_cost(traj, tightened)
     assert f == cost
     assert np.abs(g - grad[1:-1].ravel()).max() <= 1e-9 * max(1.0, np.abs(grad).max())
 
 
 def test_plan_with_safety_off_reproduces_the_minimum_jerk_quintic():
-    scene = replace(blocking_scenario(), static_obstacles=(), moving_obstacles=())
-    config = CostConfig(feasibility_weight=0.0)
-    traj, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5, config=config)
+    # no obstacles and idle limit hinges; the duration blocking_box's limits give
+    scene = replace(blocking_scenario(), static_obstacles=(), moving_obstacles=(),
+                    bounds=MotionLimits(1e6, 1e6))
+    traj, _ = plan(scene, [0.0, 0.0], [9.0, 0.0], segments=5,
+                   total_time=2.8 * math.sqrt(9.0 / 2.0))
     reference = PiecewiseTrajectory.from_states(
         [[0.0, 0.0, 0.0, 0.0, 0.0, 0.0], [9.0, 0.0, 0.0, 0.0, 0.0, 0.0]],
         [traj.total_duration])
