@@ -48,7 +48,7 @@ from .scale import (
     min_scale_vrep_bodyframe,
     vrep_scale_lp,
 )
-from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, active_set, solve
+from .sdlp import LowDimLP, LpSolution, LpStatus, active_set, solve
 from .trajopt import (
     CostConfig,
     MotionLimits,
@@ -88,7 +88,6 @@ __all__ = [
     "ScaleGradient3",
     "ScaleResult",
     "Scenario",
-    "SolverParams",
     "SubgradientOnlyError",
     "active_set",
     "assemble_active_system",

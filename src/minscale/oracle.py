@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidArgumentError, NumericalError, _finite_array, _number, _points
-from .sdlp import LowDimLP, LpSolution, LpStatus, _params
+from .sdlp import LowDimLP, LpSolution, LpStatus, _big_m
 
 _CHUNK = 500_000
 
@@ -159,7 +159,7 @@ def _has_improving_ray(lp, tol=1e-9):
     return _ineq_feasible(rows, rhs, tol)
 
 
-def solve_lp_enumeration(lp, params=None):
+def solve_lp_enumeration(lp, big_m=1e9):
     """Exhaustive reference solve of a LowDimLP.
 
     Feasibility, then unboundedness, are decided first by exact phase-1
@@ -173,13 +173,12 @@ def solve_lp_enumeration(lp, params=None):
         raise InvalidArgumentError("solve_lp_enumeration expects a LowDimLP")
     if lp.m > 200:
         raise InvalidArgumentError(f"enumeration oracle is desk-scale only (m <= 200, got {lp.m})")
-    params = _params(params)
+    big_m = _big_m(big_m)
     if lp.m > 0 and not _ineq_feasible(lp.constraints_a, lp.constraints_b):
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
     if _has_improving_ray(lp):
         return LpSolution(LpStatus.UNBOUNDED, None, float("inf"), [])
     d = lp.dim
-    big_m = params.big_m
     # same polytope, unit-inf-norm rows: keeps the Cramer determinants and
     # the vertex feasibility screen conditioned on mixed row scales
     a_eq, b_eq = _equilibrate(lp.constraints_a, lp.constraints_b)

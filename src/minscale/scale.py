@@ -36,19 +36,16 @@ import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateBodyError, InvalidArgumentError, NumericalError, _finite_array,
-                     _number, _points)
+                     _points)
 from .geometry import _read_only, world_to_body
-from .sdlp import LowDimLP, LpSolution, LpStatus, SolverParams, _params, active_set, solve
-
-# candidates of the planar kernel this close to the minimum count as a tie
-_TIE_EPS = SolverParams().act_eps
+from .sdlp import _ACT_EPS, _FEAS_EPS, LowDimLP, LpSolution, LpStatus, active_set, solve
 
 # obstacle points in the first working set of a V-rep scale LP
 _WORKING_POINTS = 64
 
 # the other cause of a scale LP's verdict of no scale, and its remedy
 _PAST_BOX = ("or the answer lies outside the solver's box |z_j| <= big_m"
-             " (for a far obstacle, raise SolverParams.big_m)")
+             " (for a far obstacle, pass a larger big_m)")
 
 
 @dataclass(frozen=True)
@@ -141,7 +138,7 @@ class ScaleResult:
         indices into the input points (or halfspaces); together exactly
         n+1 of them when not degenerate.
     tight_body / tight_obstacle: every row tight at the solution within
-        act_eps; a superset of the basis when constraints tie.
+        the solver's _ACT_EPS; a superset of the basis when constraints tie.
     degenerate: True when the tight set or the basis does not consist of
         exactly n+1 body/obstacle rows.  Gradients taken there are only
         subgradients.
@@ -192,7 +189,7 @@ def vrep_scale_lp(body, obstacle_points):
     return LowDimLP(n + 1, c, a, b)
 
 
-def _scale_result(lp, sol, params, kb, end, beta, points=None):
+def _scale_result(lp, sol, kb, end, beta, points=None):
     """The ScaleResult of an optimal scale LP.
 
     Rows [0, kb) are body rows and rows [kb, end) obstacle rows.  ``points``,
@@ -200,7 +197,7 @@ def _scale_result(lp, sol, params, kb, end, beta, points=None):
     """
     n = lp.dim - 1
     basis = sol.active_basis
-    tight = active_set(lp, sol, params)
+    tight = active_set(lp, sol)
     active_body = tuple(i for i in basis if i < kb)
     active_obstacle = tuple(i - kb for i in basis if kb <= i < end)
     tight_obstacle = tuple(i - kb for i in tight if kb <= i < end)
@@ -220,7 +217,7 @@ def _scale_result(lp, sol, params, kb, end, beta, points=None):
     )
 
 
-def _solve_on_working_set(lp, kb, params):
+def _solve_on_working_set(lp, kb, big_m):
     """Solve a V-rep scale LP with ``kb`` body rows on a working set of its rows.
 
     The first set is the _WORKING_POINTS points nearest the seed: in a
@@ -228,7 +225,7 @@ def _solve_on_working_set(lp, kb, params):
     The set's LP (every body row, the set's obstacle rows in input order,
     the beta row) relaxes the whole one, so its optimum is the whole
     optimum once every obstacle row passes the solver's own test
-    a . z <= feas_eps.  Only rows from outside the set join it, so the loop
+    a . z <= _FEAS_EPS.  Only rows from outside the set join it, so the loop
     ends even where numpy's dot product puts a row of the set a rounding
     above that bound.  The basis comes back as rows of the whole LP.
     """
@@ -241,45 +238,44 @@ def _solve_on_working_set(lp, kb, params):
     while True:
         rows = np.concatenate([np.arange(kb), kb + np.flatnonzero(inside), [lp.m - 1]])
         sol = solve(LowDimLP(lp.dim, lp.objective, lp.constraints_a[rows],
-                             lp.constraints_b[rows]), params)
+                             lp.constraints_b[rows]), big_m)
         if sol.status != LpStatus.OPTIMAL:
             # unbounded on the set, as a seed on the body hull can make it,
             # while the rows left out may still bound the whole LP
-            return solve(lp, params)
-        new = ~inside & (obstacle_rows @ sol.z > params.feas_eps)
+            return solve(lp, big_m)
+        new = ~inside & (obstacle_rows @ sol.z > _FEAS_EPS)
         if not new.any():
             return LpSolution(sol.status, sol.z, sol.value, rows[sol.active_basis].tolist())
         inside |= new
 
 
-def min_scale_vrep_bodyframe(body, obstacle_points, params=None):
+def min_scale_vrep_bodyframe(body, obstacle_points, big_m=1e9):
     """Minimum scale of a V-rep body against obstacle points in the body frame.
 
     The LP is solved on a working set of the points nearest the seed, grown
     by the points its optimum violates until no point does (see
     _solve_on_working_set).  The tight rows are those of the whole LP.
     """
-    params = _params(params)
     lp = vrep_scale_lp(body, obstacle_points)
     pts = np.asarray(obstacle_points, dtype=float)  # checked by vrep_scale_lp
     kb = body.points.shape[0]
-    sol = _solve_on_working_set(lp, kb, params)
+    sol = _solve_on_working_set(lp, kb, big_m)
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
             f"no finite scale: the seed is not strictly inside the body hull, {_PAST_BOX}")
     if sol.status != LpStatus.OPTIMAL:
         raise NumericalError("scale LP reported infeasible, yet it is feasible at zero")
-    return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
+    return _scale_result(lp, sol, kb, kb + pts.shape[0], sol.value, pts)
 
 
-def min_scale_vrep(body, obstacle_world, pose, params=None):
+def min_scale_vrep(body, obstacle_world, pose, big_m=1e9):
     """Minimum scale against world-frame obstacle points under a body pose.
 
     Obstacle points are pulled into the body frame (the exact inverse
     transform) and the body-frame LP is solved there.
     """
     pts = world_to_body(obstacle_world, pose)
-    return min_scale_vrep_bodyframe(body, pts, params)
+    return min_scale_vrep_bodyframe(body, pts, big_m)
 
 
 class _PlanarGauge:
@@ -381,12 +377,12 @@ def _planar_scale(gauge, hull, cos, sin, origin):
     ``origin[i]``, given in the obstacle's own frame.  Returns ``beta``
     (N,), the LP certificate ``alpha`` (N, 2) and the ``contact`` point
     (N, 2), both in the body frame, and ``degenerate`` (N,): beta <= 0, or
-    a second candidate lies within ``SolverParams().act_eps * max(1, beta)``
-    of the minimum.  beta is signed: where the seed lies in a full hull, its
-    boundary included, beta = -depth / ``gauge.radius``, depth the seed's
-    distance inside across the nearest edge e, alpha = (-e_y, e_x) /
-    (|e| radius) and contact the seed.  Against a flat or one-point hull
-    through the seed, beta and alpha are 0.
+    a second candidate lies within ``_ACT_EPS * max(1, beta)`` of the
+    minimum, the LP's own test of a tight row.  beta is signed: where the
+    seed lies in a full hull, its boundary included, beta = -depth /
+    ``gauge.radius``, depth the seed's distance inside across the nearest
+    edge e, alpha = (-e_y, e_x) / (|e| radius) and contact the seed.
+    Against a flat or one-point hull through the seed, beta and alpha are 0.
 
     The sample axis N comes last: the obstacle vertices in the body frame
     are (2, k, N), their gauge levels (facets, k, N), the ray crossings
@@ -445,7 +441,7 @@ def _planar_scale(gauge, hull, cos, sin, origin):
         beta[inside] = -depth[j, cols]
         alpha[:, inside] = e[::-1, j, inside] * [[-1.0], [1.0]] / reach[j, cols]  # (-ey, ex)
         contact[:, inside] = seed[:, None]
-    degenerate = (beta <= 0.0) | (second - beta <= _TIE_EPS * np.maximum(1.0, beta))
+    degenerate = (beta <= 0.0) | (second - beta <= _ACT_EPS * np.maximum(1.0, beta))
     return beta, alpha.T, contact.T, degenerate
 
 
@@ -479,25 +475,20 @@ def hrep_scale_lp(body, obstacle):
     return LowDimLP(n + 1, c, a, b)
 
 
-def min_scale_hrep(body, obstacle, params=None):
+def min_scale_hrep(body, obstacle, big_m=1e9):
     """Minimum scale between H-rep body and obstacle; witness on the result."""
-    params = _params(params)
     lp = hrep_scale_lp(body, obstacle)
-    sol = solve(lp, params)
+    sol = solve(lp, big_m)
     if sol.status == LpStatus.INFEASIBLE:
         raise InvalidArgumentError(f"obstacle halfspaces bound an empty region, {_PAST_BOX}")
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
             f"scale unbounded below: body halfspaces leave a recession direction, {_PAST_BOX}")
-    return _scale_result(lp, sol, params, body.normals.shape[0], lp.m, sol.z[body.dim])
+    return _scale_result(lp, sol, body.normals.shape[0], lp.m, sol.z[body.dim])
 
 
-def is_colliding(result, threshold=1.0):
-    """Whether the configuration collides: beta < threshold.
-
-    threshold, a finite number, is 1 for exact touching; larger values add
-    a safety margin (scales inside [1, threshold) then count as collisions).
-    """
+def is_colliding(result):
+    """Whether the configuration collides: beta < 1 (a touching scale of 1 does not)."""
     if not isinstance(result, ScaleResult):
         raise InvalidArgumentError(f"is_colliding expects a ScaleResult, got {result!r}")
-    return bool(result.beta < _number(threshold, "threshold"))
+    return bool(result.beta < 1.0)

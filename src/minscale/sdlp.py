@@ -21,8 +21,11 @@ objective keeps improving the problem is reported unbounded.  This
 classification is only meaningful when the true optimum is far inside the
 box, which desk-scale geometry data always is.
 
-Feasibility and activity tests are relative: constraint i is satisfied
-when a_i.z <= b_i + feas_eps * max(1, |b_i|).
+The rows are visited in one fixed pseudo-random order, the permutation
+of seed 0, so equal input gives bit-identical output.  Feasibility and
+activity tests are relative: constraint i is satisfied when
+a_i.z <= b_i + _FEAS_EPS * max(1, |b_i|), and tight when
+|a_i.z - b_i| <= _ACT_EPS * max(1, |b_i|).
 """
 
 from dataclasses import dataclass
@@ -41,30 +44,14 @@ _ZERO_ROW = 1e-30
 _CANCEL_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class SolverParams:
-    """Solver settings: the shuffle seed, an int, and three tolerances kept as floats."""
-
-    rng_seed: int = 0
-    feas_eps: float = 1e-10
-    act_eps: float = 1e-8
-    big_m: float = 1e9
-
-    def __post_init__(self):
-        object.__setattr__(self, "rng_seed", _count(self.rng_seed, "rng_seed", 0))
-        for name, rule, ok in (("feas_eps", ">= 0", lambda x: x >= 0.0),
-                               ("act_eps", ">= 0", lambda x: x >= 0.0),
-                               ("big_m", "> 0", lambda x: x > 0.0)):
-            object.__setattr__(self, name, _number(getattr(self, name), name, rule, ok))
+# relative slack of the feasibility test and of the tight-row test
+_FEAS_EPS = 1e-10
+_ACT_EPS = 1e-8
 
 
-def _params(params):
-    """``params``, a SolverParams, or the default one for None."""
-    if params is None:
-        return SolverParams()
-    if not isinstance(params, SolverParams):
-        raise InvalidArgumentError(f"params must be a SolverParams, got {params!r}")
-    return params
+def _big_m(value):
+    """The box half-width ``big_m``, a finite number > 0, as a float."""
+    return _number(value, "big_m", "> 0", lambda x: x > 0.0)
 
 
 class LpStatus(Enum):
@@ -106,7 +93,7 @@ class LowDimLP:
         return self.constraints_b.shape[0]
 
 
-def _solve_2d(c0, c1, rows, big_m, feas_eps):
+def _solve_2d(c0, c1, rows, big_m, feas_tol):
     """Two-variable case with the 1D subproblem folded into the scan.
 
     Each violation reduces the prefix to a single interval on the kept
@@ -117,7 +104,7 @@ def _solve_2d(c0, c1, rows, big_m, feas_eps):
     basis = []
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1 = ai
-        if a0 * x0 + a1 * x1 <= bi + feas_eps * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0)):
+        if a0 * x0 + a1 * x1 <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0)):
             continue
         # eliminate the variable with the larger coefficient
         if abs(a0) >= abs(a1):
@@ -139,7 +126,7 @@ def _solve_2d(c0, c1, rows, big_m, feas_eps):
             b_s = bl - alj * bkj
             if (a_s if a_s >= 0.0 else -a_s) <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_eps * (abs(b_s) if abs(b_s) > 1.0 else 1.0)
+                slack = (feas_tol * (abs(b_s) if abs(b_s) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if b_s < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -158,9 +145,9 @@ def _solve_2d(c0, c1, rows, big_m, feas_eps):
                         hi, hi_id = bound, -1
                 elif bound > lo:
                     lo, lo_id = bound, -1
-            elif b_s < -feas_eps * (abs(b_s) if abs(b_s) > 1.0 else 1.0):
+            elif b_s < -feas_tol * (abs(b_s) if abs(b_s) > 1.0 else 1.0):
                 return LpStatus.INFEASIBLE, None, None
-        if lo > hi + feas_eps * max(1.0, abs(lo), abs(hi)):
+        if lo > hi + feas_tol * max(1.0, abs(lo), abs(hi)):
             return LpStatus.INFEASIBLE, None, None
 
         if ck > 0.0:
@@ -179,7 +166,7 @@ def _solve_2d(c0, c1, rows, big_m, feas_eps):
     return LpStatus.OPTIMAL, [x0, x1], basis
 
 
-def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
+def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
     """The three-variable level, unrolled.
 
     Pivots on the violated row's largest coefficient (the first of ties),
@@ -194,7 +181,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1, a2 = ai
         if (a0 * x0 + a1 * x1 + a2 * x2
-                <= bi + feas_eps * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
+                <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
         j, best = 0, abs(a0)
         if abs(a1) > best:
@@ -223,7 +210,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
             bsub = bl - alj * bkj
             if cmax <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_eps * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
+                slack = (feas_tol * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if bsub < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -233,7 +220,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
         sub_rows.append(((rk, rl), big_m + bkj, -1, rk_inf))    # -x_j <= big_m
 
         status, x_sub, sub_basis = _solve_2d(c[k] - c[j] * rk, c[l] - c[j] * rl,
-                                             sub_rows, big_m, feas_eps)
+                                             sub_rows, big_m, feas_tol)
         if status is not LpStatus.OPTIMAL:
             return status, None, None
         xk, xl = x_sub
@@ -246,7 +233,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_eps):
     return LpStatus.OPTIMAL, [x0, x1, x2], basis
 
 
-def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
+def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_tol):
     """The four-variable level, unrolled; the sub-LP goes straight to _solve_3d.
 
     Rows arrive in random order, and every prefix of a random order is in
@@ -261,7 +248,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1, a2, a3 = ai
         if (a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-                <= bi + feas_eps * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
+                <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
         j, best = 0, abs(a0)
         if abs(a1) > best:
@@ -297,7 +284,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
             bsub = bl - alj * bkj
             if cmax <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_eps * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
+                slack = (feas_tol * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if bsub < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -307,7 +294,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
         sub_rows.append(((rk, rl, rn), big_m + bkj, -1, rk_inf))     # -x_j <= big_m
 
         status, x_sub, sub_basis = _solve_3d(c[k] - c[j] * rk, c[l] - c[j] * rl,
-                                             c[n] - c[j] * rn, sub_rows, big_m, feas_eps)
+                                             c[n] - c[j] * rn, sub_rows, big_m, feas_tol)
         if status is not LpStatus.OPTIMAL:
             return status, None, None
         xk, xl, xn = x_sub
@@ -325,8 +312,8 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_eps):
 _LEVELS = (_solve_2d, _solve_3d, _solve_4d)
 
 
-def _run(lp, params, big_m):
-    order = np.random.default_rng(params.rng_seed).permutation(lp.m)
+def _run(lp, big_m):
+    order = np.random.default_rng(0).permutation(lp.m)
     a_o = lp.constraints_a[order]
     c = lp.objective.tolist()
     if lp.dim == 1:  # the two-variable level with a zero second column
@@ -335,23 +322,23 @@ def _run(lp, params, big_m):
     # makes the cancellation filter one multiply per row
     rows = list(zip(a_o.tolist(), lp.constraints_b[order].tolist(), order.tolist(),
                     np.abs(a_o).max(axis=1).tolist()))
-    status, x, basis = _LEVELS[len(c) - 2](*c, rows, big_m, params.feas_eps)
+    status, x, basis = _LEVELS[len(c) - 2](*c, rows, big_m, _FEAS_EPS)
     return status, (None if x is None else np.array(x[:lp.dim])), basis
 
 
-def solve(lp, params=None):
-    """Solve a LowDimLP.  Two calls with equal rng_seed give identical output.
+def solve(lp, big_m=1e9):
+    """Solve a LowDimLP inside the box |z_j| <= big_m.  Equal input gives identical output.
 
-    A feasible set lying wholly outside the box |z_j| <= big_m reads infeasible.
+    A feasible set lying wholly outside the box reads infeasible.
     """
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve expects a LowDimLP")
-    params = _params(params)
-    status, x, basis = _run(lp, params, params.big_m)
+    big_m = _big_m(big_m)
+    status, x, basis = _run(lp, big_m)
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
-    if np.any(np.abs(x) >= params.big_m * (1.0 - 1e-6)):
-        status2, x2, _ = _run(lp, params, 2.0 * params.big_m)
+    if np.any(np.abs(x) >= big_m * (1.0 - 1e-6)):
+        status2, x2, _ = _run(lp, 2.0 * big_m)
         if status2 is not LpStatus.OPTIMAL:
             return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
         v1 = float(lp.objective @ x)
@@ -363,15 +350,14 @@ def solve(lp, params=None):
     return LpSolution(LpStatus.OPTIMAL, x, value, clean)
 
 
-def active_set(lp, solution, params=None):
+def active_set(lp, solution):
     """Indices of all constraints tight at an optimal solution.
 
     A superset of solution.active_basis whenever the optimal vertex has
     more than dim tight constraints.
     """
-    params = _params(params)
     if not isinstance(solution, LpSolution) or solution.status is not LpStatus.OPTIMAL:
         raise InvalidStateError("active_set requires an optimal LpSolution")
     res = lp.constraints_a @ solution.z - lp.constraints_b
-    tol = params.act_eps * np.maximum(1.0, np.abs(lp.constraints_b))
+    tol = _ACT_EPS * np.maximum(1.0, np.abs(lp.constraints_b))
     return [int(i) for i in np.nonzero(np.abs(res) <= tol)[0]]

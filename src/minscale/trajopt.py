@@ -256,8 +256,8 @@ class OptimizationReport:
 
     ``degenerate_samples`` counts the (audit sample, obstacle) pairs whose
     scale is degenerate: beta is 0, or a second candidate of the planar
-    kernel lies within ``SolverParams().act_eps * max(1, beta)`` of the
-    minimum, so the scale has a kink there.  The candidates are the
+    kernel lies within ``sdlp._ACT_EPS * max(1, beta)`` of the minimum,
+    so the scale has a kink there.  The candidates are the
     obstacle's hull vertices and edges, so input points that lie on a hull
     edge without being vertices, which the LP would count as tied at a
     contact on that edge, do not count.

@@ -18,11 +18,10 @@ from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world,
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
-from minscale.sdlp import SolverParams
+from minscale.sdlp import LowDimLP, LpSolution, solve
 from minscale.trajopt import CostConfig, MotionLimits, Scenario, _coeff_map
 
 FD_H = 1e-6
-PARAMS = SolverParams()
 
 
 # ---------------------------------------------------------- random geometry
@@ -113,6 +112,24 @@ def hull_h(points, margin=1e-7):
     return ConvexSetH.from_inequalities(a, b, center)
 
 
+# ------------------------------------------------------------ LP row orders
+
+def solve_in_order(problem, seed):
+    """Solve ``problem`` visiting its rows in the order of permutation ``seed``.
+
+    The solver always visits rows in the order of its seed-0 permutation, so
+    the rows are handed over pre-permuted such that this visits them in
+    default_rng(seed)'s order, with the same float operations as a solver
+    seeded by ``seed``.  The basis comes back as the caller's row indices.
+    """
+    m = problem.m
+    order = np.empty(m, dtype=np.int64)
+    order[np.random.default_rng(0).permutation(m)] = np.random.default_rng(seed).permutation(m)
+    sol = solve(LowDimLP(problem.dim, problem.objective, problem.constraints_a[order],
+                         problem.constraints_b[order]))
+    return LpSolution(sol.status, sol.z, sol.value, sorted(order[sol.active_basis].tolist()))
+
+
 # ------------------------------------------------- gradient case generators
 
 CASES_SE2 = {
@@ -160,13 +177,13 @@ def _key(result):
 
 
 def _beta_key_se2(body, obstacle_world, translation, heading):
-    result = min_scale_vrep(body, obstacle_world, Pose2(heading, translation), PARAMS)
+    result = min_scale_vrep(body, obstacle_world, Pose2(heading, translation))
     return result.beta, _key(result)
 
 
 def _beta_key_se3(body, obstacle_world, translation, quat):
     pose = Pose3(Quaternion.from_array(quat), translation)
-    result = min_scale_vrep(body, obstacle_world, pose, PARAMS)
+    result = min_scale_vrep(body, obstacle_world, pose)
     return result.beta, _key(result)
 
 
@@ -233,7 +250,7 @@ def collect_se2(case, need, max_trials=40000, seed=None):
         pose = Pose2(heading, translation)
         obstacle_world = body_to_world(spec["obstacle"](rng), pose)
         body = spec["body"](rng)
-        result = min_scale_vrep(body, obstacle_world, pose, PARAMS)
+        result = min_scale_vrep(body, obstacle_world, pose)
         if result.degenerate:
             continue
         if (len(result.active_body), len(result.active_obstacle)) != spec["split"]:
@@ -263,7 +280,7 @@ def collect_se3(case, need, max_trials=40000, seed=None, q_norm=1.0):
         pose = Pose3(Quaternion.from_array(quat), translation)
         obstacle_world = body_to_world(spec["obstacle"](rng), pose)
         body = spec["body"](rng)
-        result = min_scale_vrep(body, obstacle_world, pose, PARAMS)
+        result = min_scale_vrep(body, obstacle_world, pose)
         if result.degenerate:
             continue
         if (len(result.active_body), len(result.active_obstacle)) != spec["split"]:

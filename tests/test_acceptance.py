@@ -20,11 +20,11 @@ from minscale.geometry import Pose2
 from minscale.oracle import hulls_intersect, min_scale_bisection, solve_lp_enumeration
 from minscale.scale import (ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep,
                             min_scale_vrep_bodyframe)
-from minscale.sdlp import LowDimLP, LpStatus, SolverParams, solve
+from minscale.sdlp import LowDimLP, LpStatus
 from minscale.trajopt import eval_trajectory, lbfgs_minimize, plan
 
 from support import (blocking_scenario, box_corners, box_h, collect_se2, collect_se3,
-                     grad_norm_err, hull_h, random_pair, rotation_nd)
+                     grad_norm_err, hull_h, random_pair, rotation_nd, solve_in_order)
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -60,7 +60,7 @@ def test_criterion_01_lp_solver_matches_enumeration():
             m = _random_row_count(rng)
             lp = LowDimLP(d, rng.normal(size=d), rng.normal(size=(m, d)),
                           rng.normal(size=m) + 1.0)
-            got = solve(lp, SolverParams(rng_seed=trial))
+            got = solve_in_order(lp, trial)
             ref = solve_lp_enumeration(lp)
             total += 1
             if got.status != ref.status:

@@ -264,7 +264,7 @@ def test_a_scale_past_the_solver_box_exits_two_naming_big_m(tmp_path):
     code, out, err = run_cli(["eval", write_scene(tmp_path, doc)])
     assert code == 2 and out.count("\n") <= 1  # at most the CSV header
     assert "not strictly inside the body hull" in err
-    assert "raise SolverParams.big_m" in err
+    assert "pass a larger big_m" in err
 
 
 def test_beta_min_below_one_is_rejected(tmp_path):

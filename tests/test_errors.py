@@ -7,8 +7,8 @@ import pytest
 
 from minscale import (ConvexSetH, ConvexSetV, InvalidArgumentError, LowDimLP,
                       MotionLimits, PiecewiseTrajectory, Pose2, Pose3, Quaternion,
-                      ScaleGradient2, Scenario, SolverParams, active_set,
-                      assemble_active_system, eval_trajectory, grad_scale_se2, grad_scale_se3,
+                      ScaleGradient2, Scenario, assemble_active_system, eval_trajectory,
+                      grad_scale_se2, grad_scale_se3,
                       grad_scale_time, is_colliding, lbfgs_minimize, min_scale_hrep,
                       min_scale_vrep, min_scale_vrep_bodyframe, oracle, plan, rotation2,
                       rotation2_partial, scale_time_rate, solve, total_cost,
@@ -42,9 +42,6 @@ CASES = {
     "pose-heading-bool": lambda: Pose2(True, np.zeros(2)),
     "pose-translation-string": lambda: Pose2(0.0, "ab"),
     "quaternion-string": lambda: Quaternion("a", 0.0, 0.0, 0.0),
-    "colliding-string": lambda: is_colliding(RESULT, "x"),
-    "colliding-nan": lambda: is_colliding(RESULT, math.nan),
-    "colliding-huge-int": lambda: is_colliding(RESULT, 10 ** 400),
     "vrep-obstacle-string": lambda: min_scale_vrep(BODY, "x", POSE),
     "vrep-obstacle-ragged": lambda: min_scale_vrep(BODY, RAGGED, POSE),
     "vrep-obstacle-huge-int": lambda: min_scale_vrep(BODY, [[10 ** 400, 0]], POSE),
@@ -54,8 +51,8 @@ CASES = {
     "lp-constraints-0d": lambda: LowDimLP(2, [1.0, 0.0], np.array(1.0), [1.0]),
     "lp-constraints-ragged": lambda: LowDimLP(2, [1.0, 0.0], RAGGED, [1.0, 1.0]),
     "lp-b-missing": lambda: LowDimLP(2, [1.0, 0.0], [[1.0, 0.0]]),
-    "params-big-m-string": lambda: SolverParams(big_m="1"),
-    "params-eps-nan": lambda: SolverParams(act_eps=math.nan),
+    "solve-big-m-string": lambda: solve(LP, big_m="1"),
+    "solve-big-m-nan": lambda: solve(LP, big_m=math.nan),
     "rate-ragged": lambda: grad_scale_time(ScaleGradient2(np.ones(2), 1.0), RAGGED, 0.0),
     "trajectory-states-string": lambda: PiecewiseTrajectory([["a"] * 6] * 2, [1.0]),
     "trajectory-duration-tiny": lambda: PiecewiseTrajectory(TRAJ.states, [1e-120]),
@@ -74,10 +71,10 @@ CASES = {
     "plan-time-huge": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=1e200),
     "plan-start-string": lambda: plan(EMPTY, "ab", [3.0, 0.0]),
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),
-    "solve-params-int": lambda: solve(LP, params=5),
-    "active-set-params-int": lambda: active_set(LP, solve(LP), params=5),
-    "vrep-params-int": lambda: min_scale_vrep(BODY, [[3.0, 0.0]], POSE, params=5),
-    "hrep-params-int": lambda: min_scale_hrep(BOX_H, FAR_BOX_H, params=5),
+    "solve-big-m-bool": lambda: solve(LP, big_m=True),
+    "vrep-big-m-zero": lambda: min_scale_vrep(BODY, [[3.0, 0.0]], POSE, big_m=0),
+    "hrep-big-m-huge-int": lambda: min_scale_hrep(BOX_H, FAR_BOX_H, big_m=10 ** 400),
+    "oracle-enumeration-big-m-negative": lambda: oracle.solve_lp_enumeration(LP, big_m=-1.0),
     "grad-se2-system-string": lambda: grad_scale_se2("x", POSE),
     "grad-se3-system-string": lambda: grad_scale_se3("x", Pose3(Quaternion(1.0, 0.0, 0.0, 0.0),
                                                                 np.zeros(3))),
@@ -135,8 +132,8 @@ def test_numpy_scalars_and_0d_arrays_are_numbers():
     assert eval_trajectory(TRAJ, np.float64(2.0))[0][0] == 3.0
     assert Pose2(np.array(0.25), np.zeros(2)).heading == 0.25
     assert Quaternion(np.float64(1.0), np.int64(0), 0, 0).as_array().tolist() == [1, 0, 0, 0]
-    assert is_colliding(RESULT, np.array(10.0))
+    assert solve(LP, big_m=np.array(1e10)).value == solve(LP).value
     assert MotionLimits(np.int64(8), np.float64(2.0)) == MotionLimits(8.0, 2.0)
-    assert SolverParams(rng_seed=np.int64(3), big_m=np.array(1e9)).big_m == 1e9
+    assert min_scale_vrep(BODY, [[3.0, 0.0]], POSE, big_m=np.int64(10 ** 9)).beta == RESULT.beta
     _, report = plan(EMPTY, [0.0, 0.0], [3.0, 0.0], segments=1, total_time=np.int64(4))
     assert report.status == "converged"

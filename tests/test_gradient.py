@@ -14,7 +14,6 @@ from minscale.geometry import (Pose2, Pose3, Quaternion, rotation2,
 from minscale.gradient import (_system_from_rows, assemble_active_system, grad_scale_se2,
                                grad_scale_se3, grad_scale_time)
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep
-from minscale.sdlp import SolverParams
 
 from support import (CASES_SE2, CASES_SE3, box_corners, collect_se2, collect_se3,
                      grad_norm_err)

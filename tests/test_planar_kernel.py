@@ -22,6 +22,7 @@ from minscale.gradient import _grad_scale_se2_batch, assemble_active_system, gra
 from minscale.oracle import finite_diff, min_scale_bisection
 from minscale import scale
 from minscale.scale import ConvexSetV, _planar_bound, _planar_scale, min_scale_vrep
+from minscale.sdlp import _ACT_EPS
 from minscale.trajopt import _CULL, PiecewiseTrajectory, _audit_trajectory
 
 from support import blocking_scenario, random_body
@@ -170,6 +171,15 @@ def test_edge_parallel_to_a_body_facet_is_a_degenerate_tie():
     pose = Pose2(0.0, np.zeros(2))
     result = check_against_lp(SQUARE, [[3.0, -0.5], [3.0, 0.5], [4.0, 0.0]], pose)
     assert result.beta == pytest.approx(3.0) and result.degenerate
+
+
+def test_the_kernel_ties_candidates_within_the_solvers_tight_row_tolerance():
+    # the vertices (3, 0) and (3 + d, 0.5) sit at gauge levels 3 and 3 + d:
+    # a tie exactly when d <= _ACT_EPS * max(1, beta), the LP's tight-row test
+    pose = Pose2(0.0, np.zeros(2))
+    for d, tied in ((0.5 * _ACT_EPS * 3.0, True), (2.0 * _ACT_EPS * 3.0, False)):
+        beta, _, degenerate = kernel(SQUARE, np.array([[3.0, 0.0], [3.0 + d, 0.5]]), pose)
+        assert beta == 3.0 and degenerate is tied
 
 
 def test_single_and_two_point_obstacles():

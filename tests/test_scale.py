@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import minscale.scale
+import minscale.sdlp
 from minscale.errors import DegenerateBodyError, InvalidArgumentError
 from minscale.geometry import (Pose2, Pose3, Quaternion, rotation_from_quaternion,
                                world_to_body)
@@ -12,7 +13,7 @@ from minscale.oracle import hulls_intersect, min_scale_bisection
 from minscale.scale import (ConvexSetH, ConvexSetV, _scale_result, hrep_scale_lp,
                             is_colliding, min_scale_hrep, min_scale_vrep,
                             min_scale_vrep_bodyframe, vrep_scale_lp)
-from minscale.sdlp import LpStatus, SolverParams, solve
+from minscale.sdlp import LpStatus, solve
 
 from support import box_corners, box_h, hull_h, random_body, random_pair, rotation_nd
 
@@ -38,15 +39,15 @@ def test_a_scale_past_the_solver_box_names_big_m_as_the_remedy():
     # kernel gives
     far = np.array([[2e9, 0.0]])
     with pytest.raises(DegenerateBodyError, match=r"not strictly inside the body hull, or "
-                       r"the answer lies outside the solver's box .* raise SolverParams\.big_m"):
+                       r"the answer lies outside the solver's box .* pass a larger big_m"):
         min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)))
-    result = min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)), SolverParams(big_m=1e12))
+    result = min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)), big_m=1e12)
     assert abs(result.beta - 2e9) <= 1e-6
     body, obstacle = box_h([0.0, 0.0], [1.0, 1.0]), box_h([2e9, 0.0], [1.0, 1.0])
     with pytest.raises(InvalidArgumentError, match=r"empty region, or the answer lies "
-                       r"outside the solver's box .* raise SolverParams\.big_m"):
+                       r"outside the solver's box .* pass a larger big_m"):
         min_scale_hrep(body, obstacle)
-    assert min_scale_hrep(body, obstacle, SolverParams(big_m=1e12)).beta == 2e9 - 1.0
+    assert min_scale_hrep(body, obstacle, big_m=1e12).beta == 2e9 - 1.0
 
 
 def test_square_against_interior_point():
@@ -313,11 +314,7 @@ def test_is_colliding_thresholds():
     margin = min_scale_vrep_bodyframe(SQUARE, np.array([[1.05, 0.0]]))
     assert not is_colliding(far)
     assert is_colliding(near)
-    assert is_colliding(margin, threshold=1.1)
-    assert not is_colliding(margin, threshold=1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(InvalidArgumentError):
-            is_colliding(near, threshold=bad)
+    assert not is_colliding(margin)
 
 
 def test_random_bodies_under_random_poses_match_pulled_back_query():
@@ -348,12 +345,12 @@ def test_random_bodies_under_random_poses_match_pulled_back_query():
 
 # -------------------------------------------------------------- working set
 
-def _whole_lp_result(body, pts, params=SolverParams()):
+def _whole_lp_result(body, pts):
     """The result of one solve over every row of the scale LP."""
     lp = vrep_scale_lp(body, pts)
-    sol = solve(lp, params)
+    sol = solve(lp)
     kb = body.points.shape[0]
-    return _scale_result(lp, sol, params, kb, kb + pts.shape[0], sol.value, pts)
+    return _scale_result(lp, sol, kb, kb + pts.shape[0], sol.value, pts)
 
 
 def _ball_cloud(rng, dim, k):
@@ -389,10 +386,10 @@ def _counting_solves(monkeypatch, limit=50):
     """Record the rows of every LP the scale module solves; fail past ``limit`` calls."""
     calls = []
 
-    def counted(lp, params=None):
+    def counted(lp, big_m=1e9):
         calls.append(lp.m)
         assert len(calls) <= limit, "the working set keeps growing"
-        return solve(lp, params)
+        return solve(lp, big_m)
 
     monkeypatch.setattr(minscale.scale, "solve", counted)
     return calls
@@ -455,9 +452,10 @@ def test_working_set_unbounded_falls_back_to_the_whole_lp():
 
 
 def test_working_set_ends_when_numpy_flags_its_own_rows(monkeypatch):
-    # with feas_eps = 0 numpy's dot product can put a basis row of the set
+    # with _FEAS_EPS = 0 numpy's dot product can put a basis row of the set
     # one rounding above zero; the set must not take it in again and loop
-    exact = SolverParams(feas_eps=0.0)
+    monkeypatch.setattr(minscale.sdlp, "_FEAS_EPS", 0.0)
+    monkeypatch.setattr(minscale.scale, "_FEAS_EPS", 0.0)
     rng = np.random.default_rng(43)
     calls = _counting_solves(monkeypatch)
     flagged = 0
@@ -467,8 +465,8 @@ def test_working_set_ends_when_numpy_flags_its_own_rows(monkeypatch):
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         pts = _ball_cloud(rng, 3, 2000) + rng.uniform(1.0, 3.0) * direction
-        got = min_scale_vrep_bodyframe(body, pts, exact)
-        ref = _whole_lp_result(body, pts, exact)
+        got = min_scale_vrep_bodyframe(body, pts)
+        ref = _whole_lp_result(body, pts)
         assert abs(got.beta - ref.beta) <= 1e-12 * ref.beta
         z = np.concatenate([got.certificate, [got.beta]])
         kb = body.points.shape[0]

@@ -9,7 +9,10 @@ import pytest
 from minscale.errors import InvalidArgumentError, InvalidStateError
 from minscale.oracle import solve_lp_enumeration
 from minscale.scale import ConvexSetH, ConvexSetV, hrep_scale_lp, vrep_scale_lp
-from minscale.sdlp import LowDimLP, LpStatus, SolverParams, active_set, solve
+from minscale import sdlp
+from minscale.sdlp import LowDimLP, LpStatus, active_set, solve
+
+from support import solve_in_order
 
 
 def lp(dim, objective, rows):
@@ -102,14 +105,12 @@ def test_constructor_validation():
 
 
 def test_solver_params_validation():
-    # out-of-range values make the LP lie: big_m=0 solves max x+y s.t. x, y <= 1 to 0
-    for bad in ({"big_m": 0.0}, {"big_m": -1.0}, {"big_m": np.nan}, {"big_m": np.inf},
-                {"feas_eps": np.nan}, {"feas_eps": -1e-10}, {"act_eps": np.inf},
-                {"rng_seed": -1}, {"rng_seed": 1.5}):
-        with pytest.raises(InvalidArgumentError):
-            SolverParams(**bad)
+    # an out-of-range box makes the LP lie: big_m=0 solves max x+y s.t. x, y <= 1 to 0
     box = lp(2, [1.0, 1.0], [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)])
-    for ok in (SolverParams(), SolverParams(rng_seed=np.int64(3), feas_eps=0.0, act_eps=0.0)):
+    for bad in (0.0, -1.0, np.nan, np.inf, "1", True):
+        with pytest.raises(InvalidArgumentError):
+            solve(box, bad)
+    for ok in (np.float64(1e10), 3):
         assert abs(solve(box, ok).value - 2.0) < 1e-12
 
 
@@ -124,24 +125,23 @@ def test_active_set_requires_an_optimal_solution():
 
 def test_optimal_solutions_satisfy_feasibility_and_basis_contracts():
     rng = np.random.default_rng(10)
-    params = SolverParams()
     checked = 0
     for trial in range(300):
         m = int(rng.integers(3, 40))
         d = int(rng.integers(1, 5))
         problem = LowDimLP(d, rng.normal(size=d), rng.normal(size=(m, d)),
                            rng.normal(size=m) + 1.0)
-        sol = solve(problem, params)
+        sol = solve(problem)
         if sol.status != LpStatus.OPTIMAL:
             continue
         checked += 1
         slack = problem.constraints_a @ sol.z - problem.constraints_b
-        tol = params.feas_eps * np.maximum(1.0, np.abs(problem.constraints_b))
+        tol = sdlp._FEAS_EPS * np.maximum(1.0, np.abs(problem.constraints_b))
         assert np.all(slack <= tol * 10), slack.max()
         basis = [i for i in sol.active_basis if i >= 0]
         if basis:
             tight = np.abs(slack[basis])
-            assert np.all(tight <= params.act_eps
+            assert np.all(tight <= sdlp._ACT_EPS
                           * np.maximum(1.0, np.abs(problem.constraints_b[basis])))
             rows = problem.constraints_a[basis]
             sv = np.linalg.svd(rows, compute_uv=False)
@@ -157,8 +157,8 @@ def test_determinism_same_seed_bit_identical():
         m = int(rng.integers(5, 60))
         problem = LowDimLP(3, rng.normal(size=3), rng.normal(size=(m, 3)),
                            rng.normal(size=m) + 0.5)
-        first = solve(problem, SolverParams(rng_seed=42))
-        second = solve(problem, SolverParams(rng_seed=42))
+        first = solve(problem)
+        second = solve(problem)
         assert first.status == second.status
         assert first.value == second.value
         assert first.active_basis == second.active_basis
@@ -174,10 +174,9 @@ def test_permutation_robustness():
         a = rng.normal(size=(m, d))
         b = rng.normal(size=m) + 1.0
         c = rng.normal(size=d)
-        base = solve(LowDimLP(d, c, a, b), SolverParams(rng_seed=trial))
+        base = solve_in_order(LowDimLP(d, c, a, b), trial)
         perm = rng.permutation(m)
-        shuffled = solve(LowDimLP(d, c, a[perm], b[perm]),
-                         SolverParams(rng_seed=trial + 1))
+        shuffled = solve_in_order(LowDimLP(d, c, a[perm], b[perm]), trial + 1)
         assert base.status == shuffled.status
         if base.status == LpStatus.OPTIMAL:
             assert abs(base.value - shuffled.value) <= 1e-9 * max(1.0, abs(base.value))
@@ -191,7 +190,7 @@ def test_oracle_agreement_on_standard_instances():
             m = int(rng.integers(3, 35))
             problem = LowDimLP(d, rng.normal(size=d), rng.normal(size=(m, d)),
                                rng.normal(size=m) + 1.0)
-            fast = solve(problem, SolverParams(rng_seed=trial))
+            fast = solve_in_order(problem, trial)
             slow = solve_lp_enumeration(problem)
             if fast.status != slow.status:
                 mismatches += 1
@@ -226,7 +225,7 @@ def test_oracle_agreement_on_harsh_instances():
     for d in (2, 3, 4):
         for trial in range(120):
             problem = harsh_instance(rng, d)
-            fast = solve(problem, SolverParams(rng_seed=trial))
+            fast = solve_in_order(problem, trial)
             slow = solve_lp_enumeration(problem)
             if fast.status != slow.status:
                 mismatches += 1
@@ -314,7 +313,7 @@ def test_lp_answers_match_the_golden_digest_across_the_array_cut():
     digest = hashlib.sha256()
     statuses = {}  # (status, on the array level) -> count
     for i, problem in enumerate(_golden_lps()):
-        sol = solve(problem, SolverParams(rng_seed=i))
+        sol = solve_in_order(problem, i)
         key = (sol.status, problem.dim == 4 and problem.m >= 256)
         statuses[key] = statuses.get(key, 0) + 1
         digest.update(repr((sol.status.value, sol.value, sol.active_basis)).encode())

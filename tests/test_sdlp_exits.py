@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from minscale.oracle import solve_lp_enumeration
-from minscale.sdlp import LowDimLP, LpStatus, SolverParams, solve
+from minscale.sdlp import LowDimLP, LpStatus, solve
+
+from support import solve_in_order
 
 
 def _agrees_with_oracle(problem, seed=0):
-    fast = solve(problem, SolverParams(rng_seed=seed))
+    fast = solve_in_order(problem, seed)
     slow = solve_lp_enumeration(problem)
     assert fast.status == slow.status
     if fast.status is LpStatus.OPTIMAL:
@@ -48,10 +50,9 @@ def test_a_feasible_set_wholly_outside_the_box_reads_infeasible():
     # box of 1e10 reaches the set
     problem = LowDimLP(1, [-1.0], [[-1.0]], [-5e9])
     assert solve(problem).status is LpStatus.INFEASIBLE
-    wide = SolverParams(big_m=1e10)
-    sol = solve(problem, wide)
+    sol = solve(problem, big_m=1e10)
     assert sol.status is LpStatus.OPTIMAL and sol.z.tolist() == [5e9]
-    assert sol.value == solve_lp_enumeration(problem, wide).value == -5e9
+    assert sol.value == solve_lp_enumeration(problem, big_m=1e10).value == -5e9
 
 
 @pytest.mark.parametrize("seed", range(4))

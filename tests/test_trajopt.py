@@ -12,7 +12,7 @@ from minscale.errors import DegenerateActiveSetError, DegenerateBodyError, Inval
 from minscale.geometry import Pose2
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_time
 from minscale.scale import ConvexSetV, _planar_scale, min_scale_vrep
-from minscale.sdlp import LowDimLP, SolverParams
+from minscale.sdlp import LowDimLP
 from minscale import cli, trajopt
 from minscale.trajopt import (CostConfig, MotionLimits, PiecewiseTrajectory,
                               Scenario, _heading_jacobian, _line_states,
@@ -551,10 +551,9 @@ def test_scale_time_rate_raises_where_the_seed_is_inside():
 @pytest.mark.parametrize("call", [
     lambda: plan(Scenario(body=BODY), [0.0, 0.0], [9.0, 0.0], segments=True),
     lambda: LowDimLP(True, [1.0], [[1.0]], [2.0]),
-    lambda: SolverParams(rng_seed=True),
     lambda: scale_time_rate(PiecewiseTrajectory.from_states(STATES, DURATIONS), SCENE, 1.0,
                             obstacle_index=True),
-], ids=["plan-segments", "lp-dim", "rng-seed", "obstacle-index"])
+], ids=["plan-segments", "lp-dim", "obstacle-index"])
 def test_bools_are_not_integer_arguments(call):
     with pytest.raises(InvalidArgumentError):
         call()
