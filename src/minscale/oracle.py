@@ -4,7 +4,8 @@
   subsets, O(m^d) by design (desk scale, m <= 200).
 * hulls_intersect / point_in_hull: LP feasibility over convex-combination
   weights, decided by a dense phase-1 simplex with Bland's rule.
-* point_strictly_inside_hull: facet margins of a qhull convex hull.
+* point_strictly_inside_hull: facet margins of a qhull convex hull; the
+  package's one use of scipy, imported on the first call.
 * min_scale_bisection: bracketing + bisection on the touching scale using
   only the hull-intersection predicate.
 * finite_diff: central differences.
@@ -14,7 +15,6 @@ they arbitrate.
 """
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import InvalidArgumentError, NumericalError, _finite_array, _number, _points
 from .sdlp import LowDimLP, LpSolution, LpStatus, _big_m
@@ -272,6 +272,8 @@ def point_strictly_inside_hull(point, points, margin=1e-10):
     pts = _points(points, "points")
     x = _finite_array(point, "point", (pts.shape[1],))
     margin = _number(margin, "margin", ">= 0", lambda x: x >= 0.0)
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         hull = ConvexHull(pts)
     except (QhullError, ValueError):

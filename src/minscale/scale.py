@@ -13,7 +13,7 @@ over the body's circumradius) where the seed lies inside an obstacle hull;
 the planner uses it, and the LP is its reference.
 The kernel's preparation lives on the sets themselves: a 2D ConvexSetV
 builds its hull (as an obstacle) and, from that hull, its gauge (as a
-body) on first use and keeps them, so each set runs qhull once.
+body) on first use and keeps them, so each set builds its hull once.
 
 A V-rep query solves its LP on a working set: the body rows, the beta row
 and the _WORKING_POINTS obstacle points nearest the seed (all of them in a
@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (DegenerateBodyError, InvalidArgumentError, NumericalError, _finite_array,
                      _points)
@@ -42,6 +41,10 @@ from .sdlp import _ACT_EPS, _FEAS_EPS, LowDimLP, LpSolution, LpStatus, active_se
 
 # obstacle points in the first working set of a V-rep scale LP
 _WORKING_POINTS = 64
+
+# a planar hull turns at a point when the cross product there exceeds this
+# share of span**2, span the points' widest extent along an axis
+_TURN_EPS = 1e-12
 
 # the other cause of a scale LP's verdict of no scale, and its remedy
 _PAST_BOX = ("or the answer lies outside the solver's box |z_j| <= big_m"
@@ -292,7 +295,7 @@ class _PlanarGauge:
     """
 
     def __init__(self, body):
-        hull = body._planar_hull  # the set's one qhull run, shared with its obstacle role
+        hull = body._planar_hull  # the set's one hull, shared with its obstacle role
         if hull.normals is None:
             raise DegenerateBodyError("no finite scale: the body hull is flat")
         offsets = hull.offsets - hull.normals @ body.seed
@@ -310,16 +313,18 @@ class _PlanarGauge:
 class _PlanarHull:
     """An obstacle's hull for the planar kernel.
 
-    ``points`` are the hull vertices in counter-clockwise order and
+    ``points`` are the hull vertices in counter-clockwise order from the
+    lexicographically smallest (:func:`_hull_vertices`) and
     ``starts``/``ends`` index its edges; ``normals``/``offsets`` are the
-    outward facets (n . x <= b inside).  A flat hull has no facets: when
-    all points are collinear it is the segment between the two extremes
-    along the widest axis (in input order), one edge; when they coincide
-    it is one point and no edge.  Points that lie on the hull but are not
-    its vertices are dropped, so the kernel's ties are ties among hull
-    vertices, where the LP also counts those points.  The disc of
-    ``radius`` about ``centre``, the middle of the vertices' bounding box,
-    holds the hull; :func:`_planar_bound` reads it.
+    outward facets (n . x <= b inside), facet j on the edge e from vertex j
+    to j + 1, with n = (e_y, -e_x) / |e| and b = n . (vertex j).  A flat
+    hull has no facets: when all points are collinear it is the segment
+    between the two extremes along the widest axis (in input order), one
+    edge; when they coincide it is one point and no edge.  Points that lie
+    on the hull but are not its vertices are dropped, so the kernel's ties
+    are ties among hull vertices, where the LP also counts those points.
+    The disc of ``radius`` about ``centre``, the middle of the vertices'
+    bounding box, holds the hull; :func:`_planar_bound` reads it.
     """
 
     points: np.ndarray
@@ -338,21 +343,74 @@ class _PlanarHull:
 
     @classmethod
     def of(cls, points):
-        try:
-            hull = ConvexHull(points)
-        except (QhullError, ValueError):
+        vertices = _hull_vertices(points)
+        if len(vertices) < 3:
             axis = int((points.max(axis=0) - points.min(axis=0)).argmax())
             ends = sorted({int(points[:, axis].argmin()), int(points[:, axis].argmax())})
             edges = np.arange(len(ends) - 1)
             return cls(points[ends], edges, edges + 1)
-        k = len(hull.vertices)
-        return cls(points[hull.vertices], np.arange(k), np.roll(np.arange(k), -1),
-                   hull.equations[:, :2], -hull.equations[:, 2])
+        v = points[vertices]
+        e = np.roll(v, -1, axis=0) - v
+        normals = np.stack([e[:, 1], -e[:, 0]], axis=1) / np.hypot(e[:, 0], e[:, 1])[:, None]
+        k = len(v)
+        return cls(v, np.arange(k), np.roll(np.arange(k), -1), normals,
+                   normals[:, 0] * v[:, 0] + normals[:, 1] * v[:, 1])
 
     @property
     def width(self):
         """Least width of a full hull: a polygon is thinnest across one of its edges."""
         return float((self.offsets - (self.points @ self.normals.T).min(axis=0)).min())
+
+
+def _hull_vertices(points):
+    """Indices of the hull vertices of 2D ``points``, counter-clockwise.
+
+    Andrew's monotone chain (Inf. Proc. Letters 1979) from the
+    lexicographically smallest point, on the points that the Akl-Toussaint
+    filter (Inf. Proc. Letters 1978) keeps: those not strictly inside the
+    octagon of the points extreme in x, x + y, y and x - y.  Both take
+    _TURN_EPS * span**2 as zero, span the widest extent along an axis: the
+    filter drops a point only where its cross product with every edge of the
+    octagon exceeds it, and the chain turns at a point only where the cross
+    product there exceeds it.  So collinear points, repeated points and
+    points within that of an edge are not vertices, and a flat set gives
+    fewer than three indices.
+    """
+    x, y = points[:, 0], points[:, 1]
+    span = float(np.ptp(points, axis=0).max())
+    tol = _TURN_EPS * span * span
+    s, d = x + y, x - y
+    # the octagon's corners, counter-clockwise, about the leftmost point; the
+    # edges between repeated corners are left out
+    left = x.argmin()
+    rel = points - points[left]
+    corners = rel[[left, s.argmin(), y.argmin(), d.argmax(),
+                   x.argmax(), s.argmax(), y.argmax(), d.argmin()]]
+    e = np.roll(corners, -1, axis=0) - corners
+    sides = e.any(axis=1)
+    keep = np.arange(len(points))
+    if sides.sum() >= 3:  # with fewer sides the octagon is flat: nothing is inside
+        # cross(e, p - start) for every edge and point in one matrix product;
+        # about a point of the set, its rounding stays far below tol
+        inward = np.stack([-e[sides, 1], e[sides, 0]], axis=1)
+        level = (inward * corners[sides]).sum(axis=1) + tol
+        keep = np.flatnonzero((inward @ rel.T <= level[:, None]).any(axis=0))
+    order = keep[np.lexsort((y[keep], x[keep]))]
+    xs, ys = x[order].tolist(), y[order].tolist()
+
+    def chain(ids):
+        out = []
+        for i in ids:
+            while len(out) > 1:
+                o, a = out[-2], out[-1]
+                if (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o]) > tol:
+                    break
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    n = len(order)
+    return order[chain(range(n)) + chain(range(n - 1, -1, -1))]
 
 
 def _planar_bound(gauge, hull, origin):

@@ -222,6 +222,20 @@ def test_subgradient_search_skips_a_selection_that_pairs_a_duplicated_point():
     assert np.allclose(system.contact, [3.0, -3.0], rtol=0.0, atol=1e-12)
 
 
+def test_a_result_of_another_body_does_not_reproduce_the_lp_solution():
+    # every selection of the doubled square's rows solves to half the
+    # result's alpha, so the verification rejects each one
+    pose = Pose2.identity()
+    result = min_scale_vrep(SQUARE, np.array([[3.0, 0.5]]), pose)
+    assert not result.degenerate
+    doubled = ConvexSetV(2.0 * SQUARE.points, SQUARE.seed)
+    obs_map = dict(zip(result.active_obstacle, result.active_obstacle_points_body))
+    with pytest.raises(NumericalError, match="does not reproduce the LP solution"):
+        _system_from_rows(doubled, result, result.active_body, result.active_obstacle, obs_map)
+    with pytest.raises(DegenerateActiveSetError, match="no differentiable"):
+        assemble_active_system(doubled, result, pose)
+
+
 @pytest.mark.parametrize("side", [10, 14])
 def test_subgradient_search_on_a_face_to_grid_contact_is_fast(side):
     # 4 tight body corners against 100 or 196 tight grid points; the full

@@ -5,7 +5,7 @@ import pytest
 
 import minscale.scale
 import minscale.sdlp
-from minscale.errors import DegenerateBodyError, InvalidArgumentError
+from minscale.errors import DegenerateBodyError, InvalidArgumentError, NumericalError
 from minscale.geometry import (Pose2, Pose3, Quaternion, rotation_from_quaternion,
                                world_to_body)
 from minscale.gradient import assemble_active_system
@@ -48,6 +48,18 @@ def test_a_scale_past_the_solver_box_names_big_m_as_the_remedy():
                        r"outside the solver's box .* pass a larger big_m"):
         min_scale_hrep(body, obstacle)
     assert min_scale_hrep(body, obstacle, big_m=1e12).beta == 2e9 - 1.0
+
+
+def test_a_scale_lp_read_as_infeasible_raises_a_numerical_error():
+    # the seed lies below this body, so the LP is unbounded and the right
+    # verdict is DegenerateBodyError; at coordinates of 1e6 the solver reads
+    # the LP as infeasible instead, which it cannot be (z = 0 is feasible),
+    # and the query reports a numerical failure rather than an answer
+    body = ConvexSetV(np.array([[-337121.0, 1048551.0], [992611.0, 802349.0],
+                                [440735.0, 483935.0]]), np.array([-43100.0, -5739.0]))
+    with pytest.raises(NumericalError, match="scale LP reported infeasible"):
+        min_scale_vrep_bodyframe(body, np.array([[-5661713.0, 1044477.0],
+                                                 [-5661889.0, 1045209.0]]))
 
 
 def test_square_against_interior_point():

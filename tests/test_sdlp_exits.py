@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from minscale.oracle import solve_lp_enumeration
-from minscale.sdlp import LowDimLP, LpStatus, solve
+from minscale.sdlp import LowDimLP, LpStatus, _run, solve
 
 from support import solve_in_order
 
@@ -53,6 +53,20 @@ def test_a_feasible_set_wholly_outside_the_box_reads_infeasible():
     sol = solve(problem, big_m=1e10)
     assert sol.status is LpStatus.OPTIMAL and sol.z.tolist() == [5e9]
     assert sol.value == solve_lp_enumeration(problem, big_m=1e10).value == -5e9
+
+
+def test_a_box_optimum_whose_doubled_box_reads_infeasible_is_infeasible():
+    # a.z <= -820 and a.z >= -820 + 8.2e-9 contradict by less than the
+    # feasibility slack 1e-10 * 820, so the first solve reads the plane as
+    # feasible and runs the objective out to the box; in the doubled box the
+    # contradiction shows, and the LP is infeasible
+    a = np.array([-0.25, 0.96, 1.1])
+    problem = LowDimLP(3, [2.0, 0.0, 0.5], np.vstack([a, -a]), [-820.0, 820.0 * (1.0 - 1e-11)])
+    status, z, _ = _run(problem, 1e9)
+    assert status is LpStatus.OPTIMAL and np.abs(z).max() >= 1e9 * (1.0 - 1e-6)
+    assert _run(problem, 2e9)[0] is LpStatus.INFEASIBLE
+    sol = solve(problem)
+    assert sol.status is LpStatus.INFEASIBLE and sol.z is None and sol.active_basis == []
 
 
 @pytest.mark.parametrize("seed", range(4))
