@@ -21,9 +21,7 @@ from .geometry import (
     Pose3,
     Quaternion,
     body_to_world,
-    centroid,
     rotation2,
-    rotation2_partial,
     rotation_from_quaternion,
     rotation_partials,
     world_to_body,
@@ -35,7 +33,6 @@ from .gradient import (
     assemble_active_system,
     grad_scale_se2,
     grad_scale_se3,
-    grad_scale_time,
 )
 from .scale import (
     ConvexSetH,
@@ -92,11 +89,9 @@ __all__ = [
     "active_set",
     "assemble_active_system",
     "body_to_world",
-    "centroid",
     "eval_trajectory",
     "grad_scale_se2",
     "grad_scale_se3",
-    "grad_scale_time",
     "hrep_scale_lp",
     "is_colliding",
     "lbfgs_minimize",
@@ -105,7 +100,6 @@ __all__ = [
     "min_scale_vrep_bodyframe",
     "plan",
     "rotation2",
-    "rotation2_partial",
     "rotation_from_quaternion",
     "rotation_partials",
     "scale_time_rate",

@@ -135,23 +135,6 @@ def rotation2(theta):
     return np.array([[c, -s], [s, c]])
 
 
-def rotation2_partial(theta):
-    """Derivative of rotation2 w.r.t. the heading angle."""
-    theta = _number(theta, "theta")
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[-s, -c], [c, -s]])
-
-
-def _points_2d(points, dim, name):
-    p = _finite_array(points, name)
-    single = p.ndim == 1
-    if single:
-        p = p[None, :]
-    if p.ndim != 2 or p.shape[1] != dim:
-        raise InvalidArgumentError(f"{name} must be ({dim},) or (k,{dim}), got {p.shape}")
-    return p, single
-
-
 def _rotation(pose):
     """The rotation R of a pose and |q|^2 (exactly 1 for a Pose2)."""
     if isinstance(pose, Pose3):
@@ -170,22 +153,14 @@ def world_to_body(points, pose):
 
     Applies R^-1 = R^T / |q|^4 (|q| = 1 for a Pose2), the exact inverse of
     body_to_world; dividing by |q|^2 twice keeps |q| up to about 1e154 from
-    overflowing.  Accepts a single point (n,) or a stack (k, n).
+    overflowing.  Takes a nonempty (k, n) stack of points.
     """
     r, n2 = _rotation(pose)
-    p, single = _points_2d(points, r.shape[0], "points")
-    out = (p - pose.translation) @ (r / n2 / n2)  # (p-t) @ R == R^T (p-t) rowwise
-    return out[0] if single else out
+    p = _points(points, "points", (r.shape[0],))
+    return (p - pose.translation) @ (r / n2 / n2)  # (p-t) @ R == R^T (p-t) rowwise
 
 
 def body_to_world(points, pose):
-    """Inverse of world_to_body."""
+    """Inverse of world_to_body, on a nonempty (k, n) stack of points."""
     r, _ = _rotation(pose)
-    p, single = _points_2d(points, r.shape[0], "points")
-    out = p @ r.T + pose.translation
-    return out[0] if single else out
-
-
-def centroid(points):
-    """Arithmetic mean of a nonempty point set."""
-    return _points(points, "points").mean(axis=0)
+    return _points(points, "points", (r.shape[0],)) @ r.T + pose.translation

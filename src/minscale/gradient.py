@@ -29,7 +29,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import (DegenerateActiveSetError, InvalidArgumentError, NumericalError,
-                     SubgradientOnlyError, _finite_array)
+                     SubgradientOnlyError)
 from .geometry import Pose2, Pose3, _read_only, _rotation, rotation_partials
 from .scale import ConvexSetV, ScaleResult
 
@@ -201,19 +201,3 @@ def _grad_scale_se2_batch(alpha, contact, cos, sin):
     d_t = -np.array([cos * ax - sin * ay, sin * ax + cos * ay]).T
     return d_t, ax * contact[:, 1] - ay * contact[:, 0]
 
-
-def grad_scale_time(grad, t_rate, rot_rate):
-    """Chain rule: d beta / d time from pose rates.
-
-    For a ScaleGradient3, rot_rate is the raw quaternion rate (4,); for a
-    ScaleGradient2 it is the scalar heading rate.
-    """
-    if isinstance(grad, ScaleGradient3):
-        d_rot, shapes = grad.d_beta_d_q, ((3,), (4,))
-    elif isinstance(grad, ScaleGradient2):
-        d_rot, shapes = grad.d_beta_d_theta, ((2,), ())
-    else:
-        raise InvalidArgumentError("grad must be a ScaleGradient3 or ScaleGradient2")
-    t_rate = _finite_array(t_rate, "t_rate", shapes[0])
-    rot_rate = _finite_array(rot_rate, "rot_rate", shapes[1])
-    return float(grad.d_beta_d_t @ t_rate + np.dot(d_rot, rot_rate))

@@ -50,8 +50,12 @@ _ACT_EPS = 1e-8
 
 
 def _big_m(value):
-    """The box half-width ``big_m``, a finite number > 0, as a float."""
-    return _number(value, "big_m", "> 0", lambda x: x > 0.0)
+    """The box half-width ``big_m``, a number in (0, 1e300], as a float.
+
+    A solution on the box is re-solved in the box of half-width 2 * big_m,
+    which gave wrong answers near the float limit; hence the cap.
+    """
+    return _number(value, "big_m", "in (0, 1e300]", lambda x: 0.0 < x <= 1e300)
 
 
 class LpStatus(Enum):
@@ -329,7 +333,9 @@ def _run(lp, big_m):
 def solve(lp, big_m=1e9):
     """Solve a LowDimLP inside the box |z_j| <= big_m.  Equal input gives identical output.
 
-    A feasible set lying wholly outside the box reads infeasible.
+    ``big_m`` lies in (0, 1e300], since a solution on the box is re-solved in
+    the box of half-width 2 * big_m.  A feasible set lying wholly outside the
+    box reads infeasible.
     """
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve expects a LowDimLP")

@@ -386,19 +386,10 @@ def _waypoint_map(hessian):
     return m, n, eye, eye
 
 
-def _scales(scenario, tau, p, v, pairs):
-    """Signed scale of every obstacle at every node, posed along the velocity.
-
-    Yields ``(cos, sin, beta, alpha, contact, degenerate)`` per (obstacle,
-    velocity) pair of ``pairs``: ``cos``/``sin`` are those of the heading
-    and the rest is :func:`_planar_scale`'s result, so beta is continued
-    below zero by the seed's depth where the seed is inside an obstacle.
-    """
+def _heading(v):
+    """Cosine and sine of each velocity row's heading atan2(vy, vx)."""
     theta = np.arctan2(v[:, 1], v[:, 0])
-    cos, sin = np.cos(theta), np.sin(theta)
-    for obs, vel in pairs:
-        yield (cos, sin) + _planar_scale(
-            scenario.body._planar_gauge, obs._planar_hull, cos, sin, p - tau[:, None] * vel)
+    return np.cos(theta), np.sin(theta)
 
 
 def _min_scales(scenario, tau, p, v):
@@ -407,7 +398,10 @@ def _min_scales(scenario, tau, p, v):
     here = np.full(len(tau), np.inf)
     which = np.zeros(len(tau), dtype=int)
     degenerate = 0
-    for i, (*_, beta, _, _, deg) in enumerate(_scales(scenario, tau, p, v, scenario._obstacles)):
+    cos, sin = _heading(v)
+    for i, (obs, vel) in enumerate(scenario._obstacles):
+        beta, _, _, deg = _planar_scale(scenario.body._planar_gauge, obs._planar_hull,
+                                        cos, sin, p - tau[:, None] * vel)
         which[beta < here] = i
         here = np.minimum(here, beta)
         degenerate += int(deg.sum())
@@ -449,15 +443,16 @@ def _state_cost(states, node_map, scenario):
     threshold = scenario.beta_min
     tau = node_map.tau
     for obs, vel in scenario._obstacles:
-        bound = _planar_bound(scenario.body._planar_gauge, obs._planar_hull,
-                              p - tau[:, None] * vel)
+        gauge = scenario.body._planar_gauge  # a flat body plans while there is no obstacle
+        rel = p - tau[:, None] * vel
+        bound = _planar_bound(gauge, obs._planar_hull, rel)
         # an inf or NaN bound, from an overflowing trial, never skips
         near = np.flatnonzero(~((bound >= _CULL * threshold) & (bound < np.inf)))
         if near.size == 0:
             continue
         kernel_pairs += near.size
-        cos, sin, beta, alpha, contact, _ = next(
-            _scales(scenario, tau[near], p[near], v[near], [(obs, vel)]))
+        cos, sin = _heading(v[near])
+        beta, alpha, contact, _ = _planar_scale(gauge, obs._planar_hull, cos, sin, rel[near])
         hinge = threshold - beta
         touched = hinge > 0.0
         w_near = w_quad[near]
@@ -503,14 +498,15 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0):
     if index >= len(pairs):
         raise InvalidArgumentError(f"obstacle_index must be below {len(pairs)}, got {index}")
     p, v, a, _ = (x[None] for x in eval_trajectory(traj, tau))  # one sample
-    pair = pairs[index]
-    cos, sin, beta, alpha, contact, _ = next(
-        _scales(scenario, np.array([float(tau)]), p, v, [pair]))
+    obs, vel = pairs[index]
+    cos, sin = _heading(v)
+    beta, alpha, contact, _ = _planar_scale(scenario.body._planar_gauge, obs._planar_hull,
+                                            cos, sin, p - float(tau) * vel)
     if beta[0] <= 0.0:
         raise DegenerateActiveSetError("no body row can be tight at beta = 0")
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
     heading_rate = float(_heading_jacobian(v, CostConfig.heading_eps)[0] @ a[0])
-    return float(d_t[0] @ (v[0] - pair[1]) + d_theta[0] * heading_rate)
+    return float(d_t[0] @ (v[0] - vel) + d_theta[0] * heading_rate)
 
 
 def _dot(a, b):

@@ -13,8 +13,7 @@ import numpy as np
 import scipy.spatial
 
 from minscale.errors import DegenerateActiveSetError, NumericalError
-from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world,
-                               rotation2_partial)
+from minscale.geometry import Pose2, Pose3, Quaternion, body_to_world
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
 from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
@@ -377,13 +376,14 @@ def reference_cost(traj, scenario, extra_times=None):
                 result = min_scale_vrep(body, points + tau * vel, pose)
                 if result.beta <= 0.0 and edges is not None:
                     normals, offsets = edges
-                    seed_rel = body_to_world(body.seed, pose) - tau * vel
+                    seed_rel = body_to_world(body.seed[None], pose)[0] - tau * vel
                     depth = offsets - normals @ seed_rel
                     edge = int(np.argmin(depth))
                     hinge = threshold + float(depth[edge]) / r_body
                     cost += w_safety * w_quad * hinge ** 3
                     d_sw = (-3.0 * w_safety * w_quad * hinge * hinge / r_body) * normals[edge]
-                    spin_seed = rotation2_partial(theta) @ body.seed
+                    c, s = np.cos(theta), np.sin(theta)
+                    spin_seed = np.array([[-s, -c], [c, -s]]) @ body.seed  # dR/dtheta seed
                     g_coeff += (np.outer(d_sw, tpow)
                                 + float(d_sw @ spin_seed) * np.outer(d_theta_d_v, dpow))
                     continue

@@ -7,12 +7,10 @@ import pytest
 
 from minscale import (ConvexSetH, ConvexSetV, InvalidArgumentError, LowDimLP,
                       MotionLimits, PiecewiseTrajectory, Pose2, Pose3, Quaternion,
-                      ScaleGradient2, Scenario, assemble_active_system, eval_trajectory,
-                      grad_scale_se2, grad_scale_se3,
-                      grad_scale_time, is_colliding, lbfgs_minimize, min_scale_hrep,
+                      Scenario, assemble_active_system, eval_trajectory, grad_scale_se2,
+                      grad_scale_se3, is_colliding, lbfgs_minimize, min_scale_hrep,
                       min_scale_vrep, min_scale_vrep_bodyframe, oracle, plan, rotation2,
-                      rotation2_partial, scale_time_rate, solve, total_cost,
-                      vrep_scale_lp, world_to_body)
+                      scale_time_rate, solve, total_cost, vrep_scale_lp, world_to_body)
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 EMPTY = Scenario(body=BODY)
@@ -25,6 +23,9 @@ BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.zeros(2))
 FAR_BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 0.0]))
 CUBE_H = ConvexSetH(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(3))
 TETRA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+# the unit square seeded outside itself: at big_m = 1.7e308, before big_m was
+# capped at 1e300, it read beta = 1.7e308 against (5, 0)
+SEEDED_OUTSIDE = ConvexSetV([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [2.0, 0.0])
 
 
 def _bowl(x):
@@ -53,7 +54,6 @@ CASES = {
     "lp-b-missing": lambda: LowDimLP(2, [1.0, 0.0], [[1.0, 0.0]]),
     "solve-big-m-string": lambda: solve(LP, big_m="1"),
     "solve-big-m-nan": lambda: solve(LP, big_m=math.nan),
-    "rate-ragged": lambda: grad_scale_time(ScaleGradient2(np.ones(2), 1.0), RAGGED, 0.0),
     "trajectory-states-string": lambda: PiecewiseTrajectory([["a"] * 6] * 2, [1.0]),
     "trajectory-duration-tiny": lambda: PiecewiseTrajectory(TRAJ.states, [1e-120]),
     "trajectory-duration-huge": lambda: PiecewiseTrajectory(TRAJ.states, [1e70]),
@@ -73,6 +73,9 @@ CASES = {
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),
     "solve-big-m-bool": lambda: solve(LP, big_m=True),
     "vrep-big-m-zero": lambda: min_scale_vrep(BODY, [[3.0, 0.0]], POSE, big_m=0),
+    "solve-big-m-past-cap": lambda: solve(LP, big_m=1e301),
+    "vrep-big-m-float-limit": lambda: min_scale_vrep(SEEDED_OUTSIDE, [[5.0, 0.0]], POSE,
+                                                     big_m=1.7e308),
     "hrep-big-m-huge-int": lambda: min_scale_hrep(BOX_H, FAR_BOX_H, big_m=10 ** 400),
     "oracle-enumeration-big-m-negative": lambda: oracle.solve_lp_enumeration(LP, big_m=-1.0),
     "grad-se2-system-string": lambda: grad_scale_se2("x", POSE),
@@ -83,7 +86,6 @@ CASES = {
     "lbfgs-gradient-string": lambda: lbfgs_minimize(lambda x: (1.0, "g"), np.ones(2)),
     "lbfgs-gradient-ragged": lambda: lbfgs_minimize(lambda x: (1.0, RAGGED), np.ones(2)),
     "rotation-string": lambda: rotation2("x"),
-    "rotation-partial-string": lambda: rotation2_partial("x"),
     "oracle-hulls-string": lambda: oracle.hulls_intersect("ab", BODY.points),
     "oracle-point-in-ragged": lambda: oracle.point_in_hull([0, 0], RAGGED),
     "oracle-strict-point-string": lambda: oracle.point_strictly_inside_hull("ab", BODY.points),
@@ -112,7 +114,6 @@ CASES = {
     "oracle-finite-diff-string-value": lambda: oracle.finite_diff(lambda x: "a", np.ones(2)),
     "assemble-result-string": lambda: assemble_active_system(BODY, "x", POSE),
     "assemble-pose-string": lambda: assemble_active_system(BODY, RESULT, "x"),
-    "grad-time-string": lambda: grad_scale_time("x", np.zeros(2), 0.0),
     "set-h-4d": lambda: ConvexSetH(np.eye(4), np.zeros(4)),
     "inequalities-1d": lambda: ConvexSetH.from_inequalities([1.0, 1.0], [1.0], [0.0, 0.0]),
     "vrep-lp-body-string": lambda: vrep_scale_lp("x", [[3.0, 0.0]]),

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from minscale.errors import InvalidArgumentError
-from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world, centroid,
-                               rotation2, rotation2_partial,
-                               rotation_from_quaternion, rotation_partials,
-                               world_to_body)
+from minscale.geometry import (Pose2, Pose3, Quaternion, body_to_world,
+                               rotation_from_quaternion, rotation_partials, world_to_body)
 from minscale.scale import ConvexSetV, min_scale_vrep
 
 from support import random_unit_quaternion
@@ -46,15 +44,6 @@ def test_rotation_partials_match_finite_differences():
             assert np.max(np.abs(parts[i] - fd)) < 1e-6
 
 
-def test_rotation2_partial_matches_finite_differences():
-    rng = np.random.default_rng(3)
-    h = 1e-7
-    for _ in range(200):
-        theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-        fd = (rotation2(theta + h) - rotation2(theta - h)) / (2.0 * h)
-        assert np.max(np.abs(rotation2_partial(theta) - fd)) < 1e-6
-
-
 def test_world_body_roundtrip_is_identity():
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -89,23 +78,10 @@ def test_world_to_body_inverts_nonunit_quaternions_exactly():
 
 def test_world_to_body_translation_only():
     pose = Pose2(0.0, np.array([1.0, 0.0]))
-    assert np.allclose(world_to_body(np.array([3.0, 0.0]), pose), [2.0, 0.0])
+    assert np.allclose(world_to_body(np.array([[3.0, 0.0]]), pose), [[2.0, 0.0]])
     pose3 = Pose3(Quaternion.identity(), np.array([0.0, 0.0, 2.0]))
     assert np.allclose(world_to_body(np.array([[1.0, 1.0, 5.0]]), pose3),
                        [[1.0, 1.0, 3.0]])
-
-
-def test_single_point_and_stack_shapes_agree():
-    pose = Pose2(0.3, np.array([0.5, -1.0]))
-    single = world_to_body(np.array([2.0, 1.0]), pose)
-    stacked = world_to_body(np.array([[2.0, 1.0]]), pose)
-    assert single.shape == (2,)
-    assert np.allclose(stacked[0], single)
-
-
-def test_centroid_is_the_mean():
-    points = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 3.0]])
-    assert np.allclose(centroid(points), [1.0, 1.0])
 
 
 def test_pose_validation_rejects_bad_inputs():

@@ -12,7 +12,7 @@ from minscale.errors import (DegenerateActiveSetError, InvalidArgumentError, Num
 from minscale.geometry import (Pose2, Pose3, Quaternion, rotation2,
                                rotation_from_quaternion)
 from minscale.gradient import (_system_from_rows, assemble_active_system, grad_scale_se2,
-                               grad_scale_se3, grad_scale_time)
+                               grad_scale_se3)
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_hrep, min_scale_vrep
 
 from support import (CASES_SE2, CASES_SE3, box_corners, collect_se2, collect_se3,
@@ -116,29 +116,6 @@ def test_negative_gradient_translation_step_decreases_beta():
         grad = grad_scale_se3(assemble_active_system(body, result, pose), pose)
         stepped = Pose3(pose.rotation, pose.translation - eta * grad.d_beta_d_t)
         assert min_scale_vrep(body, obstacle_world, stepped).beta < result.beta
-
-
-def test_grad_scale_time_is_the_chain_rule_inner_product():
-    pose = Pose2.identity()
-    result = min_scale_vrep(SQUARE, np.array([[3.0, 0.0]]), pose)
-    grad = grad_scale_se2(assemble_active_system(SQUARE, result, pose), pose)
-    assert grad_scale_time(grad, np.zeros(2), 0.0) == 0.0
-    rate = grad_scale_time(grad, np.array([2.0, 0.0]), 0.0)
-    assert abs(rate - (-2.0)) < 1e-12
-    for rot_rate in (np.array([0.1, 0.2]), "fast", None):
-        with pytest.raises(InvalidArgumentError):
-            grad_scale_time(grad, np.zeros(2), rot_rate)
-
-    body3 = ConvexSetV(np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0],
-                                 [-1.0, -1.0, 1.0], [0.0, 0.0, -1.0],
-                                 [0.3, 0.4, 0.5]]), np.zeros(3))
-    pose3 = Pose3.identity()
-    result3 = min_scale_vrep(body3, np.array([[4.0, 0.2, 0.1]]), pose3)
-    grad3 = grad_scale_se3(assemble_active_system(body3, result3, pose3), pose3)
-    t_rate = np.array([0.5, -1.0, 0.25])
-    q_rate = np.array([0.1, -0.2, 0.3, 0.05])
-    expected = grad3.d_beta_d_t @ t_rate + grad3.d_beta_d_q @ q_rate
-    assert abs(grad_scale_time(grad3, t_rate, q_rate) - expected) < 1e-15
 
 
 def test_degenerate_results_require_opting_into_subgradients():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minscale.errors import InvalidArgumentError
+from minscale.errors import InvalidArgumentError, NumericalError
 from minscale.oracle import (finite_diff, hulls_intersect, min_scale_bisection,
                              point_in_hull, point_strictly_inside_hull,
                              solve_lp_enumeration)
@@ -92,3 +92,16 @@ def test_finite_diff_on_a_polynomial():
     grad = finite_diff(f, x0)
     exact = np.array([2 * x0[0] + 3 * x0[1], 3 * x0[0] - 1.0])
     assert np.allclose(grad, exact, atol=1e-8)
+
+
+def test_finite_diff_refuses_a_function_it_cannot_call():
+    with pytest.raises(InvalidArgumentError, match="f must be callable"):
+        finite_diff(5, np.ones(2))
+
+
+def test_bisection_raises_where_a_flat_body_never_reaches_the_obstacle():
+    # the segment dilated about its midpoint stays on the x axis, so the
+    # doubling search passes 1e15 without meeting (0, 5)
+    flat = ConvexSetV(np.array([[-1.0, 0.0], [1.0, 0.0]]), np.zeros(2))
+    with pytest.raises(NumericalError, match="never reaches the obstacle"):
+        min_scale_bisection(flat, np.array([[0.0, 5.0]]))

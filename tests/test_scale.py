@@ -50,6 +50,36 @@ def test_a_scale_past_the_solver_box_names_big_m_as_the_remedy():
     assert min_scale_hrep(body, obstacle, big_m=1e12).beta == 2e9 - 1.0
 
 
+def test_the_largest_box_answers_as_the_default_box():
+    # big_m is capped at 1e300 (a larger box is refused), and the cap is
+    # safe: with bodies and obstacles scaled by 1e-6 to 1e6 under random
+    # poses, every query gives the default box's answer bit for bit, or the
+    # same error
+    rng = np.random.default_rng(27)
+
+    def outcome(body, obstacle, pose, big_m):
+        try:
+            r = min_scale_vrep(body, obstacle, pose, big_m=big_m)
+        except (DegenerateBodyError, NumericalError) as exc:
+            return type(exc)
+        return (r.beta, r.certificate.tolist(), r.active_body, r.active_obstacle,
+                r.tight_body, r.tight_obstacle, r.degenerate)
+
+    answered = 0
+    for trial in range(1000):
+        dim = 2 + trial % 2
+        body, obstacle = random_pair(rng, dim)
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        body = ConvexSetV(body.points * scale, body.seed * scale)
+        shift = rng.normal(size=dim) * scale
+        pose = (Pose2(rng.uniform(-np.pi, np.pi), shift) if dim == 2 else
+                Pose3(Quaternion.from_array(rng.normal(size=4)), shift))
+        default = outcome(body, obstacle * scale, pose, 1e9)
+        assert outcome(body, obstacle * scale, pose, 1e300) == default, trial
+        answered += isinstance(default, tuple)
+    assert answered >= 900
+
+
 def test_a_scale_lp_read_as_infeasible_raises_a_numerical_error():
     # the seed lies below this body, so the LP is unbounded and the right
     # verdict is DegenerateBodyError; at coordinates of 1e6 the solver reads
