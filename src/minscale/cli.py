@@ -26,6 +26,7 @@ input problems, 3 for numeric failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -71,22 +72,13 @@ def _fail(path, message):
     raise InvalidArgumentError(f"scene field {path}: {message}")
 
 
-class _at:
-    """Re-raise an InvalidArgumentError inside the block as one about ``label``.
-
-    A class rather than contextlib.contextmanager, which builds a generator
-    per use and costs about twice as much per scene field.
-    """
-
-    def __init__(self, label):
-        self.label = label
-
-    def __enter__(self):
-        pass
-
-    def __exit__(self, kind, exc, traceback):
-        if isinstance(exc, InvalidArgumentError):
-            raise InvalidArgumentError(f"{self.label}: {exc}") from exc
+@contextlib.contextmanager
+def _at(label):
+    """Re-raise an InvalidArgumentError inside the block as one about ``label``."""
+    try:
+        yield
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{label}: {exc}") from exc
 
 
 def _field(obj, path, key):

@@ -11,7 +11,7 @@
 * finite_diff: central differences.
 
 None of these share algorithmic machinery with the incremental LP solver
-they arbitrate.
+they arbitrate; none takes a tolerance, so every check has one reference.
 """
 
 import numpy as np
@@ -20,12 +20,14 @@ from .errors import InvalidArgumentError, NumericalError, _finite_array, _number
 from .sdlp import LowDimLP, LpSolution, LpStatus, _big_m
 
 _CHUNK = 500_000
+_PHASE1_TOL = 1e-9     # phase-1 residual that still counts as feasible
+_MAX_PIVOTS = 20000
+_MARGIN = 1e-10        # relative facet margin of point_strictly_inside_hull
+_BISECT_TOL = 1e-9     # width of min_scale_bisection's final bracket
 
 
 def _index_combinations(m, d):
-    """All strictly increasing index d-tuples from range(m), as an (N, d) array."""
-    if m < d:
-        return np.zeros((0, d), dtype=np.int64)
+    """All strictly increasing index d-tuples from range(m >= d), as an (N, d) array."""
     t = np.arange(m, dtype=np.int64)[:, None]
     for _ in range(d - 1):
         last = t[:, -1]
@@ -136,7 +138,7 @@ def _equilibrate(a, b):
     return a / scale[:, None], b / scale
 
 
-def _ineq_feasible(a, b, tol=1e-9):
+def _ineq_feasible(a, b):
     """Feasibility of {a z <= b, z free} via the phase-1 simplex.
 
     Rows are equilibrated first; free variables are split as z = zp - zn
@@ -147,16 +149,16 @@ def _ineq_feasible(a, b, tol=1e-9):
     a, b = _equilibrate(a, b)
     m_eq = np.hstack([a, -a, np.eye(m)])
     resid = _phase1_min(m_eq, b)
-    return resid <= tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+    return resid <= _PHASE1_TOL * max(1.0, float(np.abs(b).max(initial=0.0)))
 
 
-def _has_improving_ray(lp, tol=1e-9):
+def _has_improving_ray(lp):
     """Exact recession test: is there v with A v <= 0 and c.v > 0?"""
     c = lp.objective
     cs = max(1.0, float(np.abs(c).max()))
     rows = np.vstack([lp.constraints_a, -c[None, :] / cs])
     rhs = np.concatenate([np.zeros(lp.m), [-1.0]])
-    return _ineq_feasible(rows, rhs, tol)
+    return _ineq_feasible(rows, rhs)
 
 
 def solve_lp_enumeration(lp, big_m=1e9):
@@ -195,7 +197,7 @@ def solve_lp_enumeration(lp, big_m=1e9):
     return LpSolution(LpStatus.OPTIMAL, x, value, basis)
 
 
-def _phase1_min(m_eq, g, max_pivots=20000):
+def _phase1_min(m_eq, g):
     """Minimal l1 infeasibility of {M v = g, v >= 0} via phase-1 simplex.
 
     Bland's rule guarantees termination; the return value is 0 (up to
@@ -208,7 +210,7 @@ def _phase1_min(m_eq, g, max_pivots=20000):
     zrow = np.concatenate([np.zeros(nv), np.ones(r), [0.0]])
     zrow -= tab.sum(axis=0)
     eps = 1e-11
-    for _ in range(max_pivots):
+    for _ in range(_MAX_PIVOTS):
         neg = np.nonzero(zrow[:-1] < -eps)[0]
         if neg.size == 0:
             break
@@ -231,12 +233,11 @@ def _phase1_min(m_eq, g, max_pivots=20000):
     return max(0.0, -float(zrow[-1]))
 
 
-def hulls_intersect(p, q, tol=1e-9):
+def hulls_intersect(p, q):
     """Whether conv(p) and conv(q) share a point (touching counts)."""
     p = _points(p, "p")
     n = p.shape[1]
     q = _points(q, "q", (n,))
-    tol = _number(tol, "tol", ">= 0", lambda x: x >= 0.0)
     shift = 0.5 * (p.mean(axis=0) + q.mean(axis=0))
     kp, kq = p.shape[0], q.shape[0]
     m_eq = np.zeros((n + 2, kp + kq))
@@ -247,31 +248,29 @@ def hulls_intersect(p, q, tol=1e-9):
     g = np.zeros(n + 2)
     g[n] = 1.0
     g[n + 1] = 1.0
-    return _phase1_min(m_eq, g) <= tol
+    return _phase1_min(m_eq, g) <= _PHASE1_TOL
 
 
-def point_in_hull(point, points, tol=1e-9):
+def point_in_hull(point, points):
     """Whether a point lies in conv(points), boundary included."""
     pts = _points(points, "points")
     x = _finite_array(point, "point", (pts.shape[1],))
-    tol = _number(tol, "tol", ">= 0", lambda x: x >= 0.0)
     k = pts.shape[0]
     m_eq = np.zeros((pts.shape[1] + 1, k))
     m_eq[:-1] = (pts - x).T
     m_eq[-1] = 1.0
     g = np.zeros(pts.shape[1] + 1)
     g[-1] = 1.0
-    return _phase1_min(m_eq, g) <= tol
+    return _phase1_min(m_eq, g) <= _PHASE1_TOL
 
 
-def point_strictly_inside_hull(point, points, margin=1e-10):
+def point_strictly_inside_hull(point, points):
     """Whether a point is in the interior of conv(points).
 
     Flat point sets have empty interior and return False.
     """
     pts = _points(points, "points")
     x = _finite_array(point, "point", (pts.shape[1],))
-    margin = _number(margin, "margin", ">= 0", lambda x: x >= 0.0)
     from scipy.spatial import ConvexHull, QhullError
 
     try:
@@ -279,18 +278,18 @@ def point_strictly_inside_hull(point, points, margin=1e-10):
     except (QhullError, ValueError):
         return False
     vals = hull.equations[:, :-1] @ x + hull.equations[:, -1]
-    tol = margin * np.maximum(1.0, np.abs(hull.equations[:, -1]))
+    tol = _MARGIN * np.maximum(1.0, np.abs(hull.equations[:, -1]))
     return bool(np.all(vals < -tol))
 
 
-def min_scale_bisection(body, obstacle, tol=1e-9):
+def min_scale_bisection(body, obstacle):
     """Touching scale by bisection on the hull-intersection predicate.
 
     body is a ConvexSetV (or anything with .points and .seed); obstacle is
     a point set or ConvexSetV.  The body is dilated about its seed until
-    the hulls first meet; the returned scale is within tol of the boundary.
-    Matches the LP notion of minimum scale for bodies whose seed is
-    strictly interior.
+    the hulls first meet; the returned scale is within _BISECT_TOL of the
+    boundary.  Matches the LP notion of minimum scale for bodies whose seed
+    is strictly interior.
     """
     for attr in ("points", "seed"):
         if not hasattr(body, attr):
@@ -299,7 +298,6 @@ def min_scale_bisection(body, obstacle, tol=1e-9):
     n = bp.shape[1]
     s = _finite_array(body.seed, "body seed", (n,))
     op = _points(getattr(obstacle, "points", obstacle), "obstacle", (n,))
-    tol = _number(tol, "tol", "> 0", lambda x: x > 0.0)
     if point_in_hull(s, op):
         return 0.0
     span = bp - s
@@ -313,7 +311,7 @@ def min_scale_bisection(body, obstacle, tol=1e-9):
         hi *= 2.0
         if hi > 1e15:
             raise NumericalError("scaled body never reaches the obstacle (flat body hull?)")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         if hit(mid):
             hi = mid

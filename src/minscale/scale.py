@@ -366,36 +366,16 @@ def _hull_vertices(points):
     """Indices of the hull vertices of 2D ``points``, counter-clockwise.
 
     Andrew's monotone chain (Inf. Proc. Letters 1979) from the
-    lexicographically smallest point, on the points that the Akl-Toussaint
-    filter (Inf. Proc. Letters 1978) keeps: those not strictly inside the
-    octagon of the points extreme in x, x + y, y and x - y.  Both take
-    _TURN_EPS * span**2 as zero, span the widest extent along an axis: the
-    filter drops a point only where its cross product with every edge of the
-    octagon exceeds it, and the chain turns at a point only where the cross
-    product there exceeds it.  So collinear points, repeated points and
-    points within that of an edge are not vertices, and a flat set gives
-    fewer than three indices.
+    lexicographically smallest point.  It takes _TURN_EPS * span**2 as zero,
+    span the widest extent along an axis: the chain turns at a point only
+    where the cross product there exceeds it.  So collinear points, repeated
+    points and points within that of an edge are not vertices, and a flat
+    set gives fewer than three indices.
     """
     x, y = points[:, 0], points[:, 1]
     span = float(np.ptp(points, axis=0).max())
     tol = _TURN_EPS * span * span
-    s, d = x + y, x - y
-    # the octagon's corners, counter-clockwise, about the leftmost point; the
-    # edges between repeated corners are left out
-    left = x.argmin()
-    rel = points - points[left]
-    corners = rel[[left, s.argmin(), y.argmin(), d.argmax(),
-                   x.argmax(), s.argmax(), y.argmax(), d.argmin()]]
-    e = np.roll(corners, -1, axis=0) - corners
-    sides = e.any(axis=1)
-    keep = np.arange(len(points))
-    if sides.sum() >= 3:  # with fewer sides the octagon is flat: nothing is inside
-        # cross(e, p - start) for every edge and point in one matrix product;
-        # about a point of the set, its rounding stays far below tol
-        inward = np.stack([-e[sides, 1], e[sides, 0]], axis=1)
-        level = (inward * corners[sides]).sum(axis=1) + tol
-        keep = np.flatnonzero((inward @ rel.T <= level[:, None]).any(axis=0))
-    order = keep[np.lexsort((y[keep], x[keep]))]
+    order = np.lexsort((y, x))
     xs, ys = x[order].tolist(), y[order].tolist()
 
     def chain(ids):

@@ -97,7 +97,7 @@ class LowDimLP:
         return self.constraints_b.shape[0]
 
 
-def _solve_2d(c0, c1, rows, big_m, feas_tol):
+def _solve_2d(c0, c1, rows, big_m):
     """Two-variable case with the 1D subproblem folded into the scan.
 
     Each violation reduces the prefix to a single interval on the kept
@@ -108,7 +108,8 @@ def _solve_2d(c0, c1, rows, big_m, feas_tol):
     basis = []
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1 = ai
-        if a0 * x0 + a1 * x1 <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0)):
+        if (a0 * x0 + a1 * x1
+                <= bi + _FEAS_EPS * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
         # eliminate the variable with the larger coefficient
         if abs(a0) >= abs(a1):
@@ -130,7 +131,7 @@ def _solve_2d(c0, c1, rows, big_m, feas_tol):
             b_s = bl - alj * bkj
             if (a_s if a_s >= 0.0 else -a_s) <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_tol * (abs(b_s) if abs(b_s) > 1.0 else 1.0)
+                slack = (_FEAS_EPS * (abs(b_s) if abs(b_s) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if b_s < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -149,9 +150,9 @@ def _solve_2d(c0, c1, rows, big_m, feas_tol):
                         hi, hi_id = bound, -1
                 elif bound > lo:
                     lo, lo_id = bound, -1
-            elif b_s < -feas_tol * (abs(b_s) if abs(b_s) > 1.0 else 1.0):
+            elif b_s < -_FEAS_EPS * (abs(b_s) if abs(b_s) > 1.0 else 1.0):
                 return LpStatus.INFEASIBLE, None, None
-        if lo > hi + feas_tol * max(1.0, abs(lo), abs(hi)):
+        if lo > hi + _FEAS_EPS * max(1.0, abs(lo), abs(hi)):
             return LpStatus.INFEASIBLE, None, None
 
         if ck > 0.0:
@@ -170,7 +171,7 @@ def _solve_2d(c0, c1, rows, big_m, feas_tol):
     return LpStatus.OPTIMAL, [x0, x1], basis
 
 
-def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
+def _solve_3d(c0, c1, c2, rows, big_m):
     """The three-variable level, unrolled.
 
     Pivots on the violated row's largest coefficient (the first of ties),
@@ -185,7 +186,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1, a2 = ai
         if (a0 * x0 + a1 * x1 + a2 * x2
-                <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
+                <= bi + _FEAS_EPS * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
         j, best = 0, abs(a0)
         if abs(a1) > best:
@@ -214,7 +215,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
             bsub = bl - alj * bkj
             if cmax <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_tol * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
+                slack = (_FEAS_EPS * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if bsub < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -224,7 +225,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
         sub_rows.append(((rk, rl), big_m + bkj, -1, rk_inf))    # -x_j <= big_m
 
         status, x_sub, sub_basis = _solve_2d(c[k] - c[j] * rk, c[l] - c[j] * rl,
-                                             sub_rows, big_m, feas_tol)
+                                             sub_rows, big_m)
         if status is not LpStatus.OPTIMAL:
             return status, None, None
         xk, xl = x_sub
@@ -237,7 +238,7 @@ def _solve_3d(c0, c1, c2, rows, big_m, feas_tol):
     return LpStatus.OPTIMAL, [x0, x1, x2], basis
 
 
-def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_tol):
+def _solve_4d(c0, c1, c2, c3, rows, big_m):
     """The four-variable level, unrolled; the sub-LP goes straight to _solve_3d.
 
     Rows arrive in random order, and every prefix of a random order is in
@@ -252,7 +253,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_tol):
     for i, (ai, bi, rid, _inf) in enumerate(rows):
         a0, a1, a2, a3 = ai
         if (a0 * x0 + a1 * x1 + a2 * x2 + a3 * x3
-                <= bi + feas_tol * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
+                <= bi + _FEAS_EPS * (bi if bi > 1.0 else (-bi if bi < -1.0 else 1.0))):
             continue
         j, best = 0, abs(a0)
         if abs(a1) > best:
@@ -288,7 +289,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_tol):
             bsub = bl - alj * bkj
             if cmax <= noise * linf:
                 # cancelled to numerical zero: vacuous within the box
-                slack = (feas_tol * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
+                slack = (_FEAS_EPS * (abs(bsub) if abs(bsub) > 1.0 else 1.0)
                          + _CANCEL_EPS * (abs(bl) + abs(alj * bkj)))
                 if bsub < -slack:
                     return LpStatus.INFEASIBLE, None, None
@@ -298,7 +299,7 @@ def _solve_4d(c0, c1, c2, c3, rows, big_m, feas_tol):
         sub_rows.append(((rk, rl, rn), big_m + bkj, -1, rk_inf))     # -x_j <= big_m
 
         status, x_sub, sub_basis = _solve_3d(c[k] - c[j] * rk, c[l] - c[j] * rl,
-                                             c[n] - c[j] * rn, sub_rows, big_m, feas_tol)
+                                             c[n] - c[j] * rn, sub_rows, big_m)
         if status is not LpStatus.OPTIMAL:
             return status, None, None
         xk, xl, xn = x_sub
@@ -326,7 +327,7 @@ def _run(lp, big_m):
     # makes the cancellation filter one multiply per row
     rows = list(zip(a_o.tolist(), lp.constraints_b[order].tolist(), order.tolist(),
                     np.abs(a_o).max(axis=1).tolist()))
-    status, x, basis = _LEVELS[len(c) - 2](*c, rows, big_m, _FEAS_EPS)
+    status, x, basis = _LEVELS[len(c) - 2](*c, rows, big_m)
     return status, (None if x is None else np.array(x[:lp.dim])), basis
 
 

@@ -15,7 +15,6 @@ import scipy.spatial
 from minscale.errors import DegenerateActiveSetError, NumericalError
 from minscale.geometry import Pose2, Pose3, Quaternion, body_to_world
 from minscale.gradient import assemble_active_system, grad_scale_se2, grad_scale_se3
-from minscale.oracle import point_strictly_inside_hull
 from minscale.scale import ConvexSetH, ConvexSetV, min_scale_vrep
 from minscale.sdlp import LowDimLP, LpSolution, solve
 from minscale.trajopt import CostConfig, MotionLimits, Scenario, _coeff_map
@@ -26,12 +25,21 @@ FD_H = 1e-6
 # ---------------------------------------------------------- random geometry
 
 def random_body(rng, dim, k_hi=10):
-    """Random V-rep body whose centroid seed is strictly interior."""
+    """Random V-rep body whose centroid seed is strictly interior.
+
+    The seed must clear every qhull facet by 1e-6 * max(1, |offset|), a
+    wider margin than the oracle's point_strictly_inside_hull asks.
+    """
     while True:
         k = int(rng.integers(dim + 2, k_hi + 1))
         points = rng.normal(size=(k, dim))
         body = ConvexSetV(points)
-        if point_strictly_inside_hull(body.seed, points, margin=1e-6):
+        try:
+            eq = scipy.spatial.ConvexHull(points).equations
+        except (scipy.spatial.QhullError, ValueError):
+            continue
+        margin = 1e-6 * np.maximum(1.0, np.abs(eq[:, -1]))
+        if np.all(eq[:, :-1] @ body.seed + eq[:, -1] < -margin):
             return body
 
 

@@ -91,9 +91,6 @@ CASES = {
     "oracle-strict-point-string": lambda: oracle.point_strictly_inside_hull("ab", BODY.points),
     "oracle-bisection-obstacle-string": lambda: oracle.min_scale_bisection(BODY, "x"),
     "oracle-bisection-body-string": lambda: oracle.min_scale_bisection("x", [[3.0, 0.0]]),
-    "oracle-bisection-tol-string": lambda: oracle.min_scale_bisection(BODY, [[3.0, 0.0]],
-                                                                      tol="x"),
-    "oracle-hulls-tol-string": lambda: oracle.hulls_intersect(BODY.points, BODY.points, tol="x"),
     "oracle-finite-diff-string": lambda: oracle.finite_diff(lambda x: float(x @ x), "ab"),
     "oracle-enumeration-string": lambda: oracle.solve_lp_enumeration("x"),
     "oracle-point-in-hull-3d-point": lambda: oracle.point_in_hull([0.0, 0.0, 0.0], BODY.points),

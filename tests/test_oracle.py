@@ -35,6 +35,13 @@ def test_enumeration_detects_infeasible_and_unbounded():
     assert solve_lp_enumeration(unbounded).status == LpStatus.UNBOUNDED
 
 
+def test_enumeration_raises_where_the_optimum_sits_on_the_bounding_box():
+    # z <= 1e10 is feasible and bounded, but its optimum lies past the
+    # |z| <= 1e9 box, so the best vertex is the box's own corner
+    with pytest.raises(NumericalError, match="stuck to the bounding box"):
+        solve_lp_enumeration(LowDimLP(1, [1.0], [[1.0]], [1e10]))
+
+
 def test_enumeration_refuses_large_instances():
     big = LowDimLP(2, np.ones(2), np.ones((201, 2)), np.ones(201))
     with pytest.raises(InvalidArgumentError):
