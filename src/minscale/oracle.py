@@ -17,7 +17,7 @@ they arbitrate; none takes a tolerance, so every check has one reference.
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalError, _finite_array, _number, _points
-from .sdlp import LowDimLP, LpSolution, LpStatus, _big_m
+from .sdlp import _BOX, LowDimLP, LpSolution, LpStatus
 
 _CHUNK = 500_000
 _PHASE1_TOL = 1e-9     # phase-1 residual that still counts as feasible
@@ -80,7 +80,7 @@ def _enumerate_best(a_rows, b_rows, c, feas_tol):
     """
     n_rows, d = a_rows.shape
     combos = _index_combinations(n_rows, d)
-    # roundoff in a_i.x grows with |a_i||x|; candidates on the big_m box
+    # roundoff in a_i.x grows with |a_i||x|; candidates on the solver's box
     # would otherwise flunk feasibility on pure noise
     row_mag = np.abs(a_rows).sum(axis=1)
     best = None
@@ -161,21 +161,20 @@ def _has_improving_ray(lp):
     return _ineq_feasible(rows, rhs)
 
 
-def solve_lp_enumeration(lp, big_m=1e9):
+def solve_lp_enumeration(lp):
     """Exhaustive reference solve of a LowDimLP.
 
     Feasibility, then unboundedness, are decided first by exact phase-1
     simplex runs (on the constraints themselves, then on the improving-ray
     system {A v <= 0, c.v >= 1}).  For feasible bounded instances the
     optimum is the best feasible vertex over every d-subset of constraints
-    plus a |z_j| <= big_m box (so flat systems still have vertices),
+    plus the solver's box |z_j| <= _BOX (so flat systems still have vertices),
     screened by the dual-feasibility condition.
     """
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve_lp_enumeration expects a LowDimLP")
     if lp.m > 200:
         raise InvalidArgumentError(f"enumeration oracle is desk-scale only (m <= 200, got {lp.m})")
-    big_m = _big_m(big_m)
     if lp.m > 0 and not _ineq_feasible(lp.constraints_a, lp.constraints_b):
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
     if _has_improving_ray(lp):
@@ -185,13 +184,13 @@ def solve_lp_enumeration(lp, big_m=1e9):
     # the vertex feasibility screen conditioned on mixed row scales
     a_eq, b_eq = _equilibrate(lp.constraints_a, lp.constraints_b)
     a_ext = np.vstack([a_eq, np.eye(d), -np.eye(d)])
-    b_ext = np.concatenate([b_eq, np.full(2 * d, big_m)])
+    b_ext = np.concatenate([b_eq, np.full(2 * d, _BOX)])
     best = _enumerate_best(a_ext, b_ext, lp.objective,
                            1e-9 * np.maximum(1.0, np.abs(b_ext)))
     if best is None:
         raise NumericalError("no vertex found for a feasible bounded program")
     value, x, subset = best
-    if np.any(np.abs(x) >= big_m * (1.0 - 1e-6)):
+    if np.any(np.abs(x) >= _BOX * (1.0 - 1e-6)):
         raise NumericalError("enumeration optimum stuck to the bounding box")
     basis = sorted(int(i) for i in subset if i < lp.m)
     return LpSolution(LpStatus.OPTIMAL, x, value, basis)

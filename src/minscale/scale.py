@@ -46,9 +46,8 @@ _WORKING_POINTS = 64
 # share of span**2, span the points' widest extent along an axis
 _TURN_EPS = 1e-12
 
-# the other cause of a scale LP's verdict of no scale, and its remedy
-_PAST_BOX = ("or the answer lies outside the solver's box |z_j| <= big_m"
-             " (for a far obstacle, pass a larger big_m)")
+# the other cause of a scale LP's verdict of no scale
+_PAST_BOX = "or the answer lies outside the solver's box |z_j| <= 1e9"
 
 
 @dataclass(frozen=True)
@@ -220,7 +219,7 @@ def _scale_result(lp, sol, kb, end, beta, points=None):
     )
 
 
-def _solve_on_working_set(lp, kb, big_m):
+def _solve_on_working_set(lp, kb):
     """Solve a V-rep scale LP with ``kb`` body rows on a working set of its rows.
 
     The first set is the _WORKING_POINTS points nearest the seed: in a
@@ -241,18 +240,18 @@ def _solve_on_working_set(lp, kb, big_m):
     while True:
         rows = np.concatenate([np.arange(kb), kb + np.flatnonzero(inside), [lp.m - 1]])
         sol = solve(LowDimLP(lp.dim, lp.objective, lp.constraints_a[rows],
-                             lp.constraints_b[rows]), big_m)
+                             lp.constraints_b[rows]))
         if sol.status != LpStatus.OPTIMAL:
             # unbounded on the set, as a seed on the body hull can make it,
             # while the rows left out may still bound the whole LP
-            return solve(lp, big_m)
+            return solve(lp)
         new = ~inside & (obstacle_rows @ sol.z > _FEAS_EPS)
         if not new.any():
             return LpSolution(sol.status, sol.z, sol.value, rows[sol.active_basis].tolist())
         inside |= new
 
 
-def min_scale_vrep_bodyframe(body, obstacle_points, big_m=1e9):
+def min_scale_vrep_bodyframe(body, obstacle_points):
     """Minimum scale of a V-rep body against obstacle points in the body frame.
 
     The LP is solved on a working set of the points nearest the seed, grown
@@ -262,7 +261,7 @@ def min_scale_vrep_bodyframe(body, obstacle_points, big_m=1e9):
     lp = vrep_scale_lp(body, obstacle_points)
     pts = np.asarray(obstacle_points, dtype=float)  # checked by vrep_scale_lp
     kb = body.points.shape[0]
-    sol = _solve_on_working_set(lp, kb, big_m)
+    sol = _solve_on_working_set(lp, kb)
     if sol.status == LpStatus.UNBOUNDED:
         raise DegenerateBodyError(
             f"no finite scale: the seed is not strictly inside the body hull, {_PAST_BOX}")
@@ -271,14 +270,14 @@ def min_scale_vrep_bodyframe(body, obstacle_points, big_m=1e9):
     return _scale_result(lp, sol, kb, kb + pts.shape[0], sol.value, pts)
 
 
-def min_scale_vrep(body, obstacle_world, pose, big_m=1e9):
+def min_scale_vrep(body, obstacle_world, pose):
     """Minimum scale against world-frame obstacle points under a body pose.
 
     Obstacle points are pulled into the body frame (the exact inverse
     transform) and the body-frame LP is solved there.
     """
     pts = world_to_body(obstacle_world, pose)
-    return min_scale_vrep_bodyframe(body, pts, big_m)
+    return min_scale_vrep_bodyframe(body, pts)
 
 
 class _PlanarGauge:
@@ -513,10 +512,10 @@ def hrep_scale_lp(body, obstacle):
     return LowDimLP(n + 1, c, a, b)
 
 
-def min_scale_hrep(body, obstacle, big_m=1e9):
+def min_scale_hrep(body, obstacle):
     """Minimum scale between H-rep body and obstacle; witness on the result."""
     lp = hrep_scale_lp(body, obstacle)
-    sol = solve(lp, big_m)
+    sol = solve(lp)
     if sol.status == LpStatus.INFEASIBLE:
         raise InvalidArgumentError(f"obstacle halfspaces bound an empty region, {_PAST_BOX}")
     if sol.status == LpStatus.UNBOUNDED:

@@ -15,11 +15,11 @@ one-variable step.  Numpy at the inner levels was faster at m = 1e5 but
 slower at m = 1e2, flattening the log-log slope of solve time over
 m = 1e2..1e5 to 0.59.
 
-Unboundedness is handled with a box |z_j| <= big_m around the origin.  A
-solution pressed against the box is re-solved with the box doubled; if the
-objective keeps improving the problem is reported unbounded.  This
-classification is only meaningful when the true optimum is far inside the
-box, which desk-scale geometry data always is.
+Unboundedness is handled with the fixed box |z_j| <= _BOX = 1e9 around the
+origin.  A solution pressed against the box is re-solved with the box
+doubled; if the objective keeps improving the problem is reported
+unbounded.  This classification is only meaningful when the true optimum
+is far inside the box, which desk-scale geometry data always is.
 
 The rows are visited in one fixed pseudo-random order, the permutation
 of seed 0, so equal input gives bit-identical output.  Feasibility and
@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidStateError, _count, _finite_array, _number
+from .errors import InvalidArgumentError, InvalidStateError, _count, _finite_array
 
 # rows with every coefficient below this are treated as 0.z <= b
 _ZERO_ROW = 1e-30
@@ -48,14 +48,8 @@ _CANCEL_EPS = 1e-12
 _FEAS_EPS = 1e-10
 _ACT_EPS = 1e-8
 
-
-def _big_m(value):
-    """The box half-width ``big_m``, a number in (0, 1e300], as a float.
-
-    A solution on the box is re-solved in the box of half-width 2 * big_m,
-    which gave wrong answers near the float limit; hence the cap.
-    """
-    return _number(value, "big_m", "in (0, 1e300]", lambda x: 0.0 < x <= 1e300)
+# half-width of the box |z_j| <= _BOX every LP is solved in
+_BOX = 1e9
 
 
 class LpStatus(Enum):
@@ -75,17 +69,15 @@ class LpSolution:
 class LowDimLP:
     """Maximize objective . z subject to constraints_a @ z <= constraints_b."""
 
-    def __init__(self, dim, objective, constraints_a=None, constraints_b=None):
+    def __init__(self, dim, objective, constraints_a, constraints_b):
         self.dim = _count(dim, "dim", 1)
         if self.dim > 4:
             raise InvalidArgumentError(f"dim outside [1, 4]: {dim}")
         c = _finite_array(objective, "objective", (self.dim,))
-        a = (np.zeros((0, self.dim)) if constraints_a is None
-             else _finite_array(constraints_a, "constraints_a"))
+        a = _finite_array(constraints_a, "constraints_a")
         if a.ndim != 2 or a.shape[1] != self.dim:
             raise InvalidArgumentError(f"constraints_a must be (m, {self.dim}), got {a.shape}")
-        b = _finite_array(np.zeros(0) if constraints_b is None else constraints_b,
-                          "constraints_b", (a.shape[0],))
+        b = _finite_array(constraints_b, "constraints_b", (a.shape[0],))
         # copies, so freezing them leaves the caller's arrays writable
         c, a, b = (np.array(arr, order="C") for arr in (c, a, b))
         for arr in (c, a, b):
@@ -331,21 +323,19 @@ def _run(lp, big_m):
     return status, (None if x is None else np.array(x[:lp.dim])), basis
 
 
-def solve(lp, big_m=1e9):
-    """Solve a LowDimLP inside the box |z_j| <= big_m.  Equal input gives identical output.
+def solve(lp):
+    """Solve a LowDimLP inside the box |z_j| <= _BOX.  Equal input gives identical output.
 
-    ``big_m`` lies in (0, 1e300], since a solution on the box is re-solved in
-    the box of half-width 2 * big_m.  A feasible set lying wholly outside the
-    box reads infeasible.
+    A solution on the box is re-solved in the box of half-width 2 * _BOX.  A
+    feasible set lying wholly outside the box reads infeasible.
     """
     if not isinstance(lp, LowDimLP):
         raise InvalidArgumentError("solve expects a LowDimLP")
-    big_m = _big_m(big_m)
-    status, x, basis = _run(lp, big_m)
+    status, x, basis = _run(lp, _BOX)
     if status is LpStatus.INFEASIBLE:
         return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
-    if np.any(np.abs(x) >= big_m * (1.0 - 1e-6)):
-        status2, x2, _ = _run(lp, 2.0 * big_m)
+    if np.any(np.abs(x) >= _BOX * (1.0 - 1e-6)):
+        status2, x2, _ = _run(lp, 2.0 * _BOX)
         if status2 is not LpStatus.OPTIMAL:
             return LpSolution(LpStatus.INFEASIBLE, None, float("-inf"), [])
         v1 = float(lp.objective @ x)

@@ -160,14 +160,15 @@ def eval_trajectory(traj, tau):
     return tuple(x[0] for x in _spline(traj, *_locate(traj, np.array([t])), order=3))
 
 
-def _heading_jacobian(v, eps):
+def _heading_jacobian(v):
     """Regularized Jacobian of the heading atan2(vy, vx) at each velocity row.
 
-    ``(-vy, vx) / (|v|^2 + eps^2)`` per row of ``v`` (N, 2); it stays
-    bounded by ``1 / (2 eps)`` through velocity reversals.
+    ``(-vy, vx) / (|v|^2 + eps^2)`` per row of ``v`` (N, 2), with
+    ``eps = CostConfig.heading_eps``; it stays bounded by ``1 / (2 eps)``
+    through velocity reversals.
     """
     vx, vy = v[:, 0], v[:, 1]
-    return np.array([-vy, vx]).T / (vx * vx + vy * vy + eps ** 2)[:, None]
+    return np.array([-vy, vx]).T / (vx * vx + vy * vy + CostConfig.heading_eps ** 2)[:, None]
 
 
 @dataclass(frozen=True)
@@ -461,8 +462,7 @@ def _state_cost(states, node_map, scenario):
         d_pen = np.where(touched, -3.0 * w_safety * w_near * hinge ** 2, 0.0)
         d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
         d_pva[0, near] += d_pen[:, None] * d_t
-        d_pva[1, near] += ((d_pen * d_theta)[:, None]
-                           * _heading_jacobian(v[near], CostConfig.heading_eps))
+        d_pva[1, near] += (d_pen * d_theta)[:, None] * _heading_jacobian(v[near])
 
     grad += node_map.matrix.T @ d_pva.reshape(-1, 2)
     return cost, grad.reshape(-1, 6), kernel_pairs
@@ -505,7 +505,7 @@ def scale_time_rate(traj, scenario, tau, obstacle_index=0):
     if beta[0] <= 0.0:
         raise DegenerateActiveSetError("no body row can be tight at beta = 0")
     d_t, d_theta = _grad_scale_se2_batch(alpha, contact, cos, sin)
-    heading_rate = float(_heading_jacobian(v, CostConfig.heading_eps)[0] @ a[0])
+    heading_rate = float(_heading_jacobian(v)[0] @ a[0])
     return float(d_t[0] @ (v[0] - vel) + d_theta[0] * heading_rate)
 
 

@@ -14,13 +14,8 @@ SETTINGS = {
     "assemble_active_system": ["allow_subgradient"],
     "finite_diff": ["h"],
     "lbfgs_minimize": ["callback"],
-    "min_scale_hrep": ["big_m"],
-    "min_scale_vrep": ["big_m"],
-    "min_scale_vrep_bodyframe": ["big_m"],
     "plan": ["segments", "total_time", "callback"],
     "scale_time_rate": ["obstacle_index"],
-    "solve": ["big_m"],
-    "solve_lp_enumeration": ["big_m"],
 }
 
 

@@ -259,12 +259,13 @@ def test_a_numerical_failure_exits_three(monkeypatch):
     assert err == "error: scale LP reported infeasible, yet it is feasible at zero\n"
 
 
-def test_a_scale_past_the_solver_box_exits_two_naming_big_m(tmp_path):
+def test_a_scale_past_the_solver_box_exits_two_naming_the_box(tmp_path):
     doc = dict(SQUARE_DOC, obstacles=[{"points": [[2e9, 0.0]]}])
     code, out, err = run_cli(["eval", write_scene(tmp_path, doc)])
     assert code == 2 and out.count("\n") <= 1  # at most the CSV header
     assert "not strictly inside the body hull" in err
-    assert "pass a larger big_m" in err
+    assert "outside the solver's box |z_j| <= 1e9" in err
+    assert "big_m" not in err and "--" not in err  # the box is fixed: no option widens it
 
 
 def test_beta_min_below_one_is_rejected(tmp_path):

@@ -10,7 +10,7 @@ from minscale import (ConvexSetH, ConvexSetV, InvalidArgumentError, LowDimLP,
                       Scenario, assemble_active_system, eval_trajectory, grad_scale_se2,
                       grad_scale_se3, is_colliding, lbfgs_minimize, min_scale_hrep,
                       min_scale_vrep, min_scale_vrep_bodyframe, oracle, plan, rotation2,
-                      scale_time_rate, solve, total_cost, vrep_scale_lp, world_to_body)
+                      scale_time_rate, total_cost, vrep_scale_lp, world_to_body)
 
 BODY = ConvexSetV(np.array([[-0.5, -0.3], [0.5, -0.3], [0.5, 0.3], [-0.5, 0.3]]))
 EMPTY = Scenario(body=BODY)
@@ -18,14 +18,9 @@ TRAJ = PiecewiseTrajectory(np.array([[0.0] * 6, [3.0, 0.0, 1.0, 0.0, 0.0, 0.0]])
 POSE = Pose2(0.0, np.zeros(2))
 RESULT = min_scale_vrep(BODY, np.array([[3.0, 0.0]]), POSE)
 RAGGED = [[0.0, 0.0], [1.0, 0.0, 0.0]]
-LP = LowDimLP(2, [1.0, 1.0], np.eye(2), [1.0, 1.0])
 BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.zeros(2))
-FAR_BOX_H = ConvexSetH(np.vstack([np.eye(2), -np.eye(2)]), np.array([4.0, 0.0]))
 CUBE_H = ConvexSetH(np.vstack([np.eye(3), -np.eye(3)]), np.zeros(3))
 TETRA = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-# the unit square seeded outside itself: at big_m = 1.7e308, before big_m was
-# capped at 1e300, it read beta = 1.7e308 against (5, 0)
-SEEDED_OUTSIDE = ConvexSetV([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], [2.0, 0.0])
 
 
 def _bowl(x):
@@ -48,12 +43,9 @@ CASES = {
     "vrep-obstacle-huge-int": lambda: min_scale_vrep(BODY, [[10 ** 400, 0]], POSE),
     "vrep-obstacle-set": lambda: min_scale_vrep(BODY, ConvexSetV([[3.0, 0.0]]), POSE),
     "bodyframe-obstacle-string": lambda: min_scale_vrep_bodyframe(BODY, "x"),
-    "lp-objective-string": lambda: LowDimLP(2, "ab"),
+    "lp-objective-string": lambda: LowDimLP(2, "ab", np.eye(2), [1.0, 1.0]),
     "lp-constraints-0d": lambda: LowDimLP(2, [1.0, 0.0], np.array(1.0), [1.0]),
     "lp-constraints-ragged": lambda: LowDimLP(2, [1.0, 0.0], RAGGED, [1.0, 1.0]),
-    "lp-b-missing": lambda: LowDimLP(2, [1.0, 0.0], [[1.0, 0.0]]),
-    "solve-big-m-string": lambda: solve(LP, big_m="1"),
-    "solve-big-m-nan": lambda: solve(LP, big_m=math.nan),
     "trajectory-states-string": lambda: PiecewiseTrajectory([["a"] * 6] * 2, [1.0]),
     "trajectory-duration-tiny": lambda: PiecewiseTrajectory(TRAJ.states, [1e-120]),
     "trajectory-duration-huge": lambda: PiecewiseTrajectory(TRAJ.states, [1e70]),
@@ -71,13 +63,6 @@ CASES = {
     "plan-time-huge": lambda: plan(EMPTY, [0.0, 0.0], [3.0, 0.0], total_time=1e200),
     "plan-start-string": lambda: plan(EMPTY, "ab", [3.0, 0.0]),
     "lbfgs-x0-ragged": lambda: lbfgs_minimize(_bowl, RAGGED),
-    "solve-big-m-bool": lambda: solve(LP, big_m=True),
-    "vrep-big-m-zero": lambda: min_scale_vrep(BODY, [[3.0, 0.0]], POSE, big_m=0),
-    "solve-big-m-past-cap": lambda: solve(LP, big_m=1e301),
-    "vrep-big-m-float-limit": lambda: min_scale_vrep(SEEDED_OUTSIDE, [[5.0, 0.0]], POSE,
-                                                     big_m=1.7e308),
-    "hrep-big-m-huge-int": lambda: min_scale_hrep(BOX_H, FAR_BOX_H, big_m=10 ** 400),
-    "oracle-enumeration-big-m-negative": lambda: oracle.solve_lp_enumeration(LP, big_m=-1.0),
     "grad-se2-system-string": lambda: grad_scale_se2("x", POSE),
     "grad-se3-system-string": lambda: grad_scale_se3("x", Pose3(Quaternion(1.0, 0.0, 0.0, 0.0),
                                                                 np.zeros(3))),
@@ -130,8 +115,6 @@ def test_numpy_scalars_and_0d_arrays_are_numbers():
     assert eval_trajectory(TRAJ, np.float64(2.0))[0][0] == 3.0
     assert Pose2(np.array(0.25), np.zeros(2)).heading == 0.25
     assert Quaternion(np.float64(1.0), np.int64(0), 0, 0).as_array().tolist() == [1, 0, 0, 0]
-    assert solve(LP, big_m=np.array(1e10)).value == solve(LP).value
     assert MotionLimits(np.int64(8), np.float64(2.0)) == MotionLimits(8.0, 2.0)
-    assert min_scale_vrep(BODY, [[3.0, 0.0]], POSE, big_m=np.int64(10 ** 9)).beta == RESULT.beta
     _, report = plan(EMPTY, [0.0, 0.0], [3.0, 0.0], segments=1, total_time=np.int64(4))
     assert report.status == "converged"

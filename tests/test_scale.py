@@ -33,51 +33,24 @@ def test_square_against_far_point():
     assert not is_colliding(result)
 
 
-def test_a_scale_past_the_solver_box_names_big_m_as_the_remedy():
-    # beta = 2e9 passes the default box |z_j| <= 1e9: the verdict names both
-    # the body and the box, and a larger big_m gives the answer the planar
-    # kernel gives
-    far = np.array([[2e9, 0.0]])
-    with pytest.raises(DegenerateBodyError, match=r"not strictly inside the body hull, or "
-                       r"the answer lies outside the solver's box .* pass a larger big_m"):
-        min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)))
-    result = min_scale_vrep(SQUARE, far, Pose2(0.0, np.zeros(2)), big_m=1e12)
-    assert abs(result.beta - 2e9) <= 1e-6
-    body, obstacle = box_h([0.0, 0.0], [1.0, 1.0]), box_h([2e9, 0.0], [1.0, 1.0])
-    with pytest.raises(InvalidArgumentError, match=r"empty region, or the answer lies "
-                       r"outside the solver's box .* pass a larger big_m"):
-        min_scale_hrep(body, obstacle)
-    assert min_scale_hrep(body, obstacle, big_m=1e12).beta == 2e9 - 1.0
-
-
-def test_the_largest_box_answers_as_the_default_box():
-    # big_m is capped at 1e300 (a larger box is refused), and the cap is
-    # safe: with bodies and obstacles scaled by 1e-6 to 1e6 under random
-    # poses, every query gives the default box's answer bit for bit, or the
-    # same error
-    rng = np.random.default_rng(27)
-
-    def outcome(body, obstacle, pose, big_m):
-        try:
-            r = min_scale_vrep(body, obstacle, pose, big_m=big_m)
-        except (DegenerateBodyError, NumericalError) as exc:
-            return type(exc)
-        return (r.beta, r.certificate.tolist(), r.active_body, r.active_obstacle,
-                r.tight_body, r.tight_obstacle, r.degenerate)
-
-    answered = 0
-    for trial in range(1000):
-        dim = 2 + trial % 2
-        body, obstacle = random_pair(rng, dim)
-        scale = 10.0 ** rng.uniform(-6.0, 6.0)
-        body = ConvexSetV(body.points * scale, body.seed * scale)
-        shift = rng.normal(size=dim) * scale
-        pose = (Pose2(rng.uniform(-np.pi, np.pi), shift) if dim == 2 else
-                Pose3(Quaternion.from_array(rng.normal(size=4)), shift))
-        default = outcome(body, obstacle * scale, pose, 1e9)
-        assert outcome(body, obstacle * scale, pose, 1e300) == default, trial
-        answered += isinstance(default, tuple)
-    assert answered >= 900
+def test_the_solver_box_bounds_the_scale_at_1e9():
+    # the solver works in the fixed box |z_j| <= 1e9: a scale just inside it
+    # is answered in full, one just past it reads as no scale and names the box
+    bodies = ((SQUARE, Pose2(0.0, np.zeros(2))),
+              (ConvexSetV(box_corners([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), np.zeros(3)),
+               Pose3(Quaternion(1.0, 0.0, 0.0, 0.0), np.zeros(3))))
+    for body, pose in bodies:
+        point = np.zeros((1, body.dim))
+        point[0, 0] = 9.99e8
+        assert abs(min_scale_vrep(body, point, pose).beta - 9.99e8) <= 1e-12 * 9.99e8
+        point[0, 0] = 1.001e9
+        with pytest.raises(DegenerateBodyError, match=r"\|z_j\| <= 1e9") as info:
+            min_scale_vrep(body, point, pose)
+        assert "big_m" not in str(info.value)
+    body = box_h([0.0, 0.0], [1.0, 1.0])
+    assert min_scale_hrep(body, box_h([9.99e8, 0.0], [1.0, 1.0])).beta == 9.99e8 - 1.0
+    with pytest.raises(InvalidArgumentError, match=r"outside the solver's box \|z_j\| <= 1e9"):
+        min_scale_hrep(body, box_h([1.001e9, 0.0], [1.0, 1.0]))
 
 
 def test_a_scale_lp_read_as_infeasible_raises_a_numerical_error():
@@ -428,10 +401,10 @@ def _counting_solves(monkeypatch, limit=50):
     """Record the rows of every LP the scale module solves; fail past ``limit`` calls."""
     calls = []
 
-    def counted(lp, big_m=1e9):
+    def counted(lp):
         calls.append(lp.m)
         assert len(calls) <= limit, "the working set keeps growing"
-        return solve(lp, big_m)
+        return solve(lp)
 
     monkeypatch.setattr(minscale.scale, "solve", counted)
     return calls

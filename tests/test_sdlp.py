@@ -104,16 +104,6 @@ def test_constructor_validation():
         solve("not an lp")
 
 
-def test_solver_params_validation():
-    # an out-of-range box makes the LP lie: big_m=0 solves max x+y s.t. x, y <= 1 to 0
-    box = lp(2, [1.0, 1.0], [([1.0, 0.0], 1.0), ([0.0, 1.0], 1.0)])
-    for bad in (0.0, -1.0, np.nan, np.inf, "1", True):
-        with pytest.raises(InvalidArgumentError):
-            solve(box, bad)
-    for ok in (np.float64(1e10), 3):
-        assert abs(solve(box, ok).value - 2.0) < 1e-12
-
-
 def test_active_set_requires_an_optimal_solution():
     problem = lp(2, [1.0, 0.0], [([1.0, 0.0], 0.0), ([-1.0, 0.0], -1.0)])
     sol = solve(problem)

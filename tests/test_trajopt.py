@@ -1,8 +1,9 @@
 """Trajectory representation, costs, the nonsmooth optimizer, and planning."""
 
+import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -117,7 +118,8 @@ def test_construction_validation():
 def test_heading_model():
     velocities = np.array([[0.4, -1.1], [-2.0, 0.3], [0.0, 2.0], [-1e-2, -3e-3]])
     h = 1e-7
-    analytic = _heading_jacobian(velocities, 1e-3)
+    eps = CostConfig.heading_eps
+    analytic = _heading_jacobian(velocities)
     for v0, row in zip(velocities, analytic):
         numeric = np.zeros(2)
         for i in range(2):
@@ -126,14 +128,13 @@ def test_heading_model():
             vm[i] -= h
             numeric[i] = (math.atan2(vp[1], vp[0]) - math.atan2(vm[1], vm[0])) / (2.0 * h)
         # the regularization scales the exact rate by |v|^2 / (|v|^2 + eps^2)
-        shrink = (v0 @ v0) / (v0 @ v0 + 1e-3 ** 2)
+        shrink = (v0 @ v0) / (v0 @ v0 + eps ** 2)
         assert np.allclose(row, shrink * numeric, rtol=1e-6, atol=0.0)
     # bounded by 1 / (2 eps) through reversals, and reached at |v| = eps
-    eps = 1e-3
     speeds = np.geomspace(1e-6, 1.0, 61)
-    jac = _heading_jacobian(np.stack([speeds, np.zeros_like(speeds)], axis=1), eps)
+    jac = _heading_jacobian(np.stack([speeds, np.zeros_like(speeds)], axis=1))
     assert np.all(np.linalg.norm(jac, axis=1) <= 1.0 / (2.0 * eps) * (1.0 + 1e-12))
-    peak = _heading_jacobian(np.array([[0.0, eps]]), eps)
+    peak = _heading_jacobian(np.array([[0.0, eps]]))
     assert abs(np.linalg.norm(peak) - 1.0 / (2.0 * eps)) <= 1e-9 / eps
 
 
@@ -832,6 +833,27 @@ def test_plan_around_a_blocking_box():
         right = eval_trajectory(traj, tau + 1e-12)
         for a, b in zip(left[:3], right[:3]):
             assert np.allclose(a, b, atol=1e-9)
+
+
+# SHA-256 of each plan's durations and coefficients, then the repr of its
+# report's sorted fields without the wall time
+PLAN_GOLDEN_DIGESTS = {
+    ("blocking_box.json", (9.0, 0.0), 5):
+        "6175d9564538af62a118b8ff5753cbfd8b2d865b9c787ec5a98aeeb59a135b81",
+    ("dynamic_traffic.json", (20.0, 0.0), 6):
+        "d5c81ae9f1f003b6fe58addb5c48d9224622f69d4a762a59af751b497472ed09",
+}
+
+
+def test_plans_match_their_golden_digests():
+    for (name, goal, segments), golden in PLAN_GOLDEN_DIGESTS.items():
+        scenario = cli._scene_scenario(cli.load_scene(str(SCENES / name)))
+        traj, report = plan(scenario, [0.0, 0.0], list(goal), segments=segments)
+        fields = sorted((key, value) for key, value in asdict(report).items()
+                        if key != "wall_time_s")
+        digest = hashlib.sha256(traj.durations.tobytes() + traj.coeffs.tobytes()
+                                + repr(fields).encode())
+        assert digest.hexdigest() == golden, (name, report)
 
 
 def test_a_plan_does_not_depend_on_where_the_scene_sits():
