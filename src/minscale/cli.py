@@ -385,6 +385,9 @@ def cmd_plan(args):
     scenario = _scene_scenario(scene)
     traj, report = plan(scenario, start, goal, segments=args.segments,
                         total_time=args.total_time)
+    if report.min_beta_obstacle is not None:  # Scenario lists static first; report scene order
+        order = sorted(range(len(scene.obstacles)), key=lambda i: scene.obstacles[i][1] is not None)
+        report = dataclasses.replace(report, min_beta_obstacle=order[report.min_beta_obstacle])
     print(json.dumps(_report_doc(report), indent=2))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -27,8 +27,8 @@ FD_H = 1e-6
 def random_body(rng, dim, k_hi=10):
     """Random V-rep body whose centroid seed is strictly interior.
 
-    The seed must clear every qhull facet by 1e-6 * max(1, |offset|), a
-    wider margin than the oracle's point_strictly_inside_hull asks.
+    The seed must clear every qhull facet by 1e-6 * max(1, |offset|); qhull
+    is the suite's hull reference, independent of the package's own hull.
     """
     while True:
         k = int(rng.integers(dim + 2, k_hi + 1))

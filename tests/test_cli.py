@@ -517,6 +517,21 @@ def test_plan_without_obstacles_places_no_worst_scale(tmp_path):
     assert report["kernel_pairs"] == report["skipped_pairs"] == 0
 
 
+def test_plan_names_the_worst_obstacle_by_its_index_in_the_scene_file(tmp_path):
+    # the far mover comes first in the file, the static box second; the
+    # planner's Scenario lists static obstacles first, the report must not
+    doc = json.loads(Path(BLOCKING).read_text(encoding="utf-8"))
+    doc["obstacles"] = [
+        {"points": [[0.0, 100.0], [1.0, 100.0], [1.0, 101.0], [0.0, 101.0]],
+         "velocity": [1.0, 0.0]},
+        {"points": [[4.0, -0.5], [5.0, -0.5], [5.0, 0.5], [4.0, 0.5]]},
+    ]
+    code, out, _ = run_cli(["plan", write_scene(tmp_path, doc), "--start", "0,0",
+                            "--goal", "9,0"])
+    assert code == 0
+    assert json.loads(out)["min_beta_obstacle"] == 1
+
+
 def test_plan_prints_strict_json_when_the_cost_overflows():
     # a 9 unit move in 1e-30 s overflows the cost; the report still parses as
     # strict JSON, with every non-finite float written as a string

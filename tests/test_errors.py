@@ -73,7 +73,6 @@ CASES = {
     "rotation-string": lambda: rotation2("x"),
     "oracle-hulls-string": lambda: oracle.hulls_intersect("ab", BODY.points),
     "oracle-point-in-ragged": lambda: oracle.point_in_hull([0, 0], RAGGED),
-    "oracle-strict-point-string": lambda: oracle.point_strictly_inside_hull("ab", BODY.points),
     "oracle-bisection-obstacle-string": lambda: oracle.min_scale_bisection(BODY, "x"),
     "oracle-bisection-body-string": lambda: oracle.min_scale_bisection("x", [[3.0, 0.0]]),
     "oracle-finite-diff-string": lambda: oracle.finite_diff(lambda x: float(x @ x), "ab"),

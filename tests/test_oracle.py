@@ -5,8 +5,7 @@ import pytest
 
 from minscale.errors import InvalidArgumentError, NumericalError
 from minscale.oracle import (finite_diff, hulls_intersect, min_scale_bisection,
-                             point_in_hull, point_strictly_inside_hull,
-                             solve_lp_enumeration)
+                             point_in_hull, solve_lp_enumeration)
 from minscale.scale import ConvexSetV
 from minscale.sdlp import LowDimLP, LpStatus
 
@@ -64,11 +63,6 @@ def test_point_hull_membership():
     assert point_in_hull(np.array([0.0, 0.0]), SQUARE)
     assert point_in_hull(np.array([1.0, 0.0]), SQUARE)
     assert not point_in_hull(np.array([1.1, 0.0]), SQUARE)
-    assert point_strictly_inside_hull(np.array([0.5, 0.5]), SQUARE)
-    assert not point_strictly_inside_hull(np.array([1.0, 0.0]), SQUARE)
-    # flat hull has no strict interior
-    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert not point_strictly_inside_hull(np.array([1.0, 0.0]), flat)
 
 
 def test_bisection_trivial_scales():
